@@ -20,7 +20,8 @@ import numpy as np
 
 from . import rng
 from .closed_form import (ClosedFormSolution, EngineError, RejectedCondition,
-                          affine_engine, linear_engine, tilted_engine)
+                          affine_engine, checkpoint_density_u, linear_engine,
+                          tilted_engine)
 from .constants import TOL, DEFAULT_CHECKPOINTS, DEFAULT_STEPS_PER_UNIT
 from .metric import MetricError, dqt_estimate
 from .model import InitialLaw, ModelError
@@ -75,6 +76,9 @@ def load_config(path: str) -> dict:
         if key not in DEFAULT_CONFIG:
             raise ConfigError(f"unknown config key {key!r}")
         if isinstance(DEFAULT_CONFIG[key], dict) and isinstance(val, dict):
+            unknown = sorted(set(val) - set(DEFAULT_CONFIG[key]))
+            if unknown:
+                raise ConfigError(f"unknown config key {key}.{unknown[0]}")
             cfg[key].update(val)
         else:
             cfg[key] = val
@@ -256,16 +260,20 @@ def _particle_solution(sc: Scenario, cfg: dict, seed: int,
     ens = run_particles(sc.model, sc.fitness, sc.initial_law, n, grid_t, seed,
                         checkpoints=int(cfg["metric"]["checkpoints"]),
                         threads=threads)
+    half_line = sc.model.domain.kind == "half-line"
     cache = {}
 
-    def u(t, x):
-        if t <= 0:
-            return sc.initial_law.density(np.asarray(x, float))
+    def density_at(t):
         j = ens.node_index(t)
         if j not in cache:
             nm = normalized_measure(ens, ens.times[j])
-            cache[j] = kde(nm.atoms[:, 0], nm.masses)
-        return cache[j](np.asarray(x, float))
+            est = kde(nm.atoms[:, 0], nm.masses)
+            if half_line:
+                est = GridDensity(est.x, np.where(est.x > 0, est.values, 0.0)).normalize()
+            cache[j] = est
+        return cache[j]
+
+    u = checkpoint_density_u(sc.initial_law, density_at, half_line)
 
     def mass(t):
         return mass_estimate(ens, t) * np.exp(sc.fitness.g_max * t)

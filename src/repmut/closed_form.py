@@ -528,7 +528,7 @@ def affine_engine(model: DiffusionModel, fitness: FitnessFunction,
         raise RejectedCondition("affine engine needs gaussian or grid-density u0")
     yvals = u0.params["values"]
     grid = _auto_grid(float(np.trapezoid(ygrid * yvals, ygrid)),
-                      max(1.0, np.sqrt(float(a[0, 0]) * horizon)) + ygrid.ptp() / 4,
+                      max(1.0, np.sqrt(float(a[0, 0]) * horizon)) + np.ptp(ygrid) / 4,
                       size=grid_size)
 
     def log_numerator(t, x):
@@ -675,6 +675,19 @@ def _reweighted_initial(u0: InitialLaw, pair: Eigenpair, domain_kind: str) -> In
     return InitialLaw("grid-density", {"x": xg, "values": vals / total})
 
 
+def checkpoint_density_u(u0: InitialLaw, density_at: Callable,
+                         half_line: bool) -> Callable:
+    """u(t, x) of a Monte Carlo engine: the initial density at t <= 0, else
+    the grid density ``density_at(t)``; on the half line it is 0 for every
+    x < 0, also between the two grid nodes around the wall."""
+    def u(t, x):
+        x = np.asarray(x, float)
+        vals = u0.density(x) if t <= 0 else density_at(t)(x)
+        return np.where(x < 0, 0.0, vals) if half_line else vals
+
+    return u
+
+
 def tilted_engine(model: DiffusionModel, fitness: FitnessFunction,
                   pair: Eigenpair, u0: InitialLaw, horizon: float,
                   n_paths: int = 100_000, seed: int = 0,
@@ -719,10 +732,7 @@ def tilted_engine(model: DiffusionModel, fitness: FitnessFunction,
         cache[j] = dens
         return dens
 
-    def u(t, x):
-        if t <= 0:
-            return u0.density(np.asarray(x, float))
-        return density_at(t)(np.asarray(x, float))
+    u = checkpoint_density_u(u0, density_at, model.domain.kind == "half-line")
 
     def mass(t):
         raise EngineError("tilted engine has no analytic mass factor; "

@@ -183,10 +183,23 @@ def silverman_bandwidth(points: np.ndarray, weights: np.ndarray) -> float:
     return 0.9 * spread * n_eff ** (-0.2)
 
 
+_KDE_REFINE = 4  # lattice steps per grid step; binning error falls as its square
+
+
 def kde(points: np.ndarray, weights: Optional[np.ndarray] = None,
         bandwidth: Optional[float] = None, grid: Optional[np.ndarray] = None,
         grid_size: int = 1024) -> GridDensity:
-    """Weighted Gaussian-kernel density on an automatically sized grid.
+    """Weighted Gaussian-kernel density on a uniform grid, by default one
+    that spans the points plus four bandwidths.
+
+    The weights are linearly binned onto a lattice at a quarter of the grid
+    spacing, extended over the points within eight bandwidths of the grid,
+    and convolved with the kernel sampled at the lattice lags by one real
+    FFT (Silverman, AS 176, 1982; Wand, JCGS 1994).  The binning error is of
+    order (lattice spacing / bandwidth)^2, and points and kernel terms beyond
+    eight bandwidths (below exp(-32) of the peak) are dropped: on the default
+    grid of 2e4 points the result is within 1e-5 of the direct kernel sum,
+    relative to its maximum.
 
     The output integrates to one; the weights only need to be nonnegative
     with a positive sum.  Equal points with stacked weight and duplicated
@@ -207,12 +220,33 @@ def kde(points: np.ndarray, weights: Optional[np.ndarray] = None,
         raise NumericsError("bandwidth must be positive")
     if grid is None:
         grid = np.linspace(pts.min() - 4 * h, pts.max() + 4 * h, grid_size)
-    vals = np.zeros(grid.size)
-    norm = 1.0 / (h * np.sqrt(2 * np.pi))
-    chunk = max(1, int(2e7) // grid.size)
-    for lo in range(0, pts.size, chunk):
-        sl = slice(lo, lo + chunk)
-        z = (grid[None, :] - pts[sl, None]) / h
-        vals += w[sl] @ np.exp(-0.5 * z * z)
-    dens = GridDensity(grid, vals * norm)
-    return dens.normalize()
+    grid = np.asarray(grid, float)
+    n = grid.size
+    dx = (grid[-1] - grid[0]) / (n - 1) if n > 1 else 0.0
+    if not dx > 0 or np.abs(grid - grid[0] - dx * np.arange(n)).max() > 1e-6 * dx:
+        raise NumericsError("kde needs a uniform increasing grid")
+
+    # lattice node m sits at grid[0] + m dx / _KDE_REFINE, so every grid node
+    # is a lattice node; the lattice spans the grid and the points, but stops
+    # `reach` nodes beyond the grid, where a point's kernel no longer touches
+    # any grid node
+    step = dx / _KDE_REFINE
+    last = _KDE_REFINE * (n - 1)
+    reach = int(np.ceil(8.0 * h / step))
+    s = (pts - grid[0]) / step
+    lo = max(-reach, min(0, int(np.floor(s.min()))))
+    hi = min(last + reach, max(last, int(np.ceil(s.max()))))
+    inside = (s >= lo) & (s <= hi)
+    s, w = s[inside] - lo, w[inside]
+    left = np.minimum(np.floor(s), hi - lo - 1).astype(np.intp)
+    frac = s - left
+    size = hi - lo + 1
+    binned = np.bincount(left, w * (1.0 - frac), minlength=size) \
+        + np.bincount(left + 1, w * frac, minlength=size)
+
+    lags = np.arange(-reach, reach + 1) * (step / h)
+    kernel = np.exp(-0.5 * lags * lags) / (h * np.sqrt(2 * np.pi))
+    nfft = 1 << (size + 2 * reach - 1).bit_length()
+    conv = np.fft.irfft(np.fft.rfft(binned, nfft) * np.fft.rfft(kernel, nfft), nfft)
+    vals = conv[reach - lo:reach - lo + last + 1:_KDE_REFINE]
+    return GridDensity(grid, np.maximum(vals, 0.0)).normalize()

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from .constants import TOL
 from .model import DiffusionModel, FitnessFunction
@@ -94,31 +94,24 @@ def _build_grid(model: DiffusionModel, scheme: PdeScheme):
 
 def _flux_matrix(model: DiffusionModel, x: np.ndarray, dx: float, half_line: bool):
     """Tridiagonal generator of du/dt = (F_{j+1/2} - F_{j-1/2}) / dx with
-    F = d_x(D u) - b u, D = sigma^2 / 2."""
+    F = d_x(D u) - b u, D = sigma^2 / 2, as (lower, diag, upper): the
+    coefficients of u_{j-1}, u_j and u_{j+1} in row j."""
     M = x.size
     D = model.diffusion(x[:, None])[:, 0, 0] ** 2 / 2.0
     xc = np.concatenate([[x[0] - dx], x, [x[-1] + dx]])
     bmid = model.drift(0.5 * (xc[1:] + xc[:-1])[:, None])[:, 0]  # b at j-1/2 faces
-    lower = np.zeros(M)   # coefficient of u_{j-1} in row j
-    diag = np.zeros(M)
-    upper = np.zeros(M)   # coefficient of u_{j+1}
-    for j in range(M):
-        # right face j+1/2: F = (D_{j+1} u_{j+1} - D_j u_j)/dx - b (u_j + u_{j+1})/2
-        if j < M - 1:
-            upper[j] += (D[j + 1] / dx - bmid[j + 1] / 2.0) / dx
-            diag[j] += (-D[j] / dx - bmid[j + 1] / 2.0) / dx
-        else:
-            # Dirichlet ghost u = 0 beyond the last node
-            diag[j] += (-D[j] / dx - bmid[j + 1] / 2.0) / dx
-        # left face j-1/2 enters with minus sign
-        if j > 0:
-            lower[j] -= (-D[j - 1] / dx - bmid[j] / 2.0) / dx
-            diag[j] -= (D[j] / dx - bmid[j] / 2.0) / dx
-        else:
-            if half_line:
-                pass  # zero-flux wall: F_{-1/2} = 0
-            else:
-                diag[j] -= (D[j] / dx - bmid[j] / 2.0) / dx
+    # right face j+1/2: F = (D_{j+1} u_{j+1} - D_j u_j)/dx - b (u_j + u_{j+1})/2,
+    # with a Dirichlet ghost u = 0 beyond the last node
+    right = (-D / dx - bmid[1:] / 2.0) / dx
+    # left face j-1/2 enters with a minus sign
+    left = (D / dx - bmid[:-1] / 2.0) / dx
+    diag = right - left
+    if half_line:
+        diag[0] = right[0]  # zero-flux wall: F_{-1/2} = 0
+    upper = np.zeros(M)
+    upper[:-1] = (D[1:] / dx - bmid[1:-1] / 2.0) / dx
+    lower = np.zeros(M)
+    lower[1:] = (D[:-1] / dx + bmid[1:-1] / 2.0) / dx
     return lower, diag, upper
 
 
@@ -152,19 +145,20 @@ def solve_rm_pde(model: DiffusionModel, fitness: FitnessFunction,
     half_react = np.exp(0.5 * dt * (gvals - gvals.max()))
     full_react = half_react * half_react
 
-    lower, diag, upper = _flux_matrix(model, x, dx, half_line)
-    M = x.size
-    # banded forms of (I -+ dt/2 A)
-    ab_im = np.zeros((3, M))
-    ab_im[0, 1:] = -0.5 * dt * upper[:-1]
-    ab_im[1, :] = 1.0 - 0.5 * dt * diag
-    ab_im[2, :-1] = -0.5 * dt * lower[1:]
+    # trapezoid weights: wq @ v is the trapezoid integral of v over x
+    wq = np.zeros(x.size)
+    wq[1:] += 0.5 * np.diff(x)
+    wq[:-1] += 0.5 * np.diff(x)
 
-    def explicit(vec):
-        out = (1.0 + 0.5 * dt * diag) * vec
-        out[:-1] += 0.5 * dt * upper[:-1] * vec[1:]
-        out[1:] += 0.5 * dt * lower[1:] * vec[:-1]
-        return out
+    # (I - dt/2 A) factored once; (I + dt/2 A) applied by its three diagonals
+    lower, diag, upper = _flux_matrix(model, x, dx, half_line)
+    *lu, info = scipy.linalg.lapack.dgttrf(
+        -0.5 * dt * lower[1:], 1.0 - 0.5 * dt * diag, -0.5 * dt * upper[:-1])
+    if info != 0:
+        raise PdeError("Crank-Nicolson matrix is singular")
+    ex_diag = 1.0 + 0.5 * dt * diag
+    ex_upper = 0.5 * dt * upper[:-1]
+    ex_lower = 0.5 * dt * lower[1:]
 
     if store_times is not None:
         targets = np.asarray(store_times, float)
@@ -172,7 +166,7 @@ def solve_rm_pde(model: DiffusionModel, fitness: FitnessFunction,
         targets = np.arange(0, steps + 1, store_every) * dt
     else:
         targets = np.linspace(0.0, T, 33)
-    snap_steps = np.unique(np.clip(np.round(targets / dt).astype(int), 0, steps))
+    snap_steps = set(np.clip(np.round(targets / dt).astype(int), 0, steps).tolist())
 
     out_times = [0.0]
     out_dens = [u.copy()]
@@ -182,33 +176,43 @@ def solve_rm_pde(model: DiffusionModel, fitness: FitnessFunction,
 
     def react(vec, factor):
         w = vec * factor
-        tot = np.trapezoid(w, x)
+        tot = wq @ w
         if not np.isfinite(tot) or tot <= 0:
             raise PdeError("reaction step lost all mass")
-        return w / tot
+        w /= tot
+        return w
 
+    # Strang: R(dt/2) C R(dt/2) per step, with the two half reactions that
+    # meet between steps fused into one full reaction; half steps remain
+    # only around stored snapshots and at the final time.
+    pending = full_react if lie else half_react
     for k in range(steps):
-        if lie:
-            u = react(u, full_react)
-        else:
-            u = react(u, half_react)
-        before = np.trapezoid(u, x)
-        u = scipy.linalg.solve_banded((1, 1), ab_im, explicit(u))
-        neg = u < 0
-        if neg.any():
-            if u[neg].min() < -1e-12:
+        u = react(u, pending)
+        before = wq @ u
+        rhs = ex_diag * u
+        rhs[:-1] += ex_upper * u[1:]
+        rhs[1:] += ex_lower * u[:-1]
+        u = scipy.linalg.lapack.dgttrs(*lu, rhs, overwrite_b=1)[0]
+        low = u.min()
+        if low < 0:
+            if low < -1e-12:
                 clips += int((u < -1e-14).sum())
-            u = np.maximum(u, 0.0)
-        after = np.trapezoid(u, x)
+            np.maximum(u, 0.0, out=u)
+        after = wq @ u
         leak += abs(before - after)
         if leak > TOL["pde_mass_leak"]:
             raise PdeError(
                 f"boundary mass leak {leak:.2e} exceeds {TOL['pde_mass_leak']:g}; "
                 "enlarge the grid half width")
-        u = u / after * before
+        u *= before / after
+        stored = (k + 1) in snap_steps
         if not lie:
-            u = react(u, half_react)
-        if (k + 1) in snap_steps:
+            if stored or k + 1 == steps:
+                u = react(u, half_react)
+                pending = half_react
+            else:
+                pending = full_react
+        if stored:
             out_times.append((k + 1) * dt)
             out_dens.append(u.copy())
 

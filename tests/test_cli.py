@@ -1,11 +1,12 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repmut.cli import (EXIT_CONFIG, EXIT_OK, ConfigError,
-                        build_scenario, canonical_json, config_hash, load_config,
-                        main)
+                        build_scenario, build_solution, canonical_json,
+                        config_hash, load_config, main)
 
 
 def write_cfg(tmp_path, name="cfg.json", **overrides):
@@ -50,6 +51,12 @@ class TestConfig:
         path.write_text(json.dumps({"scenariooo": "x"}))
         with pytest.raises(ConfigError):
             load_config(str(path))
+
+    def test_unknown_nested_key_exits_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"scenario": "linear-bm", "particles": {"repz": 1}}))
+        assert main(["manifest", "--config", str(path)]) == EXIT_CONFIG
+        assert "particles.repz" in capsys.readouterr().err
 
     def test_unknown_scenario_rejected(self, tmp_path):
         path, _ = write_cfg(tmp_path, scenario="no-such-thing")
@@ -109,6 +116,39 @@ class TestSolveCommand:
 
     def test_missing_config_is_config_error(self):
         assert main(["solve"]) == EXIT_CONFIG
+
+    def test_affine_engine_with_grid_density_initial_law(self, tmp_path):
+        # one checkpoint (t = 0): this engine's mass(t) integrates the mean
+        # fitness over 257 quadrature nodes of full density evaluations,
+        # about two minutes per checkpoint; the density at T is checked below
+        path, _ = write_cfg(tmp_path, scenario=None, engines=["affine"],
+                            model={"kind": "ou", "kappa": 1.0, "sigma": 1.0},
+                            fitness={"kind": "quadratic-decay"},
+                            initial={"kind": "gamma-like"},
+                            metric={"checkpoints": 1})
+        assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) \
+            == EXIT_OK
+        cfg = load_config(path)
+        sol = build_solution("affine", build_scenario(cfg), cfg, seed=0)
+        vals = sol.u(cfg["horizon"], sol.grid)
+        assert vals.min() >= 0.0
+        assert abs(np.trapezoid(vals, sol.grid) - 1.0) <= 1e-9
+
+
+class TestHalfLineWall:
+    @pytest.mark.parametrize("engine", ["tilted", "particle"])
+    def test_density_vanishes_below_wall(self, tmp_path, engine):
+        path, _ = write_cfg(tmp_path, scenario="cir-linear", horizon=0.015,
+                            particles={"n_kde": 4000}, metric={"checkpoints": 3})
+        cfg = load_config(path)
+        sol = build_solution(engine, build_scenario(cfg), cfg, seed=5)
+        times = sol.meta["times"] if engine == "tilted" else sol.meta["ensemble"].times
+        xs = np.linspace(-1.0, 12.0, 130_001)
+        for t in times:
+            assert (sol.u(t, np.array([-1.0, -1e-3])) == 0.0).all()
+            # the interpolant's sliver between the last node left of the
+            # wall and x = 0 is cut, a few 1e-4 of the mass
+            assert abs(np.trapezoid(sol.u(t, xs), xs) - 1.0) <= 1e-3
 
 
 class TestChaosCommand:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from repmut.constants import TOL
 from repmut.model import FitnessFunction
 from repmut.numerics import GridDensity
 from repmut.pde import (PdeError, PdeScheme, fitness_mean_trace, solve_rm_pde,
                         weak_form_residual)
-from repmut.scenarios import (bm_model, cir_model, harmonic_scenario,
-                              linear_bm_scenario)
+from repmut.scenarios import (bm_model, cir_linear_scenario, cir_model,
+                              harmonic_scenario, linear_bm_scenario)
 
 
 def gaussian_grid_density(var=0.25, half_width=12.0, nodes=2048):
@@ -176,3 +178,104 @@ class TestSummary:
         data = json.loads(path.read_text())
         assert set(data) >= {"mass_leak", "steps", "runtime_s"}
         assert data["steps"] == traj.steps
+
+
+def reference_solve(model, fitness, u0, T, scheme, store_times):
+    """The solver as first written: per-node flux assembly, a banded solve
+    that refactors at every step, trapezoid calls and two reaction half
+    steps per Strang step.  Kept as the oracle of the factored solver."""
+    if model.domain.kind == "half-line":
+        dx = scheme.half_width / scheme.nodes
+        x = (np.arange(scheme.nodes) + 0.5) * dx
+    else:
+        x = np.linspace(-scheme.half_width, scheme.half_width, scheme.nodes)
+        dx = x[1] - x[0]
+    half_line = model.domain.kind == "half-line"
+    dt = dx * dx / (2.0 * (model.diffusion(x[:, None])[:, 0, 0] ** 2).max())
+    steps = int(np.ceil(T / dt))
+    dt = T / steps
+    u = np.maximum(u0(x), 0.0)
+    u = u / np.trapezoid(u, x)
+    gvals = np.asarray(fitness.g(x), float)
+    half_react = np.exp(0.5 * dt * (gvals - gvals.max()))
+    full_react = half_react * half_react
+
+    M = x.size
+    D = model.diffusion(x[:, None])[:, 0, 0] ** 2 / 2.0
+    xc = np.concatenate([[x[0] - dx], x, [x[-1] + dx]])
+    bmid = model.drift(0.5 * (xc[1:] + xc[:-1])[:, None])[:, 0]
+    lower, diag, upper = np.zeros(M), np.zeros(M), np.zeros(M)
+    for j in range(M):
+        if j < M - 1:
+            upper[j] += (D[j + 1] / dx - bmid[j + 1] / 2.0) / dx
+        diag[j] += (-D[j] / dx - bmid[j + 1] / 2.0) / dx
+        if j > 0:
+            lower[j] -= (-D[j - 1] / dx - bmid[j] / 2.0) / dx
+            diag[j] -= (D[j] / dx - bmid[j] / 2.0) / dx
+        elif not half_line:
+            diag[j] -= (D[j] / dx - bmid[j] / 2.0) / dx
+    ab = np.zeros((3, M))
+    ab[0, 1:] = -0.5 * dt * upper[:-1]
+    ab[1, :] = 1.0 - 0.5 * dt * diag
+    ab[2, :-1] = -0.5 * dt * lower[1:]
+
+    def explicit(vec):
+        out = (1.0 + 0.5 * dt * diag) * vec
+        out[:-1] += 0.5 * dt * upper[:-1] * vec[1:]
+        out[1:] += 0.5 * dt * lower[1:] * vec[:-1]
+        return out
+
+    def react(vec, factor):
+        w = vec * factor
+        return w / np.trapezoid(w, x)
+
+    snap = np.unique(np.clip(np.round(np.asarray(store_times) / dt).astype(int),
+                             0, steps))
+    lie = scheme.splitting == "lie"
+    times, dens, clips = [0.0], [u.copy()], 0
+    for k in range(steps):
+        u = react(u, full_react if lie else half_react)
+        before = np.trapezoid(u, x)
+        u = scipy.linalg.solve_banded((1, 1), ab, explicit(u))
+        neg = u < 0
+        if neg.any():
+            if u[neg].min() < -1e-12:
+                clips += int((u < -1e-14).sum())
+            u = np.maximum(u, 0.0)
+        after = np.trapezoid(u, x)
+        assert abs(before - after) <= TOL["pde_mass_leak"]
+        u = u / after * before
+        if not lie:
+            u = react(u, half_react)
+        if (k + 1) in snap:
+            times.append((k + 1) * dt)
+            dens.append(u.copy())
+    return np.asarray(times), np.asarray(dens), steps, clips
+
+
+class TestAgainstReference:
+    """The factored, fused solver reproduces the step-by-step one to
+    roundoff: same steps, store times and clip count."""
+
+    @pytest.mark.parametrize("splitting", ["strang", "lie"])
+    @pytest.mark.parametrize("scenario,T,half_width", [
+        (cir_linear_scenario, 0.015, 14.0),
+        (linear_bm_scenario, 0.1, 12.0),
+    ])
+    def test_matches_reference(self, scenario, T, half_width, splitting):
+        sc = scenario()
+        scheme = PdeScheme(half_width=half_width, nodes=2048, splitting=splitting)
+        if sc.model.domain.kind == "half-line":
+            x = (np.arange(2048) + 0.5) * half_width / 2048
+        else:
+            x = np.linspace(-half_width, half_width, 2048)
+        u0 = GridDensity(x, np.maximum(sc.initial_law.density(x), 0.0)).normalize()
+        store = np.linspace(0.0, T, 3)
+        traj = solve_rm_pde(sc.model, sc.fitness, u0, T, scheme, store_times=store)
+        times, dens, steps, clips = reference_solve(sc.model, sc.fitness, u0, T,
+                                                    scheme, store)
+        assert traj.steps == steps
+        assert traj.negativity_clips == clips
+        np.testing.assert_array_equal(traj.times, times)
+        gap = np.abs(traj.densities - dens).max() / np.abs(dens).max()
+        assert gap <= 1e-12
