@@ -110,13 +110,6 @@ class ClosedFormSolution:
         h = float(self.mass(t))
         return h * np.exp(-self.shift * t) if shifted else h
 
-    def l1_against(self, other, t: float, grid: Optional[np.ndarray] = None) -> float:
-        x = self.grid if grid is None else grid
-        a = self.density_grid(t, x)
-        b = other.density_grid(t, x) if hasattr(other, "density_grid") \
-            else GridDensity(x, np.maximum(other(t, x), 0.0)).normalize()
-        return float(np.trapezoid(np.abs(a.values - b.values), x))
-
 
 # ---------------------------------------------------------------------------
 # constant-condition detection
@@ -700,9 +693,15 @@ def tilted_engine(model: DiffusionModel, fitness: FitnessFunction,
 
     The density is available at the stored checkpoint times.  The mass
     factor is not produced here; use the particle system's estimator.
+    A pair whose residual on the model exceeds
+    ``TOL["eigenpair_residual_rel"]`` on 64 probe points is rejected.
     """
     if model.dim != 1:
         raise RejectedCondition("tilted engine densities are one-dimensional")
+    res = eigenpair_residual(model, fitness, pair, probe_points(model.domain, 64))
+    if not res <= TOL["eigenpair_residual_rel"]:
+        raise RejectedCondition(f"eigenpair residual {res:.2e} on the model's probe box "
+                                f"exceeds {TOL['eigenpair_residual_rel']:g}")
     law = _reweighted_initial(u0, pair, model.domain.kind)
     x0 = sample_initial(law, n_paths, seed, domain=model.domain)
     grid_t = TimeGrid(0.0, horizon, max(1, int(round(steps_per_unit * horizon))))

@@ -66,17 +66,6 @@ def dstar(p, q, x0=0.0):
     return np.minimum(direct, _l(p, x0) + _l(q, x0))
 
 
-@dataclass(frozen=True)
-class StarMetric:
-    x0: float = 0.0
-
-    def l(self, x):
-        return _l(x, self.x0)
-
-    def __call__(self, p, q):
-        return dstar(p, q, self.x0)
-
-
 # ---------------------------------------------------------------------------
 # compactified measures
 
@@ -490,6 +479,7 @@ class DqtResult:
     n_particles: int
     q: float
     reliable_ci: bool
+    extra_shift: np.ndarray  # (reps,); 0 where the fitness shift g_max sufficed
 
 
 def dqt_estimate(model, fitness, initial_law, reference, *, T: float, N: int,
@@ -503,6 +493,13 @@ def dqt_estimate(model, fitness, initial_law, reference, *, T: float, N: int,
     Both measures are discretized onto the reference's midpoint grid (the
     empirical side by weight-preserving binning), compactified, and compared
     checkpoint by checkpoint; the sup uses the stored checkpoints only.
+
+    The fitness shift g_max need not bound g on the realized paths (linear
+    fitness has no upper bound), so a tilted empirical mass can exceed one,
+    outside the compactification.  That replicate's shift is then raised
+    by the least constant that keeps its masses at most one, on both
+    measures alike (the BL distance scales with them); ``extra_shift``
+    records it.
     """
     from . import rng
     from .particle import run_particles, tilted_measure
@@ -514,18 +511,23 @@ def dqt_estimate(model, fitness, initial_law, reference, *, T: float, N: int,
     edges = np.linspace(lo, hi, ref_atoms + 1)
     mids = 0.5 * (edges[1:] + edges[:-1])
     sups = np.empty(reps)
+    extra = np.zeros(reps)
     times_used = None
     for r in range(reps):
         rep_seed = rng.derive_seed(seed, f"dqt-rep-{r}")
         ens = runner(model, fitness, initial_law, N, grid_t, rep_seed,
                      checkpoints=checkpoints, threads=threads)
         times_used = ens.times
+        later = ens.times > 0
+        log_mass = np.log(np.exp(ens.logw[:, later]).mean(axis=0))
+        extra[r] = max(0.0, float(np.max(log_mass / ens.times[later], initial=0.0)))
         best = 0.0
         for t in ens.times:
+            scale = np.exp(-extra[r] * t)
             emp = tilted_measure(ens, t)
-            ea, em = bin_measure(emp.atoms, emp.masses, edges)
+            ea, em = bin_measure(emp.atoms, emp.masses * scale, edges)
             emp_c = CompactifiedMeasure(ea[:, None], em)
-            h_ref = reference.mass_factor(t, shifted=True)
+            h_ref = reference.mass_factor(t, shifted=True) * scale
             uvals = np.maximum(reference.u(t, mids), 0.0)
             cell = uvals * np.diff(edges)
             total = cell.sum()
@@ -545,4 +547,4 @@ def dqt_estimate(model, fitness, initial_law, reference, *, T: float, N: int,
         reliable = False
     return DqtResult(value=value, ci_low=float(ci_low), ci_high=float(ci_high),
                      sups=sups, checkpoint_times=times_used, n_particles=N,
-                     q=q, reliable_ci=reliable)
+                     q=q, reliable_ci=reliable, extra_shift=extra)

@@ -369,17 +369,6 @@ class InitialLaw:
             return total
         raise ModelError("moment not available for this law")
 
-    def mean_cov(self):
-        if self.kind == "gaussian":
-            return self.params["mean"].copy(), self.params["cov"].copy()
-        if self.kind == "point-cloud":
-            pts, wts = self.params["points"], self.params["weights"]
-            m = wts @ pts
-            d = pts - m
-            return m, (wts[:, None] * d).T @ d
-        m1, m2 = self.moment(1), self.moment(2)
-        return np.array([m1]), np.array([[m2 - m1 * m1]])
-
 
 def sample_initial(law: InitialLaw, count: int, seed: int,
                    domain: Optional[DomainSpec] = None) -> np.ndarray:

@@ -16,6 +16,10 @@ from .model import DiffusionModel, FitnessFunction, InitialLaw, sample_initial
 from .sde import PathBundle, TimeGrid, simulate
 
 
+# ensemble.csv rows formatted per write: bounds the text held in memory
+CSV_CHUNK_ROWS = 8192
+
+
 class ParticleError(RuntimeError):
     pass
 
@@ -41,13 +45,19 @@ class WeightedParticleEnsemble:
         return i
 
     def to_csv(self, path):
+        """Rows (particle, t, x0.., logw), particle-major, in np.savetxt's
+        "%.18e" format, written CSV_CHUNK_ROWS rows at a time."""
         n, s, d = self.positions.shape
-        rows = []
-        for i in range(n):
-            for j in range(s):
-                rows.append([i, self.times[j], *self.positions[i, j], self.logw[i, j]])
-        header = "particle,t," + ",".join(f"x{k}" for k in range(d)) + ",logw"
-        np.savetxt(path, np.asarray(rows), delimiter=",", header=header, comments="")
+        table = np.concatenate([np.repeat(np.arange(n, dtype=float), s)[:, None],
+                                np.tile(self.times, n)[:, None],
+                                self.positions.reshape(n * s, d),
+                                self.logw.reshape(n * s, 1)], axis=1)
+        line = ",".join(["%.18e"] * (d + 3)) + "\n"
+        with open(path, "w") as fh:
+            fh.write("particle,t," + ",".join(f"x{k}" for k in range(d)) + ",logw\n")
+            for lo in range(0, n * s, CSV_CHUNK_ROWS):
+                chunk = table[lo:lo + CSV_CHUNK_ROWS]
+                fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 @dataclass(frozen=True)

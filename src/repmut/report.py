@@ -45,15 +45,6 @@ def _fmt(v):
     return format(float(v), ".17g")
 
 
-def density_rows(times, grid, density_of_t):
-    rows = []
-    for t in times:
-        u = density_of_t(t)
-        for x, val in zip(grid, u):
-            rows.append([t, x, val])
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # dependency-free SVG plotting
 

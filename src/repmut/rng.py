@@ -1,79 +1,42 @@
-"""Counter-based random number generation.
+"""Counter-based random numbers on numpy's Philox4x64-10 (Salmon et al., SC'11).
 
-All simulation noise is produced by a vectorized Philox4x32-10 block cipher
-keyed by the particle index, with the (seed, stream, step, block) tuple in
-the counter words.  Consequences:
-
-* a particle's path depends only on (seed, particle index, grid), so adding
-  or removing other particles never perturbs it;
-* results are independent of chunking and of the number of worker threads;
-* no generator state is carried between calls.
-
-The generator is used in "one block per (particle, step, block)" mode; each
-128-bit block yields two float64 standard normals via Box-Muller.
+A draw is a pure function of (seed, particle id, step, stream, block): key
+(seed, 0), counter (id, step, stream << 20 | block, 0) + 1 (numpy increments
+before each block), so it does not depend on the other ids drawn, chunking,
+thread count or id order.  A run of consecutive ids is one ``random_raw``
+call; words 0, 1 of an id's block give two uniforms, Box-Muller two normals.
 """
 
-from __future__ import annotations
+import hashlib
 
 import numpy as np
 
-_M0 = np.uint64(0xD2511F53)
-_M1 = np.uint64(0xCD9E8D57)
-_W0 = np.uint32(0x9E3779B9)
-_W1 = np.uint32(0xBB67AE85)
-_LO32 = np.uint64(0xFFFFFFFF)
-
-# stream tags, kept in the high bits of the second counter word
-STREAM_PATH = 0
-STREAM_INIT = 1
-STREAM_AUX = 2
-
+STREAM_PATH, STREAM_INIT, STREAM_AUX = 0, 1, 2  # stream tags, above the block bits
 _BLOCK_BITS = 20  # blocks per (stream, step) slot: 2**20
 
 
-def _philox_rounds(c0, c1, c2, c3, k0, k1):
-    """Ten Philox4x32 rounds on uint32 arrays; returns four uint32 arrays."""
-    for _ in range(10):
-        p0 = c0.astype(np.uint64) * _M0
-        p1 = c2.astype(np.uint64) * _M1
-        hi0 = (p0 >> np.uint64(32)).astype(np.uint32)
-        lo0 = (p0 & _LO32).astype(np.uint32)
-        hi1 = (p1 >> np.uint64(32)).astype(np.uint32)
-        lo1 = (p1 & _LO32).astype(np.uint32)
-        c0 = hi1 ^ c1 ^ k0
-        c1 = lo1
-        c2 = hi0 ^ c3 ^ k1
-        c3 = lo0
-        k0 = k0 + _W0
-        k1 = k1 + _W1
-    return c0, c1, c2, c3
-
-
-def _block(seed: int, particle_ids: np.ndarray, step: int, stream: int, block: int):
-    """Raw 4x32-bit Philox output for one (step, stream, block) slot."""
-    if block >= (1 << _BLOCK_BITS):
+def _uniform_pair(seed, particle_ids, step, stream, block):
+    """Two uniforms per id: odd multiples of 2**-53, so strictly inside (0, 1)."""
+    if not 0 <= block < 1 << _BLOCK_BITS:
         raise ValueError("block index out of range")
-    n = particle_ids.shape[0]
-    c0 = np.full(n, step & 0xFFFFFFFF, dtype=np.uint32)
-    c1 = np.full(n, ((stream << _BLOCK_BITS) | block) & 0xFFFFFFFF, dtype=np.uint32)
-    c2 = np.full(n, seed & 0xFFFFFFFF, dtype=np.uint32)
-    c3 = np.full(n, (seed >> 32) & 0xFFFFFFFF, dtype=np.uint32)
-    k0 = (particle_ids & 0xFFFFFFFF).astype(np.uint32)
-    k1 = ((particle_ids >> np.uint64(32)) & 0xFFFFFFFF).astype(np.uint32)
-    return _philox_rounds(c0, c1, c2, c3, k0, k1)
-
-
-def _to_unit(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Map two uint32 words to a float64 uniform in (0, 1)."""
-    bits = (hi.astype(np.uint64) << np.uint64(32)) | lo.astype(np.uint64)
-    return bits.astype(np.float64) * 2.0**-64 + 2.0**-65
+    ids = np.asarray(particle_ids, dtype=np.uint64).reshape(-1)
+    if ids.size and ids[0] <= ids[-1] and (np.diff(ids) == 1).all():
+        runs, inv = [ids], None
+    else:  # permuted, repeated or gapped ids: draw the runs of the unique ids
+        ids, inv = np.unique(ids, return_inverse=True)
+        runs = np.split(ids, np.flatnonzero(np.diff(ids) != 1) + 1)
+    slot = int(step) << 64 | (stream << _BLOCK_BITS | block) << 128  # counter words 1, 2
+    raw = [np.random.Philox(key=int(seed) % 2**64, counter=int(run[0]) | slot)
+           .random_raw(4 * run.size) for run in runs if run.size] or [np.empty(0, np.uint64)]
+    words = (raw[0] if len(raw) == 1 else np.concatenate(raw)).reshape(-1, 4)
+    words = words if inv is None else words[inv]
+    # one column at a time: ufuncs crawl over a strided (n, 2) view
+    return [((words[:, k] >> 11) | 1) * 2.0**-53 for k in (0, 1)]
 
 
 def normal_pair(seed, particle_ids, step, stream=STREAM_PATH, block=0):
     """Two independent standard normals per particle for one counter slot."""
-    r0, r1, r2, r3 = _block(int(seed), particle_ids, int(step), stream, block)
-    u1 = _to_unit(r0, r1)
-    u2 = _to_unit(r2, r3)
+    u1, u2 = _uniform_pair(seed, particle_ids, step, stream, block)
     rad = np.sqrt(-2.0 * np.log(u1))
     ang = (2.0 * np.pi) * u2
     return rad * np.cos(ang), rad * np.sin(ang)
@@ -81,37 +44,17 @@ def normal_pair(seed, particle_ids, step, stream=STREAM_PATH, block=0):
 
 def normals(seed, particle_ids, step, m, stream=STREAM_PATH):
     """(len(particle_ids), m) standard normals for one (step, stream) slot."""
-    particle_ids = np.asarray(particle_ids, dtype=np.uint64)
-    cols = []
-    for j in range((m + 1) // 2):
-        z1, z2 = normal_pair(seed, particle_ids, step, stream, block=j)
-        cols.append(z1)
-        cols.append(z2)
-    return np.stack(cols[:m], axis=1)
+    pairs = [normal_pair(seed, particle_ids, step, stream, j) for j in range((m + 1) // 2)]
+    return np.stack([z for pair in pairs for z in pair][:m], axis=1)
 
 
 def uniforms(seed, particle_ids, step, m, stream=STREAM_AUX):
     """(len(particle_ids), m) uniforms in (0, 1) for one counter slot."""
-    particle_ids = np.asarray(particle_ids, dtype=np.uint64)
-    cols = []
-    for j in range((m + 1) // 2):
-        r0, r1, r2, r3 = _block(int(seed), particle_ids, int(step), stream, block=j)
-        cols.append(_to_unit(r0, r1))
-        cols.append(_to_unit(r2, r3))
-    return np.stack(cols[:m], axis=1)
+    pairs = [_uniform_pair(seed, particle_ids, step, stream, j) for j in range((m + 1) // 2)]
+    return np.stack([u for pair in pairs for u in pair][:m], axis=1)
 
 
 def derive_seed(master_seed: int, stage: str) -> int:
-    """Stable 64-bit stage seed derived from the master seed and a name.
-
-    Used by the runner so that every pipeline stage draws from its own
-    stream while remaining a pure function of the master seed.
-    """
-    acc = np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF)
-    mult = np.uint64(0x9E3779B97F4A7C15)
-    with np.errstate(over="ignore"):
-        for ch in stage.encode("utf-8"):
-            acc = (acc ^ np.uint64(ch)) * mult
-        ids = np.array([acc], dtype=np.uint64)
-        r0, r1, _, _ = _block(int(acc), ids, 0, STREAM_AUX, 0)
-    return int((np.uint64(r0[0]) << np.uint64(32)) | np.uint64(r1[0]))
+    """Stable 64-bit stage seed: BLAKE2b of the stage name keyed by the master seed."""
+    key = (int(master_seed) % 2**64).to_bytes(8, "little")
+    return int.from_bytes(hashlib.blake2b(stage.encode(), digest_size=8, key=key).digest(), "little")

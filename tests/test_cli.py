@@ -135,6 +135,25 @@ class TestSolveCommand:
         assert abs(np.trapezoid(vals, sol.grid) - 1.0) <= 1e-9
 
 
+class TestEigenpairGuard:
+    def test_wrong_eigenpair_skips_tilted(self, tmp_path, capsys):
+        # the pair comes from the fitness alone (sigma_gen 1 on a plain BM
+        # generator); on OU(kappa=1, sigma=1) its residual is about 0.61
+        path, _ = write_cfg(tmp_path, scenario=None, engines=["tilted", "pde"],
+                            model={"kind": "ou", "kappa": 1.0, "sigma": 1.0},
+                            fitness={"kind": "quadratic-decay"},
+                            initial={"kind": "gaussian", "mean": [0.0], "cov": [[0.25]]},
+                            particles={"n_kde": 2000}, metric={"checkpoints": 3})
+        out = tmp_path / "o"
+        assert main(["solve", "--config", path, "--out", str(out)]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert "engine tilted: skipped (eigenpair residual" in stdout
+        assert "L1(pde, tilted)" not in stdout
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed-engines: tilted"
+        assert not (out / "density_tilted.csv").exists()
+
+
 class TestHalfLineWall:
     @pytest.mark.parametrize("engine", ["tilted", "particle"])
     def test_density_vanishes_below_wall(self, tmp_path, engine):

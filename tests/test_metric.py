@@ -254,6 +254,28 @@ class TestDqt:
         assert 0.0 < res.value <= 2.0
         assert not res.reliable_ci
 
+    def test_tilted_mass_above_one_raises_the_shift(self):
+        # g = x is not bounded by g_max = 2: a particle that stays above 2
+        # gains weight, and its tilted mass exp(L) leaves the compactification
+        from repmut.particle import WeightedParticleEnsemble
+        sc, ref = self._setup()
+        logw = np.array([[0.0, 0.05, 0.18]])
+
+        def runner(model, fitness, law, n, grid, seed, checkpoints, threads):
+            return WeightedParticleEnsemble(
+                times=np.array([0.0, 0.25, 0.5]), positions=np.array([[[2.2], [2.6], [2.9]]]),
+                logw=logw, shift=sc.fitness.g_max, seed=seed)
+
+        res = dqt_estimate(sc.model, sc.fitness, sc.initial_law, ref, T=0.5, N=1,
+                           reps=2, seed=3, ref_atoms=128, _particle_runner=runner)
+        # the least constant extra shift with exp(L(t) - delta t) <= 1
+        assert res.extra_shift == pytest.approx([0.36, 0.36], rel=1e-12)
+        assert 0.0 < res.value <= 2.0
+        logw = np.array([[0.0, -0.05, -0.18]])
+        res = dqt_estimate(sc.model, sc.fitness, sc.initial_law, ref, T=0.5, N=1,
+                           reps=2, seed=3, ref_atoms=128, _particle_runner=runner)
+        assert (res.extra_shift == 0.0).all()
+
     def test_decay_with_n(self):
         sc, ref = self._setup()
         vals = []

@@ -165,3 +165,43 @@ class TestMassEstimate:
         ens.to_csv(path)
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert data.shape == (8 * 3, 4)
+
+
+def savetxt_ensemble_csv(ens, path):
+    """The row-by-row np.savetxt writer that to_csv replaced, kept as the
+    oracle of its byte-identity tests."""
+    n, s, d = ens.positions.shape
+    rows = []
+    for i in range(n):
+        for j in range(s):
+            rows.append([i, ens.times[j], *ens.positions[i, j], ens.logw[i, j]])
+    header = "particle,t," + ",".join(f"x{k}" for k in range(d)) + ",logw"
+    np.savetxt(path, np.asarray(rows), delimiter=",", header=header, comments="")
+
+
+class TestEnsembleCsv:
+    def test_byte_identical_to_savetxt_1d(self, tmp_path):
+        # 9000 particles x 3 checkpoints: 27000 rows, four 8192-row chunks
+        ens, _ = small_ensemble(n=9000, steps=16, checkpoints=3)
+        ens.to_csv(tmp_path / "new.csv")
+        savetxt_ensemble_csv(ens, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 8192])
+    def test_byte_identical_to_savetxt_2d(self, tmp_path, monkeypatch, chunk_rows):
+        import repmut.particle
+        from repmut.particle import WeightedParticleEnsemble
+        monkeypatch.setattr(repmut.particle, "CSV_CHUNK_ROWS", chunk_rows)
+        gen = np.random.default_rng(5)
+        n, s = 300, 4
+        positions = gen.normal(scale=1e3, size=(n, s, 2))
+        positions[0, 0] = [-0.0, 1e-300]
+        logw = -np.abs(gen.normal(scale=50.0, size=(n, s)))
+        logw[:, 0] = 0.0
+        logw[1, 3] = -np.inf
+        ens = WeightedParticleEnsemble(times=np.array([0.0, 1 / 3, 2 / 3, 1.0]),
+                                       positions=positions, logw=logw, shift=0.0,
+                                       seed=0)
+        ens.to_csv(tmp_path / "new.csv")
+        savetxt_ensemble_csv(ens, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

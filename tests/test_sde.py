@@ -34,6 +34,70 @@ class TestRng:
         assert rng.derive_seed(1, "stage-a") != rng.derive_seed(1, "stage-b")
         assert rng.derive_seed(1, "stage-a") != rng.derive_seed(2, "stage-a")
 
+    def test_known_answers(self):
+        ids = np.array([0, 1, 2, 7], dtype=np.uint64)
+        z1, z2 = rng.normal_pair(20240601, ids, 3, rng.STREAM_PATH, 5)
+        np.testing.assert_allclose(z1, [-1.3296906564426918, 0.027685167261365877,
+                                        -0.2880460662500013, 0.514538262753368],
+                                   rtol=1e-14)
+        np.testing.assert_allclose(z2, [1.6564298298567783, -1.7576331648075476,
+                                        1.322196973330277, -0.2907822716498515],
+                                   rtol=1e-14)
+        # uniforms are exact dyadic rationals: no transcendental rounding
+        u = rng.uniforms(20240601, ids, 3, 3)
+        assert u.tolist() == [
+            [0.8206315720886778, 0.308984104031209, 0.5341292797749727],
+            [0.643639407233828, 0.8441640559210212, 0.15516962614735463],
+            [0.30697088357613944, 0.2209431318760161, 0.7975819209581619],
+            [0.1907805701703048, 0.19800894692308602, 0.685068682404626]]
+        assert rng.derive_seed(7, "particles") == 604877873457469580
+        assert rng.derive_seed(-1, "x") == 13692771310096562787
+
+    def test_counter_layout_is_numpy_philox_plus_one(self):
+        # key (seed, 0), counter (id, step, stream << 20 | block, 0); numpy
+        # increments the counter before each block, so id i is the first
+        # block that a Philox started at counter (i, ...) returns
+        seed, step, stream, block = 99, 4, rng.STREAM_INIT, 0
+        for i in (0, 7, 2 ** 40):
+            w = np.random.Philox(key=[seed, 0], counter=np.array(
+                [i, step, stream << 20 | block, 0], dtype=np.uint64)).random_raw(4)
+            expect = ((w[:2] >> 11) | 1) * 2.0 ** -53
+            got = rng.uniforms(seed, np.array([i], dtype=np.uint64), step, 2, stream)[0]
+            assert got.tolist() == expect.tolist()
+
+    def test_permuted_and_repeated_ids_match_per_id_draws(self):
+        ids = np.array([9, 3, 4, 3, 1000, 5, 9, 0], dtype=np.uint64)
+        z1, z2 = rng.normal_pair(11, ids, 2, rng.STREAM_PATH, 1)
+        for k, i in enumerate(ids):
+            a1, a2 = rng.normal_pair(11, ids[k:k + 1], 2, rng.STREAM_PATH, 1)
+            assert (z1[k], z2[k]) == (a1[0], a2[0])
+        perm = np.random.default_rng(3).permutation(4096).astype(np.uint64)
+        full = rng.normals(11, np.arange(4096, dtype=np.uint64), 6, 3)
+        assert (rng.normals(11, perm, 6, 3) == full[perm.astype(np.int64)]).all()
+
+    def test_prefix_of_ids_gives_prefix_of_draws(self):
+        ids = np.arange(3, 5003, dtype=np.uint64)
+        z = rng.normals(13, ids, 1, 2)
+        u = rng.uniforms(13, ids, 1, 3)
+        for k in (1, 17, 4096):
+            assert (rng.normals(13, ids[:k], 1, 2) == z[:k]).all()
+            assert (rng.uniforms(13, ids[:k], 1, 3) == u[:k]).all()
+
+    def test_uniforms_strictly_inside_unit_interval(self):
+        u = rng.uniforms(5, np.arange(100_000, dtype=np.uint64), 0, 4)
+        # every value is an odd multiple of 2**-53, so neither 0 nor 1
+        scaled = u * 2.0 ** 53
+        assert (scaled % 2 == 1).all()
+        assert u.min() > 0.0 and u.max() < 1.0
+
+    def test_block_out_of_range(self):
+        ids = np.arange(4, dtype=np.uint64)
+        with pytest.raises(ValueError):
+            rng.normal_pair(1, ids, 0, rng.STREAM_PATH, 2 ** 20)
+        with pytest.raises(ValueError):
+            rng.normal_pair(1, ids, 0, rng.STREAM_PATH, -1)
+        rng.normal_pair(1, ids, 0, rng.STREAM_PATH, 2 ** 20 - 1)
+
 
 class TestSimulate:
     def test_deterministic_ode(self):
