@@ -197,6 +197,8 @@ def _build_eigenpair(sc: Scenario):
                                   nodes=2048)
         return schrodinger_ground_state(prob)
     sol = affine_engine(sc.model, sc.fitness, sc.initial_law, horizon=sc.horizon)
+    if "eigenpair" not in sol.meta:
+        raise RejectedCondition("no exponential-quadratic eigenpair for B = 0, G = 0")
     return sol.meta["eigenpair"]
 
 
@@ -337,13 +339,13 @@ def cmd_solve(cfg: dict, out: str, seed, threads: int) -> int:
     names = sorted(solutions)
     l1_rows = []
     t_end = sc.horizon
+    at_end = {}  # each engine's density at T, evaluated once
+    for name in names if len(names) > 1 else ():
+        dens = np.maximum(solutions[name].u(t_end, ref_grid), 0.0)
+        at_end[name] = dens / np.trapezoid(dens, ref_grid)
     for i, a in enumerate(names):
         for b in names[i + 1:]:
-            ua = np.maximum(solutions[a].u(t_end, ref_grid), 0.0)
-            ub = np.maximum(solutions[b].u(t_end, ref_grid), 0.0)
-            ua /= np.trapezoid(ua, ref_grid)
-            ub /= np.trapezoid(ub, ref_grid)
-            l1_rows.append([a, b, np.trapezoid(np.abs(ua - ub), ref_grid)])
+            l1_rows.append([a, b, np.trapezoid(np.abs(at_end[a] - at_end[b]), ref_grid)])
             print(f"[solve] L1({a}, {b}) at t={t_end:g}: {l1_rows[-1][2]:.4f}")
     write_csv(os.path.join(out, "l1_table.csv"), "engine_a,engine_b,l1", l1_rows)
 

@@ -26,8 +26,9 @@ import scipy.linalg
 
 from .constants import TOL, DEFAULT_STEPS_PER_UNIT
 from .model import DiffusionModel, FitnessFunction, InitialLaw, probe_points, sample_initial
-from .numerics import (GaussianMoments, GridDensity, covariance_integral,
-                       expm_integral, kde, matrix_exp)
+from .numerics import (GaussianMoments, GridDensity, _gauss_kernel_sum,
+                       covariance_integral, expm_integral, kde, matrix_exp,
+                       trapezoid_weights)
 from .sde import TimeGrid, TiltedDrift, simulate
 
 
@@ -187,6 +188,26 @@ def _auto_grid(mean, sd, width=10.0, size=2048):
     return np.linspace(mean - width * sd, mean + width * sd, size)
 
 
+def _normalized_density(u0: InitialLaw, grid: np.ndarray, numerator: Callable) -> Callable:
+    """u(t, x) = numerator(t, x) / z_t, z_t its trapezoid integral over ``grid``
+    once per t (from the same pass when x is ``grid``); u0 at t <= 0."""
+    norm_cache = {}
+
+    def u(t, x):
+        x = np.asarray(x, float)
+        if t <= 0:
+            return u0.density(x)
+        vals = numerator(t, x)
+        if t not in norm_cache:
+            z = np.trapezoid(vals if x is grid else numerator(t, grid), grid)
+            if not np.isfinite(z) or z <= 0:
+                raise HorizonError("normalizing quadrature overflowed")
+            norm_cache[t] = z
+        return vals / norm_cache[t]
+
+    return u
+
+
 def linear_engine(model: DiffusionModel, fitness: FitnessFunction,
                   u0: InitialLaw, horizon: float = 1.0,
                   grid_size: int = 2048) -> ClosedFormSolution:
@@ -246,58 +267,32 @@ def linear_engine(model: DiffusionModel, fitness: FitnessFunction,
 
     if n != 1:
         raise RejectedCondition("non-Gaussian initial data supported in 1D only")
-    if u0.kind == "grid-density":
+    if u0.kind == "grid-density":  # trapezoid rule on the law's grid
         ygrid = u0.params["x"]
-        yvals = u0.params["values"]
-    else:
-        pts = u0.params["points"][:, 0]
-        span = max(pts.max() - pts.min(), 1.0)
-        ygrid = np.linspace(pts.min() - 8 - span, pts.max() + 8 + span, 4096)
-        yvals = None  # atomic; handled below
+        nodes, wts = ygrid, trapezoid_weights(ygrid) * u0.params["values"]
+    else:  # atoms
+        nodes, wts = u0.params["points"][:, 0], u0.params["weights"]
+        span = max(nodes.max() - nodes.min(), 1.0)
+        ygrid = np.linspace(nodes.min() - 8 - span, nodes.max() + 8 + span, 4096)
 
     sd_T = np.sqrt(float(a[0, 0]) * horizon + 1.0)
     grid = np.linspace(ygrid.min() - 10 * sd_T, ygrid.max() + 10 * sd_T, grid_size)
 
     def numerator(t, x):
-        mshift = float(kernel_mean(t)[0])
         var = float(a[0, 0]) * t
-        if yvals is not None:
-            diff = x[:, None] - ygrid[None, :] - mshift
-            k = np.exp(-0.5 * diff * diff / var)
-            conv = np.trapezoid(k * yvals[None, :], ygrid, axis=1)
-        else:
-            pts = u0.params["points"][:, 0]
-            wts = u0.params["weights"]
-            diff = x[:, None] - pts[None, :] - mshift
-            conv = np.exp(-0.5 * diff * diff / var) @ wts
-        conv /= np.sqrt(2 * np.pi * var)
+        conv = _gauss_kernel_sum(x, nodes, wts, r=float(kernel_mean(t)[0]), s=var) \
+            / np.sqrt(2 * np.pi * var)
         expo = t * np.asarray(fitness.g(x), float)
         if expo.max() > 600.0:
             raise HorizonError("tilt overflow; reduce the horizon")
         return np.exp(expo) * conv
 
-    norm_cache = {}
-
-    def u(t, x):
-        x = np.asarray(x, float)
-        if t <= 0:
-            return u0.density(x)
-        if t not in norm_cache:
-            z = np.trapezoid(numerator(t, grid), grid)
-            if not np.isfinite(z) or z <= 0:
-                raise HorizonError("normalizing quadrature overflowed")
-            norm_cache[t] = z
-        return numerator(t, x) / norm_cache[t]
+    u = _normalized_density(u0, grid, numerator)
 
     def mass(t):
         cb = float(c @ b)
         cac = float(c @ a @ c)
-        if yvals is not None:
-            tilt = np.exp(t * (c[0] * ygrid + g0))
-            ey = np.trapezoid(tilt * yvals, ygrid)
-        else:
-            pts = u0.params["points"][:, 0]
-            ey = float(np.exp(t * (c[0] * pts + g0)) @ u0.params["weights"])
+        ey = float(np.exp(t * (c[0] * nodes + g0)) @ wts)
         return float(np.exp(cb * t * t / 2.0 + cac * t ** 3 / 6.0) * ey)
 
     return ClosedFormSolution(engine="linear-quadrature", horizon=horizon,
@@ -524,17 +519,14 @@ def affine_engine(model: DiffusionModel, fitness: FitnessFunction,
                       max(1.0, np.sqrt(float(a[0, 0]) * horizon)) + np.ptp(ygrid) / 4,
                       size=grid_size)
 
+    wy = trapezoid_weights(ygrid)
+    log_wy = pair.log_phi_at(ygrid) + np.log(np.maximum(yvals, 1e-300))
+
     def log_numerator(t, x):
         A, r, S = transition(t)
-        A1, r1, s1 = float(A[0, 0]), float(r[0]), float(S[0, 0])
-        lphi_y = pair.log_phi_at(ygrid)
-        diff = x[:, None] - A1 * ygrid[None, :] - r1
-        log_k = -0.5 * diff * diff / s1 - 0.5 * np.log(2 * np.pi * s1)
-        log_int = log_k + lphi_y[None, :] + np.log(np.maximum(yvals, 1e-300))[None, :]
-        m = log_int.max(axis=1)
-        integ = np.trapezoid(np.exp(log_int - m[:, None]), ygrid, axis=1)
-        out = np.where(integ > 0, m + np.log(np.maximum(integ, 1e-300)), -np.inf)
-        return out - pair.log_phi_at(x)
+        s1 = float(S[0, 0])
+        log_int = _gauss_kernel_sum(x, ygrid, wy, float(A[0, 0]), float(r[0]), s1, log_wy)
+        return log_int - 0.5 * np.log(2 * np.pi * s1) - pair.log_phi_at(x)
 
     norm_cache = {}
 
@@ -542,15 +534,16 @@ def affine_engine(model: DiffusionModel, fitness: FitnessFunction,
         x = np.asarray(x, float)
         if t <= 0:
             return u0.density(x)
+        lx = log_numerator(t, x)
         if t not in norm_cache:
-            lz = log_numerator(t, grid)
+            lz = lx if x is grid else log_numerator(t, grid)
             mref = lz[np.isfinite(lz)].max()
             z = np.trapezoid(np.exp(lz - mref), grid)
             if not np.isfinite(z) or z <= 0:
                 raise HorizonError("normalizing quadrature overflowed")
             norm_cache[t] = (mref, z)
         mref, z = norm_cache[t]
-        return np.exp(log_numerator(t, x) - mref) / z
+        return np.exp(lx - mref) / z
 
     def mass(t):
         if t <= 0:
@@ -590,25 +583,15 @@ def _affine_c2_fallback(model, fitness, u0, horizon, grid_size):
         raise RejectedCondition("fallback needs a density-style initial law")
     sd_T = np.sqrt(float(a[0, 0]) * horizon + 1.0)
     grid = np.linspace(ygrid.min() - 10 * sd_T, ygrid.max() + 10 * sd_T, grid_size)
+    wy = trapezoid_weights(ygrid) * yvals
 
-    def u(t, x):
-        x = np.asarray(x, float)
-        if t <= 0:
-            return u0.density(x)
+    def numerator(t, x):
         mshift = float((b * t - sig @ cond.C2 * t * t / 2.0)[0])
         var = float(a[0, 0]) * t
-        diff = x[:, None] - ygrid[None, :] - mshift
-        conv = np.trapezoid(np.exp(-0.5 * diff * diff / var) * yvals[None, :],
-                            ygrid, axis=1) / np.sqrt(2 * np.pi * var)
-        lg = t * np.asarray(fitness.g(x), float)
-        vals = np.exp(lg) * conv
-        zdiff = grid[:, None] - ygrid[None, :] - mshift
-        zconv = np.trapezoid(np.exp(-0.5 * zdiff * zdiff / var) * yvals[None, :],
-                             ygrid, axis=1) / np.sqrt(2 * np.pi * var)
-        z = np.trapezoid(np.exp(t * np.asarray(fitness.g(grid), float)) * zconv, grid)
-        if not np.isfinite(z) or z <= 0:
-            raise HorizonError("normalizing quadrature overflowed")
-        return vals / z
+        conv = _gauss_kernel_sum(x, ygrid, wy, r=mshift, s=var) / np.sqrt(2 * np.pi * var)
+        return np.exp(t * np.asarray(fitness.g(x), float)) * conv
+
+    u = _normalized_density(u0, grid, numerator)
 
     def mass(t):
         if t <= 0:

@@ -105,6 +105,39 @@ def integrate_trapezoid(values: np.ndarray, x: np.ndarray) -> float:
     return float(np.trapezoid(values, x))
 
 
+def trapezoid_weights(x: np.ndarray) -> np.ndarray:
+    """Weights w such that w @ f is the trapezoid integral of f over x."""
+    half = 0.5 * np.diff(x)
+    return np.append(0.0, half) + np.append(half, 0.0)
+
+
+_KERNEL_BLOCK_ROWS = 64  # rows of x per block: 2 MB of doubles against 4096 nodes
+
+
+def _gauss_kernel_sum(x, y, w, A=1.0, r=0.0, s=1.0, log_w=None) -> np.ndarray:
+    """sum_j w_j exp(-(x_i - A y_j - r)^2 / (2 s)) for every x_i, formed in
+    place a block of rows at a time and reduced by one matrix-vector product
+    per block.  With ``log_w`` the exponent of column j gains ``log_w[j]``
+    and the log of the sum is returned, each row's largest exponent taken
+    out before ``exp`` (log-sum-exp)."""
+    xr = np.asarray(x, float) - r
+    ay = A * np.asarray(y, float)
+    out = np.empty(xr.size)
+    for lo in range(0, xr.size, _KERNEL_BLOCK_ROWS):
+        rows = slice(lo, lo + _KERNEL_BLOCK_ROWS)
+        blk = np.subtract.outer(xr[rows], ay)
+        np.square(blk, out=blk)
+        blk *= -0.5 / s
+        if log_w is None:
+            out[rows] = np.exp(blk, out=blk) @ w
+        else:
+            blk += log_w
+            peak = blk.max(axis=1)
+            blk -= peak[:, None]
+            out[rows] = peak + np.log(np.exp(blk, out=blk) @ w)
+    return out
+
+
 def integrate_gauss_hermite(f: Callable, order: int = 64,
                             mean: float = 0.0, sd: float = 1.0) -> float:
     """Integral of f against the N(mean, sd^2) density."""

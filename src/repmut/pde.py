@@ -23,7 +23,7 @@ import scipy.linalg.lapack
 
 from .constants import TOL
 from .model import DiffusionModel, FitnessFunction
-from .numerics import GridDensity
+from .numerics import GridDensity, trapezoid_weights
 
 
 class PdeError(RuntimeError):
@@ -145,10 +145,7 @@ def solve_rm_pde(model: DiffusionModel, fitness: FitnessFunction,
     half_react = np.exp(0.5 * dt * (gvals - gvals.max()))
     full_react = half_react * half_react
 
-    # trapezoid weights: wq @ v is the trapezoid integral of v over x
-    wq = np.zeros(x.size)
-    wq[1:] += 0.5 * np.diff(x)
-    wq[:-1] += 0.5 * np.diff(x)
+    wq = trapezoid_weights(x)
 
     # (I - dt/2 A) factored once; (I + dt/2 A) applied by its three diagonals
     lower, diag, upper = _flux_matrix(model, x, dx, half_line)

@@ -120,7 +120,8 @@ class TestSolveCommand:
     def test_affine_engine_with_grid_density_initial_law(self, tmp_path):
         # one checkpoint (t = 0): this engine's mass(t) integrates the mean
         # fitness over 257 quadrature nodes of full density evaluations,
-        # about two minutes per checkpoint; the density at T is checked below
+        # about 27 s per checkpoint (mass(T) at T = 0.5 on a 2-core machine);
+        # the density at T is checked below
         path, _ = write_cfg(tmp_path, scenario=None, engines=["affine"],
                             model={"kind": "ou", "kappa": 1.0, "sigma": 1.0},
                             fitness={"kind": "quadratic-decay"},
@@ -152,6 +153,19 @@ class TestEigenpairGuard:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed-engines: tilted"
         assert not (out / "density_tilted.csv").exists()
+
+    def test_tilted_without_eigenpair_is_skipped(self, tmp_path, capsys):
+        # linear-bm has B = 0, G = 0: no exponential-quadratic eigenpair, and
+        # the affine engine's kernel-route fallback stores none
+        path, _ = write_cfg(tmp_path, horizon=0.1, engines=["tilted", "pde"],
+                            metric={"checkpoints": 3})
+        out = tmp_path / "o"
+        assert main(["solve", "--config", path, "--out", str(out)]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert "engine tilted: skipped (no exponential-quadratic eigenpair" in stdout
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed-engines: tilted"
+        assert (out / "density_pde.csv").exists()
 
 
 class TestHalfLineWall:

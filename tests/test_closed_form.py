@@ -7,8 +7,10 @@ from repmut.closed_form import (RejectedCondition, RiccatiError, affine_engine,
                                 solve_linear_v, solve_riccati, tilted_engine)
 from repmut.model import FitnessFunction, InitialLaw
 from repmut.numerics import GridDensity
+from repmut.numerics import covariance_integral, expm_integral, matrix_exp
 from repmut.scenarios import (affine_model, affine_quadratic_fitness, bm_model,
-                              linear_bm_scenario, ou_linear_scenario, ou_model)
+                              gamma_like_law, linear_bm_scenario, ou_linear_scenario,
+                              ou_model, quadratic_decay_fitness)
 from repmut.sde import TimeGrid
 
 
@@ -399,4 +401,138 @@ class TestValidityHorizon:
         sol = linear_engine(sc.model, sc.fitness, law, horizon=1.0)
         t_star = validity_horizon(sol, t_max=64.0)
         assert 1.0 < t_star < 64.0
+        assert t_star == 14.5078125  # the bisection's value with dense kernel matrices
         sol.u(0.9 * t_star, sol.grid)  # still evaluable below the horizon
+
+
+# The dense np.trapezoid forms of the three kernel quadratures, as the engines
+# evaluated them before the blocked numerics._gauss_kernel_sum: a full
+# (x, y) kernel matrix per call.  Oracles for the blocked evaluation.
+
+
+def dense_normalized(numerator, grid, x):
+    return numerator(x) / np.trapezoid(numerator(grid), grid)
+
+
+def dense_fallback_u(sol, model, fitness, ygrid, yvals, t, x):
+    sig, b = model.params["sigma"], model.params["b"]
+    mshift = float((b * t - sig @ sol.meta["condition"].C2 * t * t / 2.0)[0])
+    var = float((sig @ sig.T)[0, 0]) * t
+
+    def numerator(xx):
+        diff = xx[:, None] - ygrid[None, :] - mshift
+        conv = np.trapezoid(np.exp(-0.5 * diff * diff / var) * yvals[None, :],
+                            ygrid, axis=1) / np.sqrt(2 * np.pi * var)
+        return np.exp(t * np.asarray(fitness.g(xx), float)) * conv
+
+    return dense_normalized(numerator, sol.grid, x)
+
+
+def dense_linear_u(sol, model, fitness, u0, t, x):
+    sig, b = model.params["sigma"], model.params["b"]
+    a = sig @ sig.T
+    c = -np.asarray(fitness.structure["delta"], float)
+    mshift = float((b * t - (a @ c) * t * t / 2.0)[0])
+    var = float(a[0, 0]) * t
+
+    def numerator(xx):
+        if u0.kind == "grid-density":
+            ygrid, yvals = u0.params["x"], u0.params["values"]
+            diff = xx[:, None] - ygrid[None, :] - mshift
+            conv = np.trapezoid(np.exp(-0.5 * diff * diff / var) * yvals[None, :],
+                                ygrid, axis=1)
+        else:
+            diff = xx[:, None] - u0.params["points"][:, 0][None, :] - mshift
+            conv = np.exp(-0.5 * diff * diff / var) @ u0.params["weights"]
+        conv /= np.sqrt(2 * np.pi * var)
+        return np.exp(t * np.asarray(fitness.g(xx), float)) * conv
+
+    return dense_normalized(numerator, sol.grid, x)
+
+
+def dense_affine_u(sol, B, b, a, u0, t, x):
+    pair, H, v = sol.meta["eigenpair"], sol.meta["H"], sol.meta["v"]
+    Gamma, beta = B - 2 * a @ H, b - a @ v
+    A1 = matrix_exp(Gamma, t)[0, 0]
+    r1 = (expm_integral(Gamma, t) @ beta)[0]
+    s1 = covariance_integral(Gamma, a, t)[0, 0]
+    ygrid, yvals = u0.params["x"], u0.params["values"]
+
+    def log_numerator(xx):
+        diff = xx[:, None] - A1 * ygrid[None, :] - r1
+        log_k = -0.5 * diff * diff / s1 - 0.5 * np.log(2 * np.pi * s1)
+        log_int = log_k + pair.log_phi_at(ygrid)[None, :] \
+            + np.log(np.maximum(yvals, 1e-300))[None, :]
+        m = log_int.max(axis=1)
+        integ = np.trapezoid(np.exp(log_int - m[:, None]), ygrid, axis=1)
+        return m + np.log(integ) - pair.log_phi_at(xx)
+
+    lz = log_numerator(sol.grid)
+    mref = lz[np.isfinite(lz)].max()
+    return np.exp(log_numerator(x) - mref) / np.trapezoid(np.exp(lz - mref), sol.grid)
+
+
+class TestBlockedKernelQuadrature:
+    """Engines against the dense oracles above, at a sup-relative gap of
+    1e-12, on the engine grid and on 333 points off it (which leave a
+    partial last block of rows)."""
+
+    xs = np.linspace(-6.0, 8.0, 333)
+
+    @staticmethod
+    def assert_close(got, want):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_fallback_gaussian_law(self):
+        sc = linear_bm_scenario()
+        sol = affine_engine(sc.model, sc.fitness, sc.initial_law, horizon=0.5)
+        assert sol.engine == "affine-c2-fallback"
+        ygrid = np.linspace(-13.0, 13.0, 4096)  # the engine's nodes for N(0, 1)
+        yvals = sc.initial_law.density(ygrid)
+        for t, x in ((0.05, self.xs), (0.5, sol.grid), (0.5, self.xs)):
+            self.assert_close(sol.u(t, x), dense_fallback_u(sol, sc.model, sc.fitness,
+                                                            ygrid, yvals, t, x))
+
+    def test_fallback_grid_density_law_on_nonuniform_grid(self):
+        y = 3.0 * np.sinh(np.linspace(-2.5, 2.5, 1500))
+        law = InitialLaw("grid-density", {"x": y, "values": np.exp(-0.5 * (y - 0.3) ** 2)
+                                          / np.sqrt(2 * np.pi)})
+        sc = linear_bm_scenario()
+        sol = affine_engine(sc.model, sc.fitness, law, horizon=0.5)
+        assert sol.engine == "affine-c2-fallback"
+        for t, x in ((0.1, sol.grid), (0.5, self.xs)):
+            self.assert_close(sol.u(t, x), dense_fallback_u(sol, sc.model, sc.fitness,
+                                                            y, law.params["values"], t, x))
+
+    def test_linear_engine_grid_density_law(self):
+        y = 3.0 * np.sinh(np.linspace(-2.5, 2.5, 1500))
+        law = InitialLaw("grid-density", {"x": y, "values": np.exp(-0.5 * (y + 0.2) ** 2)
+                                          / np.sqrt(2 * np.pi)})
+        sc = linear_bm_scenario()
+        sol = linear_engine(sc.model, sc.fitness, law, horizon=0.5)
+        assert sol.engine == "linear-quadrature"
+        for t, x in ((0.1, sol.grid), (0.5, self.xs)):
+            self.assert_close(sol.u(t, x), dense_linear_u(sol, sc.model, sc.fitness,
+                                                          law, t, x))
+
+    def test_linear_engine_point_cloud_law(self):
+        gen = np.random.default_rng(12)
+        wts = gen.uniform(0.5, 1.5, 400)
+        law = InitialLaw("point-cloud", {"points": gen.normal(0.2, 0.8, (400, 1)),
+                                         "weights": wts / wts.sum()})
+        sc = linear_bm_scenario()
+        sol = linear_engine(sc.model, sc.fitness, law, horizon=0.5)
+        for t, x in ((0.1, sol.grid), (0.5, self.xs)):
+            self.assert_close(sol.u(t, x), dense_linear_u(sol, sc.model, sc.fitness,
+                                                          law, t, x))
+
+    def test_affine_engine_grid_density_law(self):
+        # the custom OU(kappa=1, sigma=1) / quadratic-decay / gamma-like case;
+        # the engine's affine form is b = kappa theta = 0, B = -kappa
+        law = gamma_like_law()
+        sol = affine_engine(ou_model(1.0, 0.0, 1.0), quadratic_decay_fitness(), law,
+                            horizon=0.5)
+        assert sol.engine == "affine-quadrature"
+        B, b, a = np.array([[-1.0]]), np.zeros(1), np.eye(1)
+        for t, x in ((0.1, self.xs), (0.5, sol.grid), (0.5, self.xs)):
+            self.assert_close(sol.u(t, x), dense_affine_u(sol, B, b, a, law, t, x))

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repmut.numerics import (GaussianMoments, GridDensity, NumericsError,
-                             covariance_integral, expm_integral,
+                             _gauss_kernel_sum, covariance_integral, expm_integral,
                              integrate, integrate_gauss_hermite,
                              integrate_trapezoid, kde, matrix_exp,
-                             silverman_bandwidth)
+                             silverman_bandwidth, trapezoid_weights)
 
 
 class TestIntegrate:
@@ -34,6 +34,33 @@ class TestIntegrate:
         assert integrate(lambda x: x ** 2, {"order": 32}) == pytest.approx(1.0)
         x = np.linspace(0, 2, 21)
         assert integrate(lambda t: np.ones_like(t), x) == pytest.approx(2.0)
+
+    def test_trapezoid_weights_match_trapezoid(self):
+        x = np.sort(np.random.default_rng(2).uniform(-3, 5, 257))
+        f = np.sin(x) + x * x
+        assert trapezoid_weights(x) @ f == pytest.approx(np.trapezoid(f, x), rel=1e-14)
+
+
+class TestGaussKernelSum:
+    def test_blocks_match_dense_sum(self):
+        # 200 rows: three full blocks and a partial one
+        gen = np.random.default_rng(5)
+        x, y = gen.uniform(-4, 4, 200), gen.uniform(-3, 3, 150)
+        w = gen.uniform(0, 1, 150)
+        dense = np.exp(-(x[:, None] - 0.7 * y[None, :] - 0.2) ** 2 / (2 * 0.3)) @ w
+        got = _gauss_kernel_sum(x, y, w, A=0.7, r=0.2, s=0.3)
+        assert np.abs(got - dense).max() <= 1e-13 * dense.max()
+
+    def test_log_sum_survives_underflow(self):
+        y = np.linspace(-1.0, 1.0, 101)
+        w = trapezoid_weights(y)
+        x = np.array([0.0, 40.0])
+        lin = _gauss_kernel_sum(x, y, w, s=0.01)
+        log = _gauss_kernel_sum(x, y, w, s=0.01, log_w=np.zeros(y.size))
+        assert lin[1] == 0.0  # every term underflows in the linear domain
+        assert log[0] == pytest.approx(np.log(lin[0]), rel=1e-14)
+        # at x = 40 the node y = 1 carries the sum
+        assert log[1] == pytest.approx(-39.0 ** 2 / 0.02 + np.log(w[-1]), rel=1e-14)
 
 
 class TestMatrixExp:
