@@ -6,10 +6,10 @@ from .model import (DiffusionModel, DomainSpec, FitnessFunction, InitialLaw,
 from .sde import PathBundle, TiltedDrift, TimeGrid, accumulate_log_weight, simulate, simulate_cir
 from .numerics import (GaussianMoments, GridDensity, covariance_integral,
                        integrate, kde, matrix_exp)
-from .closed_form import (ClosedFormSolution, ConstantCondition, Eigenpair,
-                          affine_engine, detect_constant_condition,
-                          eigenpair_residual, linear_engine, mass_factor,
-                          solve_linear_v, solve_riccati, tilted_engine)
+from .closed_form import (ConstantCondition, Eigenpair, Solution, affine_engine,
+                          detect_constant_condition, eigenpair_residual,
+                          linear_engine, solve_linear_v, solve_riccati,
+                          tilted_engine)
 from .spectral import (SchrodingerProblem, cir_eigenpair, kummer_M,
                        pinsky_diagnostic, schrodinger_ground_state)
 from .particle import (EmpiricalMeasure, WeightedParticleEnsemble, mass_estimate,

@@ -19,15 +19,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .closed_form import (ClosedFormSolution, EngineError, RejectedCondition,
-                          affine_engine, checkpoint_density_u, linear_engine,
-                          tilted_engine)
+from .closed_form import (EngineError, RejectedCondition, Solution, _no_mass,
+                          affine_eigenpair, affine_engine, affine_form,
+                          checkpoint_density_u, linear_engine, tilted_engine)
 from .constants import TOL, DEFAULT_CHECKPOINTS, DEFAULT_STEPS_PER_UNIT
 from .metric import MetricError, dqt_estimate
 from .model import InitialLaw, ModelError
-from .numerics import GridDensity, NumericsError, kde
+from .numerics import GridDensity, NumericsError, kde, stored_index
 from .particle import mass_estimate, mass_estimate_se, normalized_measure, run_particles
-from .pde import PdeError, PdeScheme, solve_rm_pde
+from .pde import PdeError, PdeScheme, _build_grid, solve_rm_pde
 from .report import atomic_write_text, loglog_svg, write_csv
 from .scenarios import (CANONICAL, Scenario, affine_quadratic_fitness, bm_model,
                         cir_model, gamma_like_law, linear_fitness, ou_model,
@@ -196,10 +196,10 @@ def _build_eigenpair(sc: Scenario):
         prob = SchrodingerProblem(sigma=sig_gen, g=sc.fitness.g, half_width=8.0,
                                   nodes=2048)
         return schrodinger_ground_state(prob)
-    sol = affine_engine(sc.model, sc.fitness, sc.initial_law, horizon=sc.horizon)
-    if "eigenpair" not in sol.meta:
+    model, alpha, delta, G = affine_form(sc.model, sc.fitness)
+    if not G.any() and not model.params["B"].any():
         raise RejectedCondition("no exponential-quadratic eigenpair for B = 0, G = 0")
-    return sol.meta["eigenpair"]
+    return affine_eigenpair(model, alpha, delta, G)[0]
 
 
 def build_solution(engine: str, sc: Scenario, cfg: dict, seed: int,
@@ -224,21 +224,11 @@ def build_solution(engine: str, sc: Scenario, cfg: dict, seed: int,
     raise ConfigError(f"unknown engine {engine!r}")
 
 
-def _pde_grid_density(sc: Scenario, half_width, nodes):
-    if sc.model.domain.kind == "half-line":
-        dx = half_width / nodes
-        x = (np.arange(nodes) + 0.5) * dx
-    else:
-        x = np.linspace(-half_width, half_width, nodes)
-    vals = sc.initial_law.density(x)
-    return GridDensity(x, np.maximum(vals, 0.0)).normalize()
-
-
-def _pde_solution(sc: Scenario, cfg: dict) -> ClosedFormSolution:
-    half_width = 12.0 if sc.model.domain.kind != "half-line" else 14.0
-    nodes = 2048
-    scheme = PdeScheme(half_width=half_width, nodes=nodes)
-    u0 = _pde_grid_density(sc, half_width, nodes)
+def _pde_solution(sc: Scenario, cfg: dict) -> Solution:
+    scheme = PdeScheme(half_width=14.0 if sc.model.domain.kind == "half-line" else 12.0,
+                       nodes=2048)
+    x = _build_grid(sc.model, scheme)[0]
+    u0 = GridDensity(x, np.maximum(sc.initial_law.density(x), 0.0)).normalize()
     times = np.linspace(0.0, sc.horizon, int(cfg["metric"]["checkpoints"]))
     traj = solve_rm_pde(sc.model, sc.fitness, u0, sc.horizon, scheme,
                         store_times=times)
@@ -246,27 +236,25 @@ def _pde_solution(sc: Scenario, cfg: dict) -> ClosedFormSolution:
     def u(t, x):
         return traj.density(t)(np.asarray(x, float))
 
-    def mass(t):
-        raise EngineError("PDE oracle tracks the normalized density only")
-
-    return ClosedFormSolution(engine="pde-oracle", horizon=sc.horizon,
-                              shift=sc.fitness.g_max, u=u, mass=mass,
-                              grid=traj.grid, meta={"trajectory": traj})
+    return Solution(engine="pde-oracle", horizon=sc.horizon, shift=sc.fitness.g_max,
+                    u=u, mass=_no_mass, grid=traj.grid, times=traj.times,
+                    meta={"trajectory": traj})
 
 
 def _particle_solution(sc: Scenario, cfg: dict, seed: int,
-                       threads: int = 1) -> ClosedFormSolution:
-    n = int(cfg["particles"]["n_kde"])
+                       threads: int = 1) -> Solution:
+    """The weighted particle system; ``repmut particles`` runs it too."""
     spu = int(cfg["steps_per_unit"])
     grid_t = TimeGrid(0.0, sc.horizon, max(1, int(round(spu * sc.horizon))))
-    ens = run_particles(sc.model, sc.fitness, sc.initial_law, n, grid_t, seed,
+    ens = run_particles(sc.model, sc.fitness, sc.initial_law,
+                        int(cfg["particles"]["n_kde"]), grid_t, seed,
                         checkpoints=int(cfg["metric"]["checkpoints"]),
                         threads=threads)
     half_line = sc.model.domain.kind == "half-line"
     cache = {}
 
     def density_at(t):
-        j = ens.node_index(t)
+        j = stored_index(ens.times, t)
         if j not in cache:
             nm = normalized_measure(ens, ens.times[j])
             est = kde(nm.atoms[:, 0], nm.masses)
@@ -282,9 +270,23 @@ def _particle_solution(sc: Scenario, cfg: dict, seed: int,
 
     xs = ens.positions[:, -1, 0]
     grid = np.linspace(xs.min() - 1, xs.max() + 1, 1024)
-    return ClosedFormSolution(engine="particle-kde", horizon=sc.horizon,
-                              shift=sc.fitness.g_max, u=u, mass=mass, grid=grid,
-                              meta={"ensemble": ens})
+    return Solution(engine="particle-kde", horizon=sc.horizon, shift=sc.fitness.g_max,
+                    u=u, mass=mass, grid=grid, times=ens.times, meta={"ensemble": ens})
+
+
+def _write_masses(path: str, times, analytic, particle) -> None:
+    """masses.csv: the analytic h_t (NaN without an analytic solution) and the
+    particle estimate with its standard error (exact at t = 0 without one)."""
+    rows = []
+    for t in times:
+        h = analytic.mass(t) if analytic is not None else float("nan")
+        if particle is not None:
+            h_mc = particle.mass(t)
+            se = mass_estimate_se(particle.meta["ensemble"], t) * np.exp(particle.shift * t)
+        else:
+            h_mc, se = (1.0, 0.0) if t == 0 else (float("nan"),) * 2
+        rows.append([t, h, h_mc, se])
+    write_csv(path, "t,h_t,h_t_mc,se", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -315,16 +317,8 @@ def cmd_solve(cfg: dict, out: str, seed, threads: int) -> int:
 
     ref_grid = next(iter(solutions.values())).grid
     for engine, sol in solutions.items():
-        if engine == "particle":
-            etimes = sol.meta["ensemble"].times
-        elif engine == "tilted":
-            etimes = sol.meta["times"]
-        elif engine == "pde":
-            etimes = sol.meta["trajectory"].times
-        else:
-            etimes = times
         rows = []
-        for t in etimes:
+        for t in times if sol.times is None else sol.times:
             try:
                 u = np.maximum(sol.u(t, ref_grid), 0.0)
             except (EngineError, KeyError):
@@ -349,20 +343,10 @@ def cmd_solve(cfg: dict, out: str, seed, threads: int) -> int:
             print(f"[solve] L1({a}, {b}) at t={t_end:g}: {l1_rows[-1][2]:.4f}")
     write_csv(os.path.join(out, "l1_table.csv"), "engine_a,engine_b,l1", l1_rows)
 
-    mass_rows = []
     analytic = next((solutions[e] for e in ("linear", "affine") if e in solutions), None)
     particle = solutions.get("particle")
-    mass_times = particle.meta["ensemble"].times if particle is not None else times
-    for t in mass_times:
-        h = analytic.mass(t) if analytic is not None else float("nan")
-        if particle is not None:
-            ens = particle.meta["ensemble"]
-            h_mc = mass_estimate(ens, t) * np.exp(sc.fitness.g_max * t)
-            se = mass_estimate_se(ens, t) * np.exp(sc.fitness.g_max * t)
-        else:
-            h_mc, se = (1.0, 0.0) if t == 0 else (float("nan"),) * 2
-        mass_rows.append([t, h, h_mc, se])
-    write_csv(os.path.join(out, "masses.csv"), "t,h_t,h_t_mc,se", mass_rows)
+    _write_masses(os.path.join(out, "masses.csv"),
+                  times if particle is None else particle.times, analytic, particle)
 
     manifest.status = "failed-engines: " + ",".join(failures) if failures else "complete"
     manifest.write(os.path.join(out, "manifest.json"))
@@ -441,25 +425,16 @@ def cmd_particles(cfg: dict, out: str, seed, threads: int) -> int:
     manifest = _new_manifest(cfg, seed)
     os.makedirs(out, exist_ok=True)
     manifest.write(os.path.join(out, "manifest.json"))
-    n = int(cfg["particles"]["n_kde"])
-    grid_t = TimeGrid(0.0, sc.horizon,
-                      max(1, int(round(cfg["steps_per_unit"] * sc.horizon))))
     stage_seed = manifest.stage_seed("particles")
     t0 = time.time()
-    ens = run_particles(sc.model, sc.fitness, sc.initial_law, n, grid_t,
-                        stage_seed, checkpoints=int(cfg["metric"]["checkpoints"]),
-                        threads=threads)
+    sol = _particle_solution(sc, cfg, stage_seed, threads)
     manifest.wallclock["particles"] = time.time() - t0
+    ens = sol.meta["ensemble"]
     ens.to_csv(os.path.join(out, "ensemble.csv"))
-    mass_rows = []
-    for t in ens.times:
-        h_mc = mass_estimate(ens, t) * np.exp(sc.fitness.g_max * t)
-        se = mass_estimate_se(ens, t) * np.exp(sc.fitness.g_max * t)
-        mass_rows.append([t, float("nan"), h_mc, se])
-    write_csv(os.path.join(out, "masses.csv"), "t,h_t,h_t_mc,se", mass_rows)
+    _write_masses(os.path.join(out, "masses.csv"), sol.times, None, sol)
     manifest.status = "complete"
     manifest.write(os.path.join(out, "manifest.json"))
-    print(f"[particles] wrote {n} particles x {len(ens.times)} checkpoints")
+    print(f"[particles] wrote {ens.n_particles} particles x {len(sol.times)} checkpoints")
     return EXIT_OK
 
 

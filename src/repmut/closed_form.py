@@ -12,8 +12,11 @@ Three routes to the same normalized density flow:
 * ``tilted_engine`` -- any model with a supplied positive eigenpair; the
   eigen-tilted SDE is simulated and the density recovered by weighted KDE.
 
-All engines expose the same ``ClosedFormSolution`` surface: a density
-evaluator, an (unshifted) mass-factor evaluator, a tag and a horizon.
+All five engines (these three, the particle system and the PDE oracle in
+``cli``) return the same ``Solution``: a density evaluator u(t, x), an
+(unshifted) mass-factor evaluator, a tag, a horizon, a grid and ``times``,
+the stored checkpoint times of the Monte Carlo and PDE engines (None for
+the closed forms, which evaluate at any t).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .constants import TOL, DEFAULT_STEPS_PER_UNIT
 from .model import DiffusionModel, FitnessFunction, InitialLaw, probe_points, sample_initial
 from .numerics import (GaussianMoments, GridDensity, _gauss_kernel_sum,
                        covariance_integral, expm_integral, kde, matrix_exp,
-                       trapezoid_weights)
+                       stored_index, trapezoid_weights)
 from .sde import TimeGrid, TiltedDrift, simulate
 
 
@@ -92,15 +95,16 @@ class Eigenpair:
 
 
 @dataclass(frozen=True)
-class ClosedFormSolution:
+class Solution:
     """Density evaluator u(t, x) plus the unshifted mass factor h_t."""
 
     engine: str
     horizon: float
     shift: float
     u: Callable  # u(t, x) -> density values
-    mass: Callable  # t -> h_t (unshifted fitness)
+    mass: Callable  # t -> h_t (unshifted fitness); _no_mass where there is none
     grid: np.ndarray
+    times: Optional[np.ndarray] = None  # stored times; None: any t
     meta: dict = field(default_factory=dict)
 
     def density_grid(self, t: float, grid: Optional[np.ndarray] = None) -> GridDensity:
@@ -108,8 +112,14 @@ class ClosedFormSolution:
         return GridDensity(x, np.maximum(self.u(t, x), 0.0)).normalize()
 
     def mass_factor(self, t: float, shifted: bool = False) -> float:
+        """h_t; h_0 = 1, and it descends after the g <= 0 shift."""
         h = float(self.mass(t))
         return h * np.exp(-self.shift * t) if shifted else h
+
+
+def _no_mass(t):
+    raise EngineError("this engine tracks the normalized density only; "
+                      "use the particle mass estimator")
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +220,7 @@ def _normalized_density(u0: InitialLaw, grid: np.ndarray, numerator: Callable) -
 
 def linear_engine(model: DiffusionModel, fitness: FitnessFunction,
                   u0: InitialLaw, horizon: float = 1.0,
-                  grid_size: int = 2048) -> ClosedFormSolution:
+                  grid_size: int = 2048) -> Solution:
     """Tilted-convolution solution for constant (b, sigma) and linear g.
 
     For Gaussian initial data the output is the analytic Gaussian
@@ -261,9 +271,8 @@ def linear_engine(model: DiffusionModel, fitness: FitnessFunction,
         mT = moments(horizon)
         grid = _auto_grid(float(mT.mean[0]), np.sqrt(float(mT.cov[0, 0]))) if n == 1 \
             else np.zeros(1)
-        return ClosedFormSolution(engine="linear-analytic", horizon=horizon,
-                                  shift=fitness.g_max, u=u, mass=mass, grid=grid,
-                                  meta={"condition": cond})
+        return Solution(engine="linear-analytic", horizon=horizon, shift=fitness.g_max,
+                        u=u, mass=mass, grid=grid, meta={"condition": cond})
 
     if n != 1:
         raise RejectedCondition("non-Gaussian initial data supported in 1D only")
@@ -295,9 +304,8 @@ def linear_engine(model: DiffusionModel, fitness: FitnessFunction,
         ey = float(np.exp(t * (c[0] * nodes + g0)) @ wts)
         return float(np.exp(cb * t * t / 2.0 + cac * t ** 3 / 6.0) * ey)
 
-    return ClosedFormSolution(engine="linear-quadrature", horizon=horizon,
-                              shift=fitness.g_max, u=u, mass=mass, grid=grid,
-                              meta={"condition": cond})
+    return Solution(engine="linear-quadrature", horizon=horizon, shift=fitness.g_max,
+                    u=u, mass=mass, grid=grid, meta={"condition": cond})
 
 
 # ---------------------------------------------------------------------------
@@ -371,15 +379,38 @@ def solve_linear_v(H, a, B, b, delta) -> np.ndarray:
     return v
 
 
-def affine_eigenpair(model: DiffusionModel, alpha: float, delta, G) -> Eigenpair:
-    """Exponential-quadratic eigenpair for affine drift and quadratic decay
-    fitness g(x) = -(alpha + delta^T x + x^T G x)."""
+def affine_form(model: DiffusionModel, fitness: FitnessFunction):
+    """(model, alpha, delta, G) for fitness -(alpha + delta^T x + x^T G x),
+    with an arithmetic-BM or OU model restated as an affine-kind model."""
+    st = fitness.structure if getattr(fitness, "structure", None) else None
+    if not st or st.get("kind") != "affine-quadratic":
+        raise RejectedCondition("fitness must carry affine-quadratic structure")
+    if model.kind == "arithmetic-bm":
+        model = DiffusionModel(domain=model.domain, kind="affine",
+                               params={"b": model.params["b"],
+                                       "B": np.zeros((model.dim, model.dim)),
+                                       "sigma": model.params["sigma"]})
+    elif model.kind == "ou":
+        kp = model.params
+        model = DiffusionModel(domain=model.domain, kind="affine",
+                               params={"b": [kp["kappa"] * kp["theta"]],
+                                       "B": [[-kp["kappa"]]],
+                                       "sigma": [[kp["sigma"]]]})
+    if model.kind != "affine":
+        raise RejectedCondition("affine engine needs an affine-kind model")
+    return (model, float(st["alpha"]), np.atleast_1d(np.asarray(st["delta"], float)),
+            np.atleast_2d(np.asarray(st["G"], float)))
+
+
+def affine_eigenpair(model: DiffusionModel, alpha: float, delta: np.ndarray,
+                     G: np.ndarray):
+    """Exponential-quadratic eigenpair phi = exp(-v^T x - x^T H x) for affine
+    drift and quadratic decay fitness g(x) = -(alpha + delta^T x + x^T G x),
+    as (pair, H, v); the arguments are those of ``affine_form``."""
     b = model.params["b"]
     B = model.params["B"]
     sig = model.params["sigma"]
     a = sig @ sig.T
-    delta = np.atleast_1d(np.asarray(delta, float))
-    G = np.atleast_2d(np.asarray(G, float))
     H = solve_riccati(a, B, G)
     v = solve_linear_v(H, a, B, b, delta)
     lam = float(alpha + np.trace(a @ H) + v @ b - 0.5 * v @ a @ v)
@@ -409,12 +440,12 @@ def affine_eigenpair(model: DiffusionModel, alpha: float, delta, G) -> Eigenpair
         return hess if b.size > 1 else hess[:, 0, 0].reshape(np.shape(x))
 
     return Eigenpair(lam=lam, phi=phi, dphi=dphi, source="affine-analytic",
-                     log_phi=log_phi, grad_log_phi=grad_log_phi, d2phi=d2phi)
+                     log_phi=log_phi, grad_log_phi=grad_log_phi, d2phi=d2phi), H, v
 
 
 def affine_engine(model: DiffusionModel, fitness: FitnessFunction,
                   u0: InitialLaw, horizon: float = 1.0,
-                  grid_size: int = 2048) -> ClosedFormSolution:
+                  grid_size: int = 2048) -> Solution:
     """Eigenfunction-tilted Gaussian solution for affine models with
     fitness -(alpha + delta^T x + x^T G x).
 
@@ -423,25 +454,7 @@ def affine_engine(model: DiffusionModel, fitness: FitnessFunction,
     exponential-quadratic eigenfunction) the engine falls back to the
     constant-condition kernel route on quadrature grids.
     """
-    st = fitness.structure if getattr(fitness, "structure", None) else None
-    if not st or st.get("kind") != "affine-quadratic":
-        raise RejectedCondition("fitness must carry affine-quadratic structure")
-    alpha = float(st["alpha"])
-    delta = np.atleast_1d(np.asarray(st["delta"], float))
-    G = np.atleast_2d(np.asarray(st["G"], float))
-    if model.kind == "arithmetic-bm":
-        model = DiffusionModel(domain=model.domain, kind="affine",
-                               params={"b": model.params["b"],
-                                       "B": np.zeros((model.dim, model.dim)),
-                                       "sigma": model.params["sigma"]})
-    elif model.kind == "ou":
-        kp = model.params
-        model = DiffusionModel(domain=model.domain, kind="affine",
-                               params={"b": [kp["kappa"] * kp["theta"]],
-                                       "B": [[-kp["kappa"]]],
-                                       "sigma": [[kp["sigma"]]]})
-    if model.kind != "affine":
-        raise RejectedCondition("affine engine needs an affine-kind model")
+    model, alpha, delta, G = affine_form(model, fitness)
     b, B, sig = model.params["b"], model.params["B"], model.params["sigma"]
     a = sig @ sig.T
     n = model.dim
@@ -451,10 +464,7 @@ def affine_engine(model: DiffusionModel, fitness: FitnessFunction,
         # exponential-quadratic eigenfunction exists (H = 0 and the linear
         # system for v is singular); use the constant-condition kernel route
         return _affine_c2_fallback(model, fitness, u0, horizon, grid_size)
-    pair = affine_eigenpair(model, alpha, delta, G)
-
-    H = solve_riccati(a, B, G)
-    v = solve_linear_v(H, a, B, b, delta)
+    pair, H, v = affine_eigenpair(model, alpha, delta, G)
     Gamma = B - 2 * a @ H
     beta = b - a @ v
 
@@ -504,10 +514,10 @@ def affine_engine(model: DiffusionModel, fitness: FitnessFunction,
         gT = posterior(horizon)
         grid = _auto_grid(float(gT.mean[0]), np.sqrt(float(gT.cov[0, 0]))) if n == 1 \
             else np.zeros(1)
-        return ClosedFormSolution(engine="affine-analytic", horizon=horizon,
-                                  shift=fitness.g_max, u=u, mass=mass, grid=grid,
-                                  meta={"eigenpair": pair, "H": H, "v": v,
-                                        "Gamma": Gamma, "beta": beta})
+        return Solution(engine="affine-analytic", horizon=horizon, shift=fitness.g_max,
+                        u=u, mass=mass, grid=grid,
+                        meta={"eigenpair": pair, "H": H, "v": v,
+                              "Gamma": Gamma, "beta": beta})
 
     if n != 1:
         raise RejectedCondition("non-Gaussian initial data supported in 1D only")
@@ -556,9 +566,8 @@ def affine_engine(model: DiffusionModel, fitness: FitnessFunction,
             vals[i] = np.trapezoid(gx * dens.values, grid)
         return float(np.exp(np.trapezoid(vals, s_nodes)))
 
-    return ClosedFormSolution(engine="affine-quadrature", horizon=horizon,
-                              shift=fitness.g_max, u=u, mass=mass, grid=grid,
-                              meta={"eigenpair": pair, "H": H, "v": v})
+    return Solution(engine="affine-quadrature", horizon=horizon, shift=fitness.g_max,
+                    u=u, mass=mass, grid=grid, meta={"eigenpair": pair, "H": H, "v": v})
 
 
 def _affine_c2_fallback(model, fitness, u0, horizon, grid_size):
@@ -602,9 +611,8 @@ def _affine_c2_fallback(model, fitness, u0, horizon, grid_size):
         ey = np.trapezoid(tilt * yvals, ygrid)
         return float(np.exp(c1 * t * t / 2.0 + c2sq * t ** 3 / 6.0) * ey)
 
-    return ClosedFormSolution(engine="affine-c2-fallback", horizon=horizon,
-                              shift=fitness.g_max, u=u, mass=mass, grid=grid,
-                              meta={"condition": cond})
+    return Solution(engine="affine-c2-fallback", horizon=horizon, shift=fitness.g_max,
+                    u=u, mass=mass, grid=grid, meta={"condition": cond})
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +677,7 @@ def tilted_engine(model: DiffusionModel, fitness: FitnessFunction,
                   n_paths: int = 100_000, seed: int = 0,
                   steps_per_unit: int = DEFAULT_STEPS_PER_UNIT,
                   checkpoints: int = 17, grid_size: int = 1024,
-                  threads: int = 1) -> ClosedFormSolution:
+                  threads: int = 1) -> Solution:
     """Semi-analytic Monte Carlo engine: simulate the eigen-tilted SDE from
     the phi-reweighted initial law, estimate the terminal density by KDE
     and undo the tilt pointwise.
@@ -695,7 +703,7 @@ def tilted_engine(model: DiffusionModel, fitness: FitnessFunction,
     cache: dict = {}
 
     def density_at(t):
-        j = bundle.node_index(t)
+        j = stored_index(bundle.times, t)
         if j in cache:
             return cache[j]
         pos = bundle.positions[:, j, 0]
@@ -715,25 +723,12 @@ def tilted_engine(model: DiffusionModel, fitness: FitnessFunction,
         return dens
 
     u = checkpoint_density_u(u0, density_at, model.domain.kind == "half-line")
-
-    def mass(t):
-        raise EngineError("tilted engine has no analytic mass factor; "
-                          "use the particle mass estimator")
-
-    gT = density_at(horizon)
-    return ClosedFormSolution(engine="tilted-mc", horizon=horizon,
-                              shift=fitness.g_max, u=u, mass=mass, grid=gT.x,
-                              meta={"eigenpair": pair, "n_paths": n_paths,
-                                    "times": bundle.times})
+    return Solution(engine="tilted-mc", horizon=horizon, shift=fitness.g_max, u=u,
+                    mass=_no_mass, grid=density_at(horizon).x, times=bundle.times,
+                    meta={"eigenpair": pair, "n_paths": n_paths})
 
 
-def mass_factor(solution: ClosedFormSolution, t: float, shifted: bool = False) -> float:
-    """Mass factor of an engine solution; h_0 = 1 and descends after the
-    g <= 0 shift."""
-    return solution.mass_factor(t, shifted=shifted)
-
-
-def validity_horizon(solution: ClosedFormSolution, t_max: float = 64.0,
+def validity_horizon(solution: Solution, t_max: float = 64.0,
                      rel: float = 1e-3) -> float:
     """Largest t (within rel) at which the normalizing quadrature is still
     finite at working precision; bisection against HorizonError."""

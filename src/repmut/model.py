@@ -224,10 +224,6 @@ class FitnessFunction:
     def modulus(self, r: np.ndarray) -> np.ndarray:
         return np.polynomial.polynomial.polyval(r, np.asarray(self.q_coeffs, float))
 
-    @property
-    def modulus_degree(self) -> int:
-        return max(len(self.q_coeffs) - 1, 0)
-
 
 def check_fitness_bound(fitness: FitnessFunction, domain: DomainSpec,
                         count: int = 1000, seed: int = 0) -> dict:

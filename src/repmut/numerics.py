@@ -60,9 +60,13 @@ class GridDensity:
         xs = np.union1d(self.x, other.x)
         return float(np.trapezoid(np.abs(self(xs) - other(xs)), xs))
 
-    def to_csv(self, path):
-        np.savetxt(path, np.column_stack([self.x, self.values]),
-                   delimiter=",", header="x,value", comments="")
+
+def stored_index(times: np.ndarray, t: float) -> int:
+    """Index of the stored time equal to t to 1e-9 relative; KeyError if none."""
+    i = int(np.argmin(np.abs(times - t)))
+    if abs(times[i] - t) > 1e-9 * max(1.0, abs(t)):
+        raise KeyError(f"time {t} not on the stored grid")
+    return i
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import numpy as np
 
 from .constants import DEFAULT_CHECKPOINTS
 from .model import DiffusionModel, FitnessFunction, InitialLaw, sample_initial
+from .numerics import stored_index
 from .sde import PathBundle, TimeGrid, simulate
 
 
@@ -37,12 +38,6 @@ class WeightedParticleEnsemble:
     @property
     def n_particles(self) -> int:
         return self.positions.shape[0]
-
-    def node_index(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise KeyError(f"time {t} not on the stored checkpoint grid")
-        return i
 
     def to_csv(self, path):
         """Rows (particle, t, x0.., logw), particle-major, in np.savetxt's
@@ -95,7 +90,7 @@ def ensemble_from_bundle(bundle: PathBundle) -> WeightedParticleEnsemble:
 
 def normalized_measure(ens: WeightedParticleEnsemble, t: float) -> EmpiricalMeasure:
     """Self-normalized weighted empirical measure at a stored node."""
-    j = ens.node_index(t)
+    j = stored_index(ens.times, t)
     lw = ens.logw[:, j]
     m = lw.max()
     if not np.isfinite(m):
@@ -108,7 +103,7 @@ def normalized_measure(ens: WeightedParticleEnsemble, t: float) -> EmpiricalMeas
 
 def tilted_measure(ens: WeightedParticleEnsemble, t: float) -> EmpiricalMeasure:
     """Sub-probability measure with atom masses exp(L_i)/N."""
-    j = ens.node_index(t)
+    j = stored_index(ens.times, t)
     masses = np.exp(ens.logw[:, j]) / ens.n_particles
     return EmpiricalMeasure(atoms=ens.positions[:, j], masses=masses,
                             normalization="tilted")
@@ -116,11 +111,11 @@ def tilted_measure(ens: WeightedParticleEnsemble, t: float) -> EmpiricalMeasure:
 
 def mass_estimate(ens: WeightedParticleEnsemble, t: float) -> float:
     """Unbiased estimator (1/N) sum exp(L_i(t)) of the shifted mass factor."""
-    j = ens.node_index(t)
+    j = stored_index(ens.times, t)
     return float(np.exp(ens.logw[:, j]).mean())
 
 
 def mass_estimate_se(ens: WeightedParticleEnsemble, t: float) -> float:
-    j = ens.node_index(t)
+    j = stored_index(ens.times, t)
     w = np.exp(ens.logw[:, j])
     return float(w.std(ddof=1) / np.sqrt(ens.n_particles))

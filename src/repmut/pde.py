@@ -23,7 +23,7 @@ import scipy.linalg.lapack
 
 from .constants import TOL
 from .model import DiffusionModel, FitnessFunction
-from .numerics import GridDensity, trapezoid_weights
+from .numerics import GridDensity, stored_index, trapezoid_weights
 
 
 class PdeError(RuntimeError):
@@ -55,17 +55,7 @@ class PdeTrajectory:
     meta: dict = field(default_factory=dict)
 
     def density(self, t: float) -> GridDensity:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise KeyError(f"time {t} not stored")
-        return GridDensity(self.grid, self.densities[i]).normalize()
-
-    def to_csv(self, path):
-        rows = []
-        for i, t in enumerate(self.times):
-            for j, x in enumerate(self.grid):
-                rows.append([t, x, self.densities[i, j]])
-        np.savetxt(path, np.asarray(rows), delimiter=",", header="t,x,u", comments="")
+        return GridDensity(self.grid, self.densities[stored_index(self.times, t)]).normalize()
 
     def summary(self) -> dict:
         return {

@@ -79,12 +79,6 @@ class PathBundle:
     def n_particles(self) -> int:
         return self.positions.shape[0]
 
-    def node_index(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise KeyError(f"time {t} not on the stored grid")
-        return i
-
 
 def _eval_fitness(fit, x: np.ndarray) -> np.ndarray:
     return fit(x[:, 0]) if x.shape[1] == 1 else fit(x)

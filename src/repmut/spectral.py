@@ -145,21 +145,6 @@ def cir_eigenpair(a: float, b: float, sigma: float, lam: float) -> Eigenpair:
                      log_phi=log_phi, grad_log_phi=grad_log_phi, d2phi=d2phi)
 
 
-def cir_tilted_extra_drift(a: float, b: float, sigma: float, lam: float) -> Callable:
-    """Extra drift sigma^2 x d(log phi)/dx of the eigen-tilted CIR process.
-
-    Added to the base drift a + b x this reproduces the tilted dynamics
-    a - gamma x + (2 alpha gamma / beta) x M(alpha+1, beta+1, zx)/M(alpha, beta, zx).
-    """
-    pair = cir_eigenpair(a, b, sigma, lam)
-
-    def extra(t, x):
-        xv = np.maximum(x[:, 0], 0.0)
-        return (sigma ** 2 * xv * pair.grad_log_phi(xv))[:, None]
-
-    return extra
-
-
 # ---------------------------------------------------------------------------
 # Schrodinger ground states
 

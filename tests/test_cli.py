@@ -7,6 +7,7 @@ import pytest
 from repmut.cli import (EXIT_CONFIG, EXIT_OK, ConfigError,
                         build_scenario, build_solution, canonical_json,
                         config_hash, load_config, main)
+from repmut.closed_form import EngineError
 
 
 def write_cfg(tmp_path, name="cfg.json", **overrides):
@@ -175,13 +176,51 @@ class TestHalfLineWall:
                             particles={"n_kde": 4000}, metric={"checkpoints": 3})
         cfg = load_config(path)
         sol = build_solution(engine, build_scenario(cfg), cfg, seed=5)
-        times = sol.meta["times"] if engine == "tilted" else sol.meta["ensemble"].times
         xs = np.linspace(-1.0, 12.0, 130_001)
-        for t in times:
+        for t in sol.times:
             assert (sol.u(t, np.array([-1.0, -1e-3])) == 0.0).all()
             # the interpolant's sliver between the last node left of the
             # wall and x = 0 is cut, a few 1e-4 of the mass
             assert abs(np.trapezoid(sol.u(t, xs), xs) - 1.0) <= 1e-3
+
+
+class TestSolutionContract:
+    """Every engine returns the same Solution surface, and cmd_solve exports
+    each one at its ``times`` (the checkpoint grid when that is None)."""
+
+    @pytest.mark.parametrize("engine,scenario", [
+        ("linear", "linear-bm"), ("affine", "ou-linear"), ("tilted", "ou-linear"),
+        ("pde", "ou-linear"), ("particle", "ou-linear")])
+    def test_density_times_and_mass(self, tmp_path, engine, scenario):
+        path, _ = write_cfg(tmp_path, scenario=scenario, horizon=0.1, engines=[engine],
+                            particles={"n_kde": 2000}, metric={"checkpoints": 3})
+        out = tmp_path / "o"
+        assert main(["solve", "--config", path, "--out", str(out)]) == EXIT_OK
+        lines = (out / f"density_{engine}.csv").read_text().strip().splitlines()[1:]
+        exported = np.unique([float(line.split(",")[0]) for line in lines])
+        cfg = load_config(path)
+        sol = build_solution(engine, build_scenario(cfg), cfg, seed=3)
+        expected = np.linspace(0.0, 0.1, 3) if sol.times is None else sol.times
+        assert (sol.times is None) == (engine in ("linear", "affine"))
+        np.testing.assert_array_equal(exported, expected)
+        if engine in ("pde", "tilted"):
+            with pytest.raises(EngineError):
+                sol.mass(0.1)
+        else:
+            assert np.isfinite(sol.mass(0.1)) and sol.mass(0.1) > 0
+
+    def test_cir_masses_have_no_analytic_h(self, tmp_path):
+        # no engine on cir-linear has an analytic mass factor yet
+        path, _ = write_cfg(tmp_path, scenario="cir-linear", horizon=0.015,
+                            engines=["tilted", "particle"],
+                            particles={"n_kde": 2000}, metric={"checkpoints": 3})
+        out = tmp_path / "o"
+        assert main(["solve", "--config", path, "--out", str(out)]) == EXIT_OK
+        rows = [line.split(",") for line in
+                (out / "masses.csv").read_text().strip().splitlines()[1:]]
+        assert len(rows) == 3
+        assert all(np.isnan(float(r[1])) for r in rows)
+        assert all(np.isfinite(float(r[2])) for r in rows)
 
 
 class TestChaosCommand:

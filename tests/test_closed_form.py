@@ -3,7 +3,7 @@ import pytest
 
 from repmut.closed_form import (RejectedCondition, RiccatiError, affine_engine,
                                 detect_constant_condition, eigenpair_residual,
-                                linear_engine, mass_factor, riccati_residual,
+                                linear_engine, riccati_residual,
                                 solve_linear_v, solve_riccati, tilted_engine)
 from repmut.model import FitnessFunction, InitialLaw
 from repmut.numerics import GridDensity
@@ -109,8 +109,8 @@ class TestLinearEngine:
         for t in (0.0, 0.3, 1.0):
             target = np.exp(t * 0.4 + t * t * 1.44 / 2 + t ** 3 / 3)
             assert sol.mass(t) == pytest.approx(target, rel=1e-12)
-        assert mass_factor(sol, 0.0) == 1.0
-        shifted = mass_factor(sol, 1.0, shifted=True)
+        assert sol.mass_factor(0.0) == 1.0
+        shifted = sol.mass_factor(1.0, shifted=True)
         assert shifted == pytest.approx(sol.mass(1.0) * np.exp(-sc.fitness.g_max), rel=1e-12)
 
     def test_zero_fitness_mass_one(self, zero_fitness, std_normal_law):
@@ -349,7 +349,7 @@ class TestTiltedEngine:
         mc = tilted_engine(sc.model, sc.fitness, ana.meta["eigenpair"],
                            sc.initial_law, 1.0, n_paths=5000, seed=10,
                            checkpoints=17)
-        for t in mc.meta["times"][1:]:
+        for t in mc.times[1:]:
             d = mc.density_grid(t)
             assert d.values.min() >= 0
             assert d.integral() == pytest.approx(1.0, abs=1e-6)

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repmut.closed_form import eigenpair_residual
+from repmut.closed_form import eigenpair_residual, tilted_extra_drift
 from repmut.model import FitnessFunction
 from repmut.scenarios import bm_model, cir_model
 from repmut.spectral import (EnlargeGridError, SchrodingerProblem, SpectralError,
-                             cir_eigenpair, cir_tilted_extra_drift, kummer_M,
-                             kummer_M_prime, pinsky_diagnostic,
-                             schrodinger_ground_state)
+                             cir_eigenpair, kummer_M, kummer_M_prime,
+                             pinsky_diagnostic, schrodinger_ground_state)
 
 CIR_FIT = FitnessFunction(g=lambda x: -np.asarray(x, float), g_max=0.0, q_coeffs=[1.0])
 
@@ -76,7 +75,7 @@ class TestCirEigenpair:
         target = np.exp((kappa - gamma) * x)
         assert np.abs(pair.phi(x) - target).max() < 1e-12
         # tilted drift reduces to a - gamma x
-        extra = cir_tilted_extra_drift(a, b, sig, lam0)
+        extra = tilted_extra_drift(cir_model(a, b, sig), pair).extra
         drift = (a + b * x) + extra(0.0, x[:, None])[:, 0]
         assert np.abs(drift - (a - gamma * x)).max() < 1e-10
 
