@@ -82,6 +82,11 @@ def load_config(path: str) -> dict:
             cfg[key].update(val)
         else:
             cfg[key] = val
+    horizon, checkpoints = cfg["horizon"], cfg["metric"]["checkpoints"]
+    if type(horizon) not in (int, float) or not 0 < horizon < np.inf:
+        raise ConfigError(f"horizon must be a finite number > 0, not {horizon!r}")
+    if type(checkpoints) is not int or checkpoints < 2:
+        raise ConfigError(f"metric.checkpoints must be an integer >= 2, not {checkpoints!r}")
     return cfg
 
 
@@ -99,8 +104,7 @@ def build_scenario(cfg: dict) -> Scenario:
         if name not in CANONICAL:
             raise ConfigError(f"unknown scenario {name!r}; "
                               f"choose from {sorted(CANONICAL)}")
-        sc = CANONICAL[name](horizon=cfg["horizon"]) if cfg.get("horizon") \
-            else CANONICAL[name]()
+        sc = CANONICAL[name](horizon=cfg["horizon"])
         if cfg.get("engines"):
             sc = Scenario(sc.name, sc.model, sc.fitness, sc.initial_law,
                           sc.horizon, tuple(cfg["engines"]), sc.meta)

@@ -474,44 +474,39 @@ def affine_engine(model: DiffusionModel, fitness: FitnessFunction,
         S = covariance_integral(Gamma, a, t)
         return A, r, S
 
-    def mean_fitness(mean, cov):
-        return -(alpha + delta @ mean + float(np.trace(G @ cov))
-                 + mean @ G @ mean)
-
     if u0.kind == "gaussian":
         m0, S0 = u0.params["mean"], u0.params["cov"]
 
         def posterior(t):
+            """The law at t and log h(t).  u0(y) phi(y) pbar(t, y; x) / phi(x) is
+            Gaussian in (y, x); eliminating y leaves precision Lam and linear
+            term eta in x, and h(t) is e^{-lam t} times its total mass."""
             A, r, S = transition(t)
             Sinv = np.linalg.inv(S)
             P = 2 * H + A.T @ Sinv @ A + np.linalg.inv(S0)
             Pinv = np.linalg.inv(P)
             M = A.T @ Sinv
-            w = -v - A.T @ Sinv @ r + np.linalg.solve(S0, m0)
+            S0inv_m0 = np.linalg.solve(S0, m0)
+            w = -v - A.T @ Sinv @ r + S0inv_m0
             Lam = Sinv - M.T @ Pinv @ M - 2 * H
+            Lam = 0.5 * (Lam + Lam.T)
             eta = M.T @ Pinv @ w + Sinv @ r + v
-            if np.linalg.eigvalsh(0.5 * (Lam + Lam.T)).min() <= 0:
+            if np.linalg.eigvalsh(Lam).min() <= 0:
                 raise HorizonError("tilted posterior covariance lost positivity")
-            cov = np.linalg.inv(0.5 * (Lam + Lam.T))
-            return GaussianMoments(cov @ eta, cov)
+            cov = np.linalg.inv(Lam)
+            gm = GaussianMoments(cov @ eta, cov)
+            log_det = sum(np.linalg.slogdet(m)[1] for m in (P, Lam, S0, S))
+            log_mass = (-pair.lam * t - 0.5 * m0 @ S0inv_m0 - 0.5 * r @ Sinv @ r
+                        + 0.5 * w @ Pinv @ w + 0.5 * eta @ gm.mean - 0.5 * log_det)
+            return gm, float(log_mass)
 
         def u(t, x):
-            if t <= 0:
-                return u0.density(x)
-            return posterior(t).density(x)
+            return u0.density(x) if t <= 0 else posterior(t)[0].density(x)
 
         def mass(t):
-            if t <= 0:
-                return 1.0
-            s_nodes = np.linspace(0.0, t, 257)
-            vals = np.empty_like(s_nodes)
-            vals[0] = mean_fitness(m0, S0)
-            for i, s in enumerate(s_nodes[1:], start=1):
-                gm = posterior(s)
-                vals[i] = mean_fitness(gm.mean, gm.cov)
-            return float(np.exp(np.trapezoid(vals, s_nodes)))
+            return 1.0 if t <= 0 else float(np.exp(posterior(t)[1]))
 
-        gT = posterior(horizon)
+        gT = posterior(horizon)[0]
         grid = _auto_grid(float(gT.mean[0]), np.sqrt(float(gT.cov[0, 0]))) if n == 1 \
             else np.zeros(1)
         return Solution(engine="affine-analytic", horizon=horizon, shift=fitness.g_max,
@@ -556,15 +551,13 @@ def affine_engine(model: DiffusionModel, fitness: FitnessFunction,
         return np.exp(lx - mref) / z
 
     def mass(t):
+        # h(t) = e^{-lam t} times the numerator's total mass, exp(mref) z
         if t <= 0:
             return 1.0
-        s_nodes = np.linspace(0.0, t, 257)
-        vals = np.empty_like(s_nodes)
-        for i, s in enumerate(s_nodes):
-            dens = GridDensity(grid, np.maximum(u(s, grid), 0)).normalize()
-            gx = -(alpha + delta[0] * grid + G[0, 0] * grid * grid)
-            vals[i] = np.trapezoid(gx * dens.values, grid)
-        return float(np.exp(np.trapezoid(vals, s_nodes)))
+        if t not in norm_cache:
+            u(t, grid)
+        mref, z = norm_cache[t]
+        return float(np.exp(mref - pair.lam * t) * z)
 
     return Solution(engine="affine-quadrature", horizon=horizon, shift=fitness.g_max,
                     u=u, mass=mass, grid=grid, meta={"eigenpair": pair, "H": H, "v": v})

@@ -20,6 +20,7 @@ TOL = {
     # closed-form solutions
     "density_normalization": 1e-6,      # integral of u(t,.) on its grid
     "shift_invariance": 1e-12,
+    "affine_mass_branches_rel": 1e-10,  # Gaussian vs tabulated u0, same h(t)
     # particle identities
     "measure_identity": 1e-15,
     "compactify_mass_slack": 1e-9,

@@ -56,10 +56,6 @@ class GridDensity:
     def __call__(self, xq: np.ndarray) -> np.ndarray:
         return np.interp(xq, self.x, self.values, left=0.0, right=0.0)
 
-    def l1_distance(self, other: "GridDensity") -> float:
-        xs = np.union1d(self.x, other.x)
-        return float(np.trapezoid(np.abs(self(xs) - other(xs)), xs))
-
 
 def stored_index(times: np.ndarray, t: float) -> int:
     """Index of the stored time equal to t to 1e-9 relative; KeyError if none."""

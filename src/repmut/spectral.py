@@ -256,17 +256,6 @@ def schrodinger_ground_state(problem: SchrodingerProblem) -> Eigenpair:
     return pair
 
 
-def eigenpair_to_csv(pair: Eigenpair, path, grid=None):
-    """Tabulates (x, phi, phi') for inspection; uses the pair's own grid
-    when it has one."""
-    x = pair.grid if grid is None and pair.grid is not None else grid
-    if x is None:
-        raise SpectralError("pass an evaluation grid for analytic eigenpairs")
-    x = np.asarray(x, float)
-    np.savetxt(path, np.column_stack([x, pair.phi(x), pair.dphi(x)]),
-               delimiter=",", header="x,phi,dphi", comments="")
-
-
 # ---------------------------------------------------------------------------
 # invariant-function integral diagnostic
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import rng
 from .constants import TOL
-from .closed_form import (eigenpair_residual, linear_engine,
+from .closed_form import (affine_engine, eigenpair_residual, linear_engine,
                           riccati_residual, solve_riccati)
 from .metric import (CompactifiedMeasure, bl_distance, bl_dirac_formula,
                      check_certificate, dstar)
@@ -21,8 +21,9 @@ from .numerics import GridDensity, covariance_integral, kde, matrix_exp
 from .particle import (ensemble_from_bundle, mass_estimate, normalized_measure,
                        run_particles, tilted_measure)
 from .pde import PdeScheme, solve_rm_pde, weak_form_residual
-from .scenarios import (bm_model, cir_model, gamma_like_law, harmonic_scenario,
-                        linear_bm_scenario, linear_fitness, quadratic_decay_fitness)
+from .scenarios import (affine_quadratic_fitness, bm_model, cir_model, gamma_like_law,
+                        harmonic_scenario, linear_bm_scenario, linear_fitness, ou_model,
+                        quadratic_decay_fitness)
 from .sde import TimeGrid, simulate
 from .spectral import SchrodingerProblem, cir_eigenpair, kummer_M, schrodinger_ground_state
 
@@ -180,6 +181,18 @@ def _check_density_normalization():
         if d.values.min() < 0:
             return False, "negative density"
     return worst <= TOL["density_normalization"], f"worst mass defect {worst:.2e}"
+
+
+def _check_affine_mass_branches():
+    """The affine engine's mass on one Gaussian law, in closed form and
+    through that law tabulated on 4096 nodes over +-12 sd."""
+    m, fit = ou_model(0.7, 0.3, 0.8), affine_quadratic_fitness(0.2, [0.5], [[0.6]])
+    law = InitialLaw("gaussian", {"mean": [0.4], "cov": [[0.3]]})
+    y = np.linspace(0.4 - 12 * np.sqrt(0.3), 0.4 + 12 * np.sqrt(0.3), 4096)
+    gauss = affine_engine(m, fit, law)
+    tab = affine_engine(m, fit, InitialLaw("grid-density", {"x": y, "values": law.density(y)}))
+    worst = max(abs(tab.mass(t) / gauss.mass(t) - 1.0) for t in (0.05, 0.2, 1.0))
+    return worst <= TOL["affine_mass_branches_rel"], f"worst relative gap {worst:.2e}"
 
 
 def _check_kummer_recurrence():
@@ -388,6 +401,7 @@ VALIDATORS = [
     ("closed_form.shift-invariance", _check_shift_invariance),
     ("closed_form.riccati-stabilizing", _check_riccati),
     ("closed_form.density-normalization", _check_density_normalization),
+    ("closed_form.affine-mass-branches", _check_affine_mass_branches),
     ("spectral.kummer-recurrence", _check_kummer_recurrence),
     ("spectral.eigenpair-residuals", _check_eigen_residuals),
     ("spectral.schrodinger-order", _check_schrodinger_order),

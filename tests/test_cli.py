@@ -64,6 +64,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             build_scenario(load_config(path))
 
+    @pytest.mark.parametrize("key,value", [
+        ("horizon", 0), ("horizon", -1), ("horizon", "abc"), ("horizon", None),
+        ("horizon", float("inf")), ("horizon", True), ("checkpoints", 0),
+        ("checkpoints", 1), ("checkpoints", 2.5), ("checkpoints", "3")])
+    def test_bad_horizon_or_checkpoints_exits_config_error(self, tmp_path, capsys,
+                                                           key, value):
+        override = {"horizon": value} if key == "horizon" \
+            else {"metric": {"checkpoints": value}}
+        path, _ = write_cfg(tmp_path, **override)
+        assert main(["manifest", "--config", path]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
     def test_custom_model_sections(self, tmp_path):
         path, _ = write_cfg(tmp_path, scenario=None,
                             model={"kind": "ou", "kappa": 1.0, "sigma": 1.0},
@@ -119,22 +131,22 @@ class TestSolveCommand:
         assert main(["solve"]) == EXIT_CONFIG
 
     def test_affine_engine_with_grid_density_initial_law(self, tmp_path):
-        # one checkpoint (t = 0): this engine's mass(t) integrates the mean
-        # fitness over 257 quadrature nodes of full density evaluations,
-        # about 27 s per checkpoint (mass(T) at T = 0.5 on a 2-core machine);
-        # the density at T is checked below
         path, _ = write_cfg(tmp_path, scenario=None, engines=["affine"],
                             model={"kind": "ou", "kappa": 1.0, "sigma": 1.0},
                             fitness={"kind": "quadratic-decay"},
-                            initial={"kind": "gamma-like"},
-                            metric={"checkpoints": 1})
-        assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) \
-            == EXIT_OK
+                            initial={"kind": "gamma-like"})
+        out = tmp_path / "o"
+        assert main(["solve", "--config", path, "--out", str(out)]) == EXIT_OK
         cfg = load_config(path)
         sol = build_solution("affine", build_scenario(cfg), cfg, seed=0)
         vals = sol.u(cfg["horizon"], sol.grid)
         assert vals.min() >= 0.0
         assert abs(np.trapezoid(vals, sol.grid) - 1.0) <= 1e-9
+        rows = np.loadtxt(out / "masses.csv", delimiter=",", skiprows=1)
+        t, h = rows[:, 0], rows[:, 1]
+        assert len(t) == 5 and np.isfinite(h).all()
+        assert (np.diff(h) < 0).all()  # quadratic decay: g <= 0
+        assert h.tolist() == [sol.mass(s) for s in t]
 
 
 class TestEigenpairGuard:

@@ -309,6 +309,58 @@ class TestAffineEngine:
         assert bshift.mass(0.7) == pytest.approx(a.mass(0.7) * np.exp(5 * 0.7), rel=1e-6)
 
 
+def mean_fitness_mass(sol, fitness, t, nodes=257):
+    """h(t) by d/dt log h = E_u(t)[g]: exp of the trapezoid rule in s, on 257
+    nodes, of the mean fitness of u(s, .), whose moments are taken by
+    quadrature.  An independent route with an O(ds^2) error."""
+    st = fitness.structure
+    alpha, delta, G = st["alpha"], st["delta"][0], st["G"][0][0]
+    x = np.linspace(-15.0, 15.0, 6001)
+    s_nodes = np.linspace(0.0, t, nodes)
+    vals = []
+    for s in s_nodes:
+        u = sol.u(s, x)
+        mean = np.trapezoid(x * u, x)
+        var = np.trapezoid((x - mean) ** 2 * u, x)
+        vals.append(-(alpha + delta * mean + G * (var + mean * mean)))
+    return float(np.exp(np.trapezoid(vals, s_nodes)))
+
+
+class TestAffineMass:
+    def test_vasicek_bond_price_on_ou_linear(self):
+        # kappa = sigma = 1, theta = 0, g = -x: the Vasicek bond price
+        # exp(A - B x0), B = 1 - e^{-t}, A = (t - B) / 2 - B^2 / 4, averaged
+        # over X0 ~ N(0, 1/4), is exp(A + B^2 / 8)
+        sc = ou_linear_scenario()
+        sol = affine_engine(sc.model, sc.fitness, sc.initial_law)
+        for t in (0.1, 0.5, 1.0):
+            B = 1.0 - np.exp(-t)
+            A = -0.5 * (B - t) - 0.25 * B * B
+            assert sol.mass(t) == pytest.approx(np.exp(A + 0.125 * B * B), rel=1e-12)
+
+    def test_gaussian_and_tabulated_branches_agree(self):
+        from repmut.validate import VALIDATORS, _check_affine_mass_branches
+        assert ("closed_form.affine-mass-branches", _check_affine_mass_branches) \
+            in VALIDATORS
+        ok, detail = _check_affine_mass_branches()
+        assert ok, detail
+
+    def test_mean_fitness_route_oracle(self):
+        m = ou_model(0.7, 0.3, 0.8)
+        fit = affine_quadratic_fitness(0.2, [0.5], [[0.6]])
+        sol = affine_engine(m, fit, InitialLaw("gaussian", {"mean": [0.4], "cov": [[0.3]]}))
+        assert sol.mass(1.0) == pytest.approx(mean_fitness_mass(sol, fit, 1.0), rel=1e-6)
+
+    def test_grid_density_mass_independent_of_call_order(self):
+        law = gamma_like_law()
+        first = affine_engine(ou_model(1.0, 0.0, 1.0), quadratic_decay_fitness(), law,
+                              horizon=0.5)
+        later = affine_engine(ou_model(1.0, 0.0, 1.0), quadratic_decay_fitness(), law,
+                              horizon=0.5)
+        later.u(0.5, np.linspace(-1.0, 3.0, 77))  # off the grid: caches the normalizer
+        assert later.mass(0.5) == first.mass(0.5)
+
+
 class TestTiltedEngine:
     def test_matches_affine_on_ou(self):
         sc = ou_linear_scenario()

@@ -255,11 +255,6 @@ class TestGridDensity:
         with pytest.raises(NumericsError):
             GridDensity(x, -np.ones_like(x))
 
-    def test_l1_distance_self(self):
-        x = np.linspace(-3, 3, 301)
-        d = GridDensity(x, np.exp(-x ** 2)).normalize()
-        assert d.l1_distance(d) == 0.0
-
     def test_gaussian_moments_validation(self):
         with pytest.raises(NumericsError):
             GaussianMoments([0.0], [[-1.0]])

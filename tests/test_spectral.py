@@ -177,23 +177,3 @@ class TestPinskyDiagnostic:
         pair = affine_engine(sc.model, sc.fitness, sc.initial_law).meta["eigenpair"]
         rep = pinsky_diagnostic(sc.model, pair.phi, x0=0.0, max_scale=5)
         assert "trend" in rep
-
-
-class TestSerialization:
-    def test_eigenpair_csv(self, tmp_path):
-        from repmut.spectral import eigenpair_to_csv
-        gs = schrodinger_ground_state(SchrodingerProblem(
-            sigma=1.0, g=lambda x: -x ** 2, half_width=8.0, nodes=512))
-        path = tmp_path / "pair.csv"
-        eigenpair_to_csv(gs, path)
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert data.shape[1] == 3
-        assert (data[:, 1] > 0).all()
-
-    def test_analytic_pair_needs_grid(self, tmp_path):
-        from repmut.spectral import eigenpair_to_csv
-        pair = cir_eigenpair(1.0, -1.0, 1.0, cir_lam_max(1.0, -1.0, 1.0))
-        with pytest.raises(SpectralError):
-            eigenpair_to_csv(pair, tmp_path / "x.csv")
-        eigenpair_to_csv(pair, tmp_path / "x.csv", grid=np.linspace(0.1, 5, 50))
-        assert (tmp_path / "x.csv").exists()
