@@ -18,4 +18,4 @@ from .metric import (CompactifiedMeasure, bl_distance, compactify, dqt_estimate,
                      dstar, wasserstein1_1d, STAR)
 from .pde import PdeScheme, fitness_mean_trace, solve_rm_pde
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -87,6 +87,11 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"horizon must be a finite number > 0, not {horizon!r}")
     if type(checkpoints) is not int or checkpoints < 2:
         raise ConfigError(f"metric.checkpoints must be an integer >= 2, not {checkpoints!r}")
+    if type(cfg["seed"]) is not int:
+        raise ConfigError(f"seed must be an integer, not {cfg['seed']!r}")
+    spu = cfg["steps_per_unit"]
+    if type(spu) is not int or spu < 1:
+        raise ConfigError(f"steps_per_unit must be an integer >= 1, not {spu!r}")
     return cfg
 
 

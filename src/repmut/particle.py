@@ -31,7 +31,7 @@ class WeightedParticleEnsemble:
 
     times: np.ndarray        # (S,)
     positions: np.ndarray    # (N, S, n)
-    logw: np.ndarray         # (N, S); trapezoid of g - shift, zero at t0
+    logw: np.ndarray         # (N, S); integral of g - shift, zero at t0
     shift: float
     seed: int
 
@@ -72,7 +72,7 @@ def run_particles(model: DiffusionModel, fitness: FitnessFunction,
                   initial_law: InitialLaw, n_particles: int, grid: TimeGrid,
                   seed: int, checkpoints: int = DEFAULT_CHECKPOINTS,
                   threads: int = 1) -> WeightedParticleEnsemble:
-    """N independent paths with fused weight accumulation on the fine grid."""
+    """N independent paths with fused weight accumulation (see sde.simulate)."""
     x0 = sample_initial(initial_law, n_particles, seed, domain=model.domain)
     store = grid.checkpoint_indices(checkpoints)
     bundle = simulate(model, x0, grid, seed, fitness=fitness, store=store,

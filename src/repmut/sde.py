@@ -7,7 +7,10 @@ of (seed, particle id, grid) regardless of batching or thread count.
 
 Fitness weights are accumulated on the integration grid while stepping
 (trapezoid rule on the shifted fitness g - g_max), which lets ensembles
-store only sparse time checkpoints.
+store only sparse time checkpoints.  For arithmetic BM and OU driven by one
+Brownian motion with affine fitness, (X_{t+h}, int_t^{t+h} X ds) is jointly
+Gaussian, so the "exact-gaussian-joint" scheme draws it exactly, one step
+per stored interval, and the weights carry no discretization error.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ class PathBundle:
     positions: np.ndarray        # (N, S, n)
     seed: int
     scheme: str
-    logw: Optional[np.ndarray] = None   # (N, S), trapezoid of g - shift
+    logw: Optional[np.ndarray] = None   # (N, S), integral of g - shift
     shift: float = 0.0
     fine_steps: int = 0
     particle_ids: Optional[np.ndarray] = None
@@ -82,6 +85,12 @@ class PathBundle:
 
 def _eval_fitness(fit, x: np.ndarray) -> np.ndarray:
     return fit(x[:, 0]) if x.shape[1] == 1 else fit(x)
+
+
+def _is_affine(fitness: Optional[FitnessFunction]) -> bool:
+    """Fitness declared affine-quadratic with G == 0, i.e. affine in x."""
+    st = getattr(fitness, "structure", None) or {}
+    return st.get("kind") == "affine-quadratic" and not np.any(st.get("G", 1.0))
 
 
 def _drift_of(model_or_tilt, t: float, x: np.ndarray) -> np.ndarray:
@@ -99,7 +108,9 @@ def simulate(model_or_tilt, initial: np.ndarray, grid: TimeGrid, seed: int,
 
     ``store`` is an index array into the fine grid nodes (defaults to all
     nodes).  ``particle_ids`` are the RNG stream keys, defaulting to
-    0..N-1; passing a permutation permutes the realized paths.
+    0..N-1; passing a permutation permutes the realized paths.  Under the
+    joint scheme only the stored nodes are visited: stored interval j takes
+    one ``rng.normal_pair`` at counter step j, and ``fine_steps`` is S - 1.
     """
     base = model_or_tilt.base if isinstance(model_or_tilt, TiltedDrift) else model_or_tilt
     tilted = isinstance(model_or_tilt, TiltedDrift)
@@ -123,7 +134,8 @@ def simulate(model_or_tilt, initial: np.ndarray, grid: TimeGrid, seed: int,
     if base.kind == "cir":
         scheme = "cir-full-truncation"
     elif base.kind in ("arithmetic-bm", "ou") and not tilted:
-        scheme = "exact-gaussian"
+        scheme = ("exact-gaussian-joint" if base.m == 1 and _is_affine(fitness)
+                  else "exact-gaussian")
     else:
         scheme = "euler-maruyama"
 
@@ -133,18 +145,36 @@ def simulate(model_or_tilt, initial: np.ndarray, grid: TimeGrid, seed: int,
     positions = np.empty((n_part, len(store_idx), n_dim))
     logw = np.empty((n_part, len(store_idx))) if fitness is not None else None
 
+    def check_finite(x, k):
+        if not np.isfinite(x).all():
+            raise SimulationError(f"non-finite state at step {k} (t = {nodes[k]:g})")
+
+    def run_joint_chunk(sl: slice):
+        x = x0[sl].copy()
+        cid = ids[sl]
+        acc = np.zeros(x.shape[0])
+        positions[sl, 0] = x
+        logw[sl, 0] = 0.0
+        for j in range(len(store_idx) - 1):
+            h = times[j + 1] - times[j]
+            z1, z2 = rng.normal_pair(seed, cid, j)
+            x, integral = _joint_step(base, x, z1[:, None], z2[:, None], h)
+            check_finite(x, store_idx[j + 1])
+            # g affine: h g(mean of X over the interval) is its exact integral
+            acc = acc + h * _eval_fitness(fitness.shifted, integral / h)
+            positions[sl, j + 1] = x
+            logw[sl, j + 1] = acc
+
     def run_chunk(sl: slice):
         x = x0[sl].copy()
         cid = ids[sl]
         acc = np.zeros(x.shape[0]) if fitness is not None else None
         g_prev = _eval_fitness(fitness.shifted, x) if fitness is not None else None
-        out_col = 0
         store_set = set(int(i) for i in store_idx)
-        if 0 in store_set:
-            positions[sl, 0] = x
-            if logw is not None:
-                logw[sl, 0] = 0.0
-            out_col = 1
+        positions[sl, 0] = x
+        if logw is not None:
+            logw[sl, 0] = 0.0
+        out_col = 1
         dt = grid.dt
         sqdt = np.sqrt(dt)
         z_carry = None
@@ -176,9 +206,7 @@ def simulate(model_or_tilt, initial: np.ndarray, grid: TimeGrid, seed: int,
                     x = x + drift * dt + sig[:, :, 0] * z * sqdt
                 else:
                     x = x + drift * dt + np.einsum("pij,pj->pi", sig, z) * sqdt
-            if not np.isfinite(x).all():
-                raise SimulationError(
-                    f"non-finite state at step {k + 1} (t = {nodes[k + 1]:g})")
+            check_finite(x, k + 1)
             x_rec = np.maximum(x, 0.0) if scheme == "cir-full-truncation" else x
             if fitness is not None:
                 g_new = _eval_fitness(fitness.shifted, x_rec)
@@ -190,19 +218,22 @@ def simulate(model_or_tilt, initial: np.ndarray, grid: TimeGrid, seed: int,
                     logw[sl, out_col] = acc
                 out_col += 1
 
+    joint = scheme == "exact-gaussian-joint"
+    runner = run_joint_chunk if joint else run_chunk
     if threads <= 1 or n_part < 2048:
-        run_chunk(slice(0, n_part))
+        runner(slice(0, n_part))
     else:
         bounds = np.linspace(0, n_part, threads + 1).astype(int)
         chunks = [slice(bounds[i], bounds[i + 1]) for i in range(threads)
                   if bounds[i] < bounds[i + 1]]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, chunks))
+            list(pool.map(runner, chunks))
 
     return PathBundle(times=times, positions=positions, seed=int(seed),
                       scheme=scheme, logw=logw,
                       shift=(fitness.g_max if fitness is not None else 0.0),
-                      fine_steps=grid.steps, particle_ids=ids)
+                      fine_steps=len(store_idx) - 1 if joint else grid.steps,
+                      particle_ids=ids)
 
 
 def _exact_step(model: DiffusionModel, x, z, dt, sqdt):
@@ -217,6 +248,34 @@ def _exact_step(model: DiffusionModel, x, z, dt, sqdt):
     return theta + (x - theta) * decay + sd * z[:, :1]
 
 
+def _joint_step(model: DiffusionModel, x, z1, z2, h):
+    """Exact draw of (X_{t+h}, int_t^{t+h} X ds) given X_t = x, m = 1.
+
+    z1 drives the position, z2 the part of the integral independent of it.
+    OU is the Vasicek integrated short rate (Glasserman 2003, sec. 3.3).
+    """
+    if model.kind == "arithmetic-bm":
+        b, sig = model.params["b"], model.params["sigma"][:, 0]
+        x_new = x + b * h + sig * (np.sqrt(h) * z1)
+        integral = (x * h + b * (0.5 * h * h)
+                    + sig * (h ** 1.5 * (0.5 * z1 + z2 / np.sqrt(12.0))))
+        return x_new, integral
+    kappa, theta, sig = (model.params[k] for k in ("kappa", "theta", "sigma"))
+    u = kappa * h
+    one_e, one_e2 = -np.expm1(-u), -np.expm1(-2.0 * u)     # 1 - e, 1 - e^2
+    # variances and covariance per unit sigma^2; C = (1 - e)^2 / 2 kappa^2
+    v_x = one_e2 / (2.0 * kappa)
+    cov = one_e * one_e / (2.0 * kappa * kappa)
+    if abs(u) < 1e-3:  # h - 2(1-e)/kappa + (1-e^2)/2kappa cancels to O(u^3 / kappa)
+        v_i = h ** 3 * (1.0 / 3.0 - u / 4.0 + 7.0 * u * u / 60.0)
+    else:
+        v_i = (h - 2.0 * one_e / kappa + one_e2 / (2.0 * kappa)) / (kappa * kappa)
+    x_new = theta + (x - theta) * np.exp(-u) + sig * np.sqrt(v_x) * z1
+    integral = (theta * h + (x - theta) * (one_e / kappa)
+                + sig * (cov / np.sqrt(v_x) * z1 + np.sqrt(v_i - cov * cov / v_x) * z2))
+    return x_new, integral
+
+
 def simulate_cir(model: DiffusionModel, initial, grid: TimeGrid, seed: int,
                  **kwargs) -> PathBundle:
     """CIR paths under the full-truncation scheme (states recorded >= 0)."""
@@ -229,9 +288,10 @@ def accumulate_log_weight(bundle: PathBundle, fitness: FitnessFunction) -> np.nd
     """Trapezoid of the shifted fitness along stored paths; (N, S) array.
 
     Requires the bundle to be stored on its full integration grid; sparse
-    bundles already carry fused weights from :func:`simulate`.
+    bundles already carry fused weights from :func:`simulate`.  Joint-scheme
+    bundles step only between stored nodes, so their grid is unknown here.
     """
-    if bundle.times.size != bundle.fine_steps + 1:
+    if bundle.times.size != bundle.fine_steps + 1 or bundle.scheme == "exact-gaussian-joint":
         raise SimulationError(
             "bundle stores sparse checkpoints; pass fitness= to simulate instead")
     g = np.empty(bundle.positions.shape[:2])

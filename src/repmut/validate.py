@@ -260,8 +260,9 @@ def _check_shift_cancellation():
     x0 = sample_initial(sc.initial_law, 512, seed=21)
     b1 = simulate(sc.model, x0, grid, 21, fitness=sc.fitness,
                   store=grid.checkpoint_indices(9))
-    fit5 = FitnessFunction(g=lambda x: np.asarray(x, float) + 5.0,
-                           g_max=sc.fitness.g_max + 5.0, q_coeffs=[1.0])
+    # g + 5 declared affine too, so both runs take the same (joint) scheme
+    fit5 = affine_quadratic_fitness(alpha=-5.0, delta=[-1.0], G=[[0.0]],
+                                    g_max=sc.fitness.g_max + 5.0)
     b2 = simulate(sc.model, x0, grid, 21, fitness=fit5,
                   store=grid.checkpoint_indices(9))
     e1, e2 = ensemble_from_bundle(b1), ensemble_from_bundle(b2)

@@ -13,13 +13,13 @@ from repmut.closed_form import (affine_engine, eigenpair_residual, linear_engine
                                 riccati_residual, solve_riccati, tilted_engine)
 from repmut.metric import (CompactifiedMeasure, bl_dirac_formula, bl_distance,
                            check_certificate, dqt_estimate)
-from repmut.model import FitnessFunction, InitialLaw, sample_initial
+from repmut.model import InitialLaw, sample_initial
 from repmut.numerics import GridDensity, kde
 from repmut.particle import (ensemble_from_bundle, mass_estimate, mass_estimate_se,
                              normalized_measure, run_particles, tilted_measure)
 from repmut.pde import PdeScheme, solve_rm_pde, weak_form_residual
-from repmut.scenarios import (bm_model, cir_linear_scenario, harmonic_scenario,
-                              linear_bm_scenario, linear_fitness)
+from repmut.scenarios import (affine_quadratic_fitness, bm_model, cir_linear_scenario,
+                              harmonic_scenario, linear_bm_scenario, linear_fitness)
 from repmut.sde import TimeGrid, simulate
 from repmut.spectral import SchrodingerProblem, cir_eigenpair, schrodinger_ground_state
 
@@ -245,8 +245,7 @@ def test_criterion_9_exact_invariants():
     grid = TimeGrid(0, 1.0, 128)
     x0 = sample_initial(law, 512, seed=91)
     fit_a = linear_fitness(slope=1.0, g_max=2.0)
-    fit_b = FitnessFunction(g=lambda x: np.asarray(x, float) + 5.0, g_max=7.0,
-                            q_coeffs=[1.0])
+    fit_b = affine_quadratic_fitness(alpha=-5.0, delta=[-1.0], G=[[0.0]], g_max=7.0)
     ens_a = ensemble_from_bundle(simulate(m, x0, grid, 91, fitness=fit_a,
                                           store=grid.checkpoint_indices(9)))
     ens_b = ensemble_from_bundle(simulate(m, x0, grid, 91, fitness=fit_b,

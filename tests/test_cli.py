@@ -76,6 +76,15 @@ class TestConfig:
         assert main(["manifest", "--config", path]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("seed", "abc"), ("seed", 1.5), ("seed", True), ("seed", None),
+        ("steps_per_unit", "abc"), ("steps_per_unit", 0), ("steps_per_unit", -3),
+        ("steps_per_unit", 2.5), ("steps_per_unit", True)])
+    def test_bad_seed_or_steps_exits_config_error(self, tmp_path, capsys, key, value):
+        path, _ = write_cfg(tmp_path, **{key: value})
+        assert main(["manifest", "--config", path]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
     def test_custom_model_sections(self, tmp_path):
         path, _ = write_cfg(tmp_path, scenario=None,
                             model={"kind": "ou", "kappa": 1.0, "sigma": 1.0},

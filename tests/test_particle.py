@@ -5,7 +5,8 @@ from repmut.model import FitnessFunction, InitialLaw
 from repmut.particle import (ParticleError, ensemble_from_bundle, mass_estimate,
                              mass_estimate_se, normalized_measure, run_particles,
                              tilted_measure)
-from repmut.scenarios import bm_model, linear_fitness, quadratic_decay_fitness
+from repmut.scenarios import (affine_quadratic_fitness, bm_model, linear_fitness,
+                              quadratic_decay_fitness)
 from repmut.sde import TimeGrid, simulate
 
 
@@ -72,12 +73,29 @@ class TestMeasures:
         from repmut.model import sample_initial
         x0 = sample_initial(law, 256, seed=3)
         fit_a = linear_fitness(slope=1.0, g_max=2.0)
-        fit_b = FitnessFunction(g=lambda x: np.asarray(x, float) + 5.0,
-                                g_max=7.0, q_coeffs=[1.0])
+        fit_b = affine_quadratic_fitness(alpha=-5.0, delta=[-1.0], G=[[0.0]], g_max=7.0)
         ens_a = ensemble_from_bundle(simulate(m, x0, grid, 3, fitness=fit_a,
                                               store=grid.checkpoint_indices(9)))
         ens_b = ensemble_from_bundle(simulate(m, x0, grid, 3, fitness=fit_b,
                                               store=grid.checkpoint_indices(9)))
+        for t in ens_a.times[1:]:
+            ma = normalized_measure(ens_a, t).masses
+            mb = normalized_measure(ens_b, t).masses
+            assert np.abs(ma - mb).max() <= 1e-15
+
+    def test_shift_cancellation_exact_quadratic(self):
+        # the same invariance on the fine-grid trapezoid path (G != 0)
+        m = bm_model(0.0, np.sqrt(2.0))
+        law = InitialLaw("gaussian", {"mean": [0.0], "cov": [[1.0]]})
+        grid = TimeGrid(0, 1.0, 128)
+        from repmut.model import sample_initial
+        x0 = sample_initial(law, 256, seed=3)
+        fit_a = quadratic_decay_fitness(scale=1.0)
+        fit_b = affine_quadratic_fitness(alpha=-5.0, delta=[0.0], G=[[1.0]], g_max=5.0)
+        bundles = [simulate(m, x0, grid, 3, fitness=f, store=grid.checkpoint_indices(9))
+                   for f in (fit_a, fit_b)]
+        assert {b.scheme for b in bundles} == {"exact-gaussian"}
+        ens_a, ens_b = map(ensemble_from_bundle, bundles)
         for t in ens_a.times[1:]:
             ma = normalized_measure(ens_a, t).masses
             mb = normalized_measure(ens_b, t).masses

@@ -3,7 +3,7 @@ import pytest
 
 from repmut import rng
 from repmut.model import FitnessFunction
-from repmut.scenarios import bm_model, cir_model, ou_model
+from repmut.scenarios import bm_model, cir_model, linear_fitness, ou_model
 from repmut.sde import (SimulationError, TimeGrid, TiltedDrift,
                         accumulate_log_weight, simulate, simulate_cir)
 
@@ -215,20 +215,24 @@ class TestLogWeight:
             errs.append(abs(b.logw[0, -1] - 1.0 / 3.0))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
 
-    def test_accumulate_matches_fused(self, linear_fit_unshifted):
+    def test_accumulate_matches_fused(self):
+        # g(x) = x without declared structure: the fused trapezoid path
+        fit = FitnessFunction(g=lambda x: np.asarray(x, float), g_max=0.0, q_coeffs=[1.0])
         m = bm_model(0.0, 1.0)
         grid = TimeGrid(0, 1.0, 128)
-        b = simulate(m, np.zeros((16, 1)), grid, 5, fitness=linear_fit_unshifted)
-        post = accumulate_log_weight(b, linear_fit_unshifted)
+        b = simulate(m, np.zeros((16, 1)), grid, 5, fitness=fit)
+        assert b.scheme == "exact-gaussian"
+        post = accumulate_log_weight(b, fit)
         assert np.abs(post - b.logw).max() < 1e-12
 
     def test_accumulate_requires_full_grid(self, linear_fit_unshifted):
         m = bm_model(0.0, 1.0)
         grid = TimeGrid(0, 1.0, 128)
-        b = simulate(m, np.zeros((4, 1)), grid, 5,
-                     store=grid.checkpoint_indices(5))
-        with pytest.raises(SimulationError, match="sparse"):
-            accumulate_log_weight(b, linear_fit_unshifted)
+        for fit in (None, linear_fit_unshifted):  # joint scheme: fine_steps is S - 1
+            b = simulate(m, np.zeros((4, 1)), grid, 5, fitness=fit,
+                         store=grid.checkpoint_indices(5))
+            with pytest.raises(SimulationError, match="sparse"):
+                accumulate_log_weight(b, linear_fit_unshifted)
 
     def test_additivity_over_concatenated_grids(self, linear_fit_unshifted):
         m = bm_model(1.0, 0.0)
@@ -240,3 +244,137 @@ class TestLogWeight:
                           fitness=linear_fit_unshifted)
         assert (first.logw[0, -1] + second.logw[0, -1]
                 == pytest.approx(whole.logw[0, -1], abs=1e-12))
+
+
+class TestJointGaussian:
+    """BM/OU with affine fitness: (X, int X ds) drawn exactly per stored interval."""
+
+    @staticmethod
+    def bm_moments(b, sig, x0, T):
+        # X_T, int_0^T X ds and their covariance for dX = b dt + sig dW
+        s2 = sig * sig
+        return (x0 + b * T, s2 * T, x0 * T + 0.5 * b * T * T, s2 * T ** 3 / 3.0,
+                0.5 * s2 * T * T)
+
+    @staticmethod
+    def ou_moments(kappa, theta, sig, x0, T):
+        e = np.exp(-kappa * T)
+        s2 = sig * sig
+        return (theta + (x0 - theta) * e, s2 * (1 - e * e) / (2 * kappa),
+                theta * T + (x0 - theta) * (1 - e) / kappa,
+                s2 / kappa ** 2 * (T - 2 * (1 - e) / kappa + (1 - e * e) / (2 * kappa)),
+                s2 / kappa * ((1 - e) / kappa - (1 - e * e) / (2 * kappa)))
+
+    def test_sigma_zero_integral_exact_in_one_interval(self):
+        # g(x) = 2x - 1 along deterministic paths, one stored interval of 50 fine steps
+        fit = linear_fitness(slope=2.0, g_max=1.0)
+        grid = TimeGrid(0, 1.0, 50)
+        store = grid.checkpoint_indices(2)
+        x0 = np.array([[0.7], [-1.3]])
+        bm = simulate(bm_model(0.3, 0.0), x0, grid, 0, fitness=fit, store=store)
+        assert bm.fine_steps == 1
+        np.testing.assert_allclose(bm.logw[:, -1], 2.0 * (x0[:, 0] + 0.15) - 1.0,
+                                   rtol=0, atol=1e-14)
+        kappa, theta = 1.5, 0.5
+        ou = simulate(ou_model(kappa, theta, 0.0), x0, grid, 0, fitness=fit, store=store)
+        integral = theta + (x0[:, 0] - theta) * (1 - np.exp(-kappa)) / kappa
+        np.testing.assert_allclose(ou.positions[:, -1, 0],
+                                   theta + (x0[:, 0] - theta) * np.exp(-kappa),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(ou.logw[:, -1], 2.0 * integral - 1.0, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("kind,params", [("bm", (0.3, 1.2)), ("ou", (1.0, 0.5, 0.8)),
+                                             ("ou", (-2.0, 0.0, 0.5))],
+                             ids=["bm", "ou", "ou-explosive"])
+    def test_joint_moments_match_closed_form(self, kind, params):
+        # stored gaps 1/3 and 2/3 on a 3-step grid: a trapezoid on that grid
+        # would bias Var(int X ds) by several standard errors
+        n, x0, T = 400_000, 1.0, 1.0
+        if kind == "bm":
+            model, mom = bm_model(*params), self.bm_moments(*params, x0, T)
+        else:
+            model, mom = ou_model(*params), self.ou_moments(*params, x0, T)
+        mx, vx, mi, vi, c = mom
+        fit = linear_fitness(slope=1.0, g_max=0.0, bound_lo=-50.0)
+        b = simulate(model, np.full((n, 1), x0), TimeGrid(0, T, 3), 23, fitness=fit,
+                     store=np.array([0, 1, 3]))
+        x, lw = b.positions[:, -1, 0], b.logw[:, -1]
+        assert abs(x.mean() - mx) <= 5 * np.sqrt(vx / n)
+        assert abs(lw.mean() - mi) <= 5 * np.sqrt(vi / n)
+        assert abs(x.var() - vx) <= 5 * vx * np.sqrt(2.0 / n)
+        assert abs(lw.var() - vi) <= 5 * vi * np.sqrt(2.0 / n)
+        cov = np.mean((x - x.mean()) * (lw - lw.mean()))
+        assert abs(cov - c) <= 5 * np.sqrt((vx * vi + c * c) / n)
+
+    @pytest.mark.parametrize("name", ["linear-bm", "ou-linear"])
+    def test_mass_matches_affine_engine(self, name):
+        from repmut.closed_form import affine_engine
+        from repmut.model import sample_initial
+        from repmut.scenarios import CANONICAL
+        sc = CANONICAL[name]()
+        n = 400_000
+        x0 = sample_initial(sc.initial_law, n, seed=29)
+        grid = TimeGrid(0, 1.0, 2)
+        b = simulate(sc.model, x0, grid, 29, fitness=sc.fitness)
+        eng = affine_engine(sc.model, sc.fitness, sc.initial_law)
+        for j, t in enumerate(b.times[1:], start=1):
+            w = np.exp(b.logw[:, j] + sc.fitness.g_max * t)
+            assert abs(w.mean() - eng.mass(t)) <= 5 * w.std(ddof=1) / np.sqrt(n)
+
+    def test_one_normal_pair_per_stored_interval(self, monkeypatch):
+        calls = []
+        orig = rng.normal_pair
+
+        def counting(seed, ids, step, *args):
+            calls.append(step)
+            return orig(seed, ids, step, *args)
+
+        monkeypatch.setattr(rng, "normal_pair", counting)
+        fit = linear_fitness(slope=1.0, g_max=0.0, bound_lo=-50.0)
+        grid = TimeGrid(0, 1.0, 450)
+        store = grid.checkpoint_indices(7)
+        for model in (bm_model(0.0, 1.0), ou_model(1.0, 0.0, 1.0)):
+            calls.clear()
+            b = simulate(model, np.zeros((8, 1)), grid, 1, fitness=fit, store=store)
+            assert b.scheme == "exact-gaussian-joint"
+            assert b.fine_steps == store.size - 1
+            assert calls == list(range(store.size - 1))
+
+    def test_other_cases_keep_fine_grid(self):
+        # quadratic fitness, no fitness, m > 1 and the tilted drift still step finely
+        grid = TimeGrid(0, 1.0, 16)
+        store = grid.checkpoint_indices(3)
+        lin = linear_fitness(slope=1.0, g_max=0.0, bound_lo=-50.0)
+        quad = FitnessFunction(g=lambda x: -np.asarray(x, float) ** 2, g_max=0.0,
+                               q_coeffs=[0.0, 1.0],
+                               structure={"kind": "affine-quadratic", "alpha": 0.0,
+                                          "delta": [0.0], "G": [[1.0]]})
+        bm = bm_model(0.0, 1.0)
+        cases = [(bm, quad, 1, "exact-gaussian"), (bm, None, 1, "exact-gaussian"),
+                 (bm_model(0.0, 1.0, n=2), None, 2, "exact-gaussian"),
+                 (TiltedDrift(bm, lambda t, x: np.zeros_like(x)), lin, 1, "euler-maruyama")]
+        for model, fit, dim, scheme in cases:
+            b = simulate(model, np.zeros((4, dim)), grid, 1, fitness=fit, store=store)
+            assert (b.scheme, b.fine_steps) == (scheme, 16)
+
+    def test_thread_count_invariance(self):
+        fit = linear_fitness(slope=1.0, g_max=2.0)
+        grid = TimeGrid(0, 0.5, 50)
+        store = grid.checkpoint_indices(6)
+        x0 = np.linspace(-1.0, 1.0, 4096)[:, None]
+        for model in (bm_model(0.2, 1.0), ou_model(1.0, 0.5, 0.8)):
+            b1 = simulate(model, x0, grid, 9, fitness=fit, store=store, threads=1)
+            b8 = simulate(model, x0, grid, 9, fitness=fit, store=store, threads=8)
+            assert b1.scheme == "exact-gaussian-joint"
+            assert (b1.positions == b8.positions).all() and (b1.logw == b8.logw).all()
+
+    def test_removing_particles_leaves_prefix(self):
+        fit = linear_fitness(slope=1.0, g_max=2.0)
+        grid = TimeGrid(0, 0.5, 50)
+        store = grid.checkpoint_indices(6)
+        for model in (bm_model(0.2, 1.0), ou_model(1.0, 0.5, 0.8)):
+            big = simulate(model, np.zeros((6, 1)), grid, 42, fitness=fit, store=store)
+            small = simulate(model, np.zeros((4, 1)), grid, 42, fitness=fit, store=store)
+            assert big.scheme == "exact-gaussian-joint"
+            assert (big.positions[:4] == small.positions).all()
+            assert (big.logw[:4] == small.logw).all()
