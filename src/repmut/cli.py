@@ -171,14 +171,19 @@ class RunManifest:
     wallclock: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=lambda: dict(TOL))
     status: str = "running"
+    counters: dict = field(default_factory=dict)  # per stage; omitted while empty
 
     def stage_seed(self, stage: str) -> int:
         s = rng.derive_seed(self.master_seed, stage)
         self.stage_seeds[stage] = s
         return s
 
+    def to_json(self) -> str:
+        fields = {k: v for k, v in self.__dict__.items() if k != "counters" or v}
+        return json.dumps(fields, indent=2, sort_keys=True)
+
     def write(self, path: str):
-        atomic_write_text(path, json.dumps(self.__dict__, indent=2, sort_keys=True))
+        atomic_write_text(path, self.to_json())
 
 
 def _new_manifest(cfg: dict, seed) -> RunManifest:
@@ -390,6 +395,8 @@ def cmd_chaos(cfg: dict, out: str, seed, threads: int) -> int:
                            steps_per_unit=int(cfg["steps_per_unit"]),
                            threads=threads)
         manifest.wallclock[f"chaos/N={n}"] = time.time() - t0
+        manifest.counters[f"chaos/N={n}"] = {"lp_solved": res.lp_solved,
+                                             "lp_pruned": res.lp_pruned}
         rows.append([n, res.value, res.ci_low, res.ci_high])
         values.append(res.value)
         flag = "" if res.reliable_ci else "  (CI unreliable: too few reps)"
@@ -462,7 +469,7 @@ def cmd_manifest(cfg: dict, out, seed) -> int:
     for stage in ("solve/linear", "solve/affine", "solve/tilted", "solve/pde",
                   "solve/particle", "particles", "chaos/N=*"):
         manifest.stage_seed(stage)
-    text = json.dumps(manifest.__dict__, indent=2, sort_keys=True)
+    text = manifest.to_json()
     if out:
         os.makedirs(out, exist_ok=True)
         manifest.write(os.path.join(out, "manifest.json"))

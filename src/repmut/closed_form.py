@@ -107,10 +107,6 @@ class Solution:
     times: Optional[np.ndarray] = None  # stored times; None: any t
     meta: dict = field(default_factory=dict)
 
-    def density_grid(self, t: float, grid: Optional[np.ndarray] = None) -> GridDensity:
-        x = self.grid if grid is None else grid
-        return GridDensity(x, np.maximum(self.u(t, x), 0.0)).normalize()
-
     def mass_factor(self, t: float, shifted: bool = False) -> float:
         """h_t; h_0 = 1, and it descends after the g <= 0 shift."""
         h = float(self.mass(t))
@@ -719,29 +715,6 @@ def tilted_engine(model: DiffusionModel, fitness: FitnessFunction,
     return Solution(engine="tilted-mc", horizon=horizon, shift=fitness.g_max, u=u,
                     mass=_no_mass, grid=density_at(horizon).x, times=bundle.times,
                     meta={"eigenpair": pair, "n_paths": n_paths})
-
-
-def validity_horizon(solution: Solution, t_max: float = 64.0,
-                     rel: float = 1e-3) -> float:
-    """Largest t (within rel) at which the normalizing quadrature is still
-    finite at working precision; bisection against HorizonError."""
-    def usable(t):
-        try:
-            vals = solution.u(t, solution.grid)
-        except (HorizonError, OverflowError, FloatingPointError):
-            return False
-        return bool(np.isfinite(vals).all())
-
-    if usable(t_max):
-        return t_max
-    lo, hi = 0.0, t_max
-    while hi - lo > rel * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if usable(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 # ---------------------------------------------------------------------------

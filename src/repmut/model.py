@@ -117,6 +117,9 @@ class DiffusionModel:
             sig = float(p["sigma"])
             if n != 1:
                 raise ModelError("ou kind is one-dimensional; use affine for n > 1")
+            if kappa == 0.0 or not np.isfinite(kappa):
+                raise ModelError(f"ou kind needs a finite nonzero kappa, got {kappa!r}; "
+                                 "a model without mean reversion is kind 'arithmetic-bm'")
             object.__setattr__(self, "m", 1)
             object.__setattr__(self, "drift", lambda x: kappa * (theta - x))
             object.__setattr__(self, "diffusion",

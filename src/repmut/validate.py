@@ -14,8 +14,9 @@ from . import rng
 from .constants import TOL
 from .closed_form import (affine_engine, eigenpair_residual, linear_engine,
                           riccati_residual, solve_riccati)
-from .metric import (CompactifiedMeasure, bl_distance, bl_dirac_formula,
-                     check_certificate, dstar)
+from .metric import (CompactifiedMeasure, _pair_violation_dense, _pair_violation_sweep,
+                     bl_distance, bl_dirac_formula, bl_flow_bound, check_certificate,
+                     dstar)
 from .model import FitnessFunction, InitialLaw, check_fitness_bound, validate_model
 from .numerics import GridDensity, covariance_integral, kde, matrix_exp
 from .particle import (ensemble_from_bundle, mass_estimate, normalized_measure,
@@ -93,13 +94,17 @@ def _check_bm_weak_error():
 
 def _check_trapezoid_additivity():
     m = bm_model(1.0, 0.0)  # deterministic path x_t = t
-    fit = linear_fitness(slope=1.0, g_max=0.0, bound_lo=-1.0)
+    # g(x) = x without declared structure, so the fine-grid trapezoid runs
+    # (declared-affine fitness takes the exact joint step instead)
+    fit = FitnessFunction(g=lambda x: np.asarray(x, float), g_max=0.0, q_coeffs=[1.0])
     whole = simulate(m, np.zeros((1, 1)), TimeGrid(0, 1.0, 512), 0, fitness=fit)
     first = simulate(m, np.zeros((1, 1)), TimeGrid(0, 0.5, 256), 0, fitness=fit)
     second = simulate(m, np.array([[0.5]]), TimeGrid(0.5, 1.0, 256), 0, fitness=fit)
     total = first.logw[0, -1] + second.logw[0, -1]
-    ok = abs(whole.logw[0, -1] - total) <= 1e-12
-    return bool(ok), f"concatenated {total:.12f} vs whole {whole.logw[0, -1]:.12f}"
+    schemes = {b.scheme for b in (whole, first, second)}
+    ok = schemes == {"exact-gaussian"} and abs(whole.logw[0, -1] - total) <= 1e-12
+    return bool(ok), (f"concatenated {total:.12f} vs whole {whole.logw[0, -1]:.12f}, "
+                      f"scheme {'/'.join(sorted(schemes))}")
 
 
 def _check_matrix_exp_semigroup():
@@ -353,6 +358,45 @@ def _check_bl_bounds():
     return True, "values within 2 and 2*TV"
 
 
+def _check_certificate_sweep(n_cases=400):
+    # random sorted supports with arbitrary (mostly infeasible) psi; a wide
+    # spread puts hub routes l_i + l_{i+1} below the chain gaps
+    gen = np.random.default_rng(11)
+    worst, hub_shorter = 0.0, 0
+    for i in range(n_cases):
+        k = int(gen.integers(1, 80))
+        x = np.sort(gen.uniform(-1.0, 1.0, k) * (2.0, 8.0, 30.0)[i % 3])
+        lv = 1.0 / (1.0 + np.abs(x))
+        hub_shorter += bool(np.any(lv[:-1] + lv[1:] < np.diff(x)))
+        psi = gen.uniform(-1.0, 1.0, k)
+        lip = float(gen.uniform(0.0, 1.0))
+        worst = max(worst, abs(_pair_violation_sweep(x, psi, lip, lv)
+                               - _pair_violation_dense(x, psi, lip, lv)))
+    ok = worst <= 1e-14 and hub_shorter > 0
+    return ok, f"worst gap {worst:.2e} to the pairwise check, {hub_shorter} hub-shorter supports"
+
+
+def _check_flow_upper_bound(n_cases=60):
+    # small supports (dense simplex) and merged supports beyond
+    # DENSE_SIMPLEX_MAX_ATOMS (HiGHS); every third case shares one grid
+    gen = np.random.default_rng(12)
+    worst, solvers = np.inf, set()
+    grid = np.linspace(-9.0, 9.0, 257)
+    for i in range(n_cases):
+        k1, k2 = gen.integers(1, 9, 2) if i % 2 else gen.integers(30, 150, 2)
+        ms = []
+        for k in (int(k1), int(k2)):
+            atoms = (gen.choice(grid, k, replace=False) if i % 3 == 0
+                     else gen.uniform(-9.0, 9.0, k))
+            ms.append(CompactifiedMeasure(atoms[:, None],
+                                          gen.dirichlet(np.ones(k)) * gen.uniform(0.1, 1.0)))
+        res = bl_distance(*ms)
+        solvers.add(res.solver)
+        worst = min(worst, bl_flow_bound(*ms) - res.value)
+    ok = worst >= -1e-12 and {"highs", "dense-simplex"} <= solvers
+    return ok, f"least bound slack {worst:.2e}, solvers {'/'.join(sorted(solvers))}"
+
+
 def _check_pde_weak_form():
     sc = linear_bm_scenario()
     x = np.linspace(-12, 12, 1024)
@@ -413,6 +457,8 @@ VALIDATORS = [
     ("metric.bl-axioms", _check_metric_axioms),
     ("metric.dirac-formula", _check_dirac_formula),
     ("metric.bl-bounds", _check_bl_bounds),
+    ("metric.certificate-sweep", _check_certificate_sweep),
+    ("metric.flow-upper-bound", _check_flow_upper_bound),
     ("pde.weak-form-order", _check_pde_weak_form),
     ("pde.positivity-audit", _check_pde_positivity),
 ]

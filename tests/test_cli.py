@@ -256,6 +256,11 @@ class TestChaosCommand:
         assert svg.startswith("<svg") and "slope" in svg
         slope = float((out / "slope.csv").read_text().strip().splitlines()[1].split(",")[0])
         assert -1.5 < slope < 0.1
+        # LP work per N: every checkpoint of every replicate solved or pruned
+        counters = json.loads((out / "manifest.json").read_text())["counters"]
+        assert set(counters) == {"chaos/N=50", "chaos/N=100", "chaos/N=200"}
+        for c in counters.values():
+            assert c["lp_solved"] >= 3 and c["lp_solved"] + c["lp_pruned"] == 3 * 5
 
     def test_fewer_than_three_ns_is_config_error(self, tmp_path):
         path, _ = write_cfg(tmp_path, particles={"N": [50, 100], "reps": 2,
@@ -303,6 +308,7 @@ class TestManifest:
         data = json.loads((out / "manifest.json").read_text())
         assert data["status"] == "complete"
         assert any(k.startswith("solve/") for k in data["wallclock"])
+        assert "counters" not in data  # written only where a stage counts
 
 
 class TestValidateCommand:

@@ -293,3 +293,192 @@ class TestDqt:
         edges = np.linspace(-4, 4, 65)
         mids, binned = bin_measure(atoms, masses, edges)
         assert binned.sum() == pytest.approx(masses.sum(), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the LP build, the O(K) certificate sweep and the pruned time-sup against
+# the forms they replaced
+
+
+def loop_highs_matrix(edges, weights, K):
+    """The constraint matrix as _solve_highs built it with a Python loop."""
+    import scipy.sparse
+    nv = K + 1
+    rows, cols, vals, rhs = [], [], [], []
+    r = 0
+    for (u, v), w in zip(edges, weights):
+        rows += [r, r, r, r + 1, r + 1, r + 1]
+        cols += [u, v, nv + 1, u, v, nv + 1]
+        vals += [1.0, -1.0, -w, -1.0, 1.0, -w]
+        rhs += [0.0, 0.0]
+        r += 2
+    for k in range(nv):
+        rows += [r, r, r + 1, r + 1]
+        cols += [k, nv, k, nv]
+        vals += [1.0, -1.0, -1.0, -1.0]
+        rhs += [0.0, 0.0]
+        r += 2
+    rows += [r, r]
+    cols += [nv, nv + 1]
+    vals += [1.0, 1.0]
+    rhs += [1.0]
+    A = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(r + 1, nv + 2))
+    return A, np.asarray(rhs)
+
+
+def loop_solve_highs(obj, edges, weights, K):
+    import scipy.optimize
+    nv = K + 1
+    A, rhs = loop_highs_matrix(edges, weights, K)
+    c = np.zeros(nv + 2)
+    c[:nv] = -obj
+    bounds = [(None, None)] * nv + [(0, None), (0, None)]
+    res = scipy.optimize.linprog(c, A_ub=A, b_ub=rhs, bounds=bounds, method="highs")
+    x = res.x
+    return x[:nv], float(x[nv]), float(x[nv + 1]), float(-res.fun)
+
+
+def unpruned_sups(ensembles, reference, ref_atoms):
+    """dqt_estimate's time-sup with every checkpoint's LP solved, as before
+    the flow-bound pruning."""
+    from repmut.particle import tilted_measure
+    edges = np.linspace(reference.grid[0], reference.grid[-1], ref_atoms + 1)
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    sups = []
+    for ens in ensembles:
+        later = ens.times > 0
+        log_mass = np.log(np.exp(ens.logw[:, later]).mean(axis=0))
+        extra = max(0.0, float(np.max(log_mass / ens.times[later], initial=0.0)))
+        best = 0.0
+        for t in ens.times:
+            scale = np.exp(-extra * t)
+            emp = tilted_measure(ens, t)
+            ea, em = bin_measure(emp.atoms, emp.masses * scale, edges)
+            emp_c = CompactifiedMeasure(ea[:, None], em)
+            h_ref = reference.mass_factor(t, shifted=True) * scale
+            cell = np.maximum(reference.u(t, mids), 0.0) * np.diff(edges)
+            total = cell.sum()
+            ref_m = cell / total * h_ref if total > 0 else cell
+            best = max(best, bl_distance(emp_c, CompactifiedMeasure(mids[:, None], ref_m)).value)
+        sups.append(best)
+    return np.array(sups)
+
+
+class TestLpBuild:
+    def test_matrix_and_solution_match_loop_build(self, monkeypatch):
+        import scipy.optimize
+        seen = []
+        real = scipy.optimize.linprog
+
+        def spy(c, A_ub=None, b_ub=None, **kw):
+            seen.append((A_ub, b_ub))
+            return real(c, A_ub=A_ub, b_ub=b_ub, **kw)
+
+        gen = np.random.default_rng(20)
+        for k in (1, 5, 60, 300):
+            x = np.sort(gen.uniform(-9, 9, k))
+            lv = metric_mod._l(x)
+            edges, w = metric_mod._edges_1d(x, lv)
+            edges = np.vstack([edges, np.stack([np.arange(k), np.full(k, k)], axis=1)])
+            w = np.concatenate([w, lv])
+            obj = np.concatenate([gen.standard_normal(k), [0.0]])
+            obj[-1] = -obj.sum()
+            obj /= np.abs(obj).sum()
+            with monkeypatch.context() as m:
+                m.setattr(scipy.optimize, "linprog", spy)
+                new = metric_mod._solve_highs(obj, edges, w, k)
+            old = loop_solve_highs(obj, edges, w, k)
+            assert np.array_equal(new[0], old[0])
+            assert new[1:] == old[1:]
+            A_old, rhs_old = loop_highs_matrix(edges, w, k)
+            A_new, rhs_new = seen[-1]
+            assert np.array_equal(rhs_new, rhs_old)
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(A_new, attr), getattr(A_old, attr))
+
+
+class TestCertificateSweep:
+    def test_path_violation_beyond_adjacent_edges(self):
+        # each adjacent edge exceeds its bound by 0.05, the end points theirs
+        # by 0.1: on an infeasible psi a check of adjacent edges under-reports
+        x = np.array([0.0, 0.1, 0.2])
+        psi = np.array([0.0, 0.15, 0.3])
+        lip = 1.0
+        lv = metric_mod._l(x)
+        local = (np.abs(np.diff(psi)) - lip * np.diff(x)).max()
+        assert local == pytest.approx(0.05)
+        full = metric_mod._pair_violation_dense(x, psi, lip, lv)
+        assert full == pytest.approx(0.1, abs=1e-15)
+        assert metric_mod._pair_violation_sweep(x, psi, lip, lv) == pytest.approx(full, abs=1e-15)
+
+    def test_hub_route_shorter_than_chain(self):
+        # far atoms: d_star takes l_i + l_j, which the sweep's hub branch sees
+        x = np.array([-40.0, 40.0])
+        lv = metric_mod._l(x)
+        psi = np.array([-0.2, 0.2])
+        dense = metric_mod._pair_violation_dense(x, psi, 1.0, lv)
+        assert dense == pytest.approx(0.4 - 2.0 / 41.0, abs=1e-15)
+        assert metric_mod._pair_violation_sweep(x, psi, 1.0, lv) == pytest.approx(dense, abs=1e-15)
+
+    def test_unsorted_support(self):
+        gen = np.random.default_rng(23)
+        x = gen.uniform(-5, 5, 30)
+        lv = metric_mod._l(x)
+        psi = gen.uniform(-1, 1, 30)
+        assert metric_mod._pair_violation_sweep(x, psi, 0.4, lv) == pytest.approx(
+            metric_mod._pair_violation_dense(x, psi, 0.4, lv), abs=1e-14)
+
+
+class TestFlowBound:
+    def test_tight_on_unit_diracs(self):
+        # transport cost d and leak 2 blend to 2 d / (2 + d), the exact value
+        for x, y in ((0.0, 0.3), (-2.0, 5.0), (-600.0, 700.0)):
+            mu = CompactifiedMeasure(np.array([[x]]), np.array([1.0]))
+            nu = CompactifiedMeasure(np.array([[y]]), np.array([1.0]))
+            assert metric_mod.bl_flow_bound(mu, nu) == pytest.approx(
+                bl_dirac_formula(x, y), rel=1e-12)
+
+    def test_identical_measures_and_dimension(self):
+        mu = CompactifiedMeasure(np.array([[0.0], [2.0]]), np.array([0.3, 0.4]))
+        assert metric_mod.bl_flow_bound(mu, mu) == 0.0
+        flat = CompactifiedMeasure(np.array([[0.0, 1.0]]), np.array([0.5]))
+        with pytest.raises(MetricError, match="1D"):
+            metric_mod.bl_flow_bound(flat, flat)
+
+
+def test_sweep_and_flow_bound_validators():
+    # random supports: sweep against the pairwise check, bound against the LP
+    from repmut.validate import VALIDATORS
+    checks = dict(VALIDATORS)
+    for name in ("metric.certificate-sweep", "metric.flow-upper-bound"):
+        ok, detail = checks[name]()
+        assert ok, detail
+
+
+class TestPrunedSup:
+    @staticmethod
+    def recorded(store):
+        from repmut.particle import run_particles
+
+        def runner(*args, **kwargs):
+            ens = run_particles(*args, **kwargs)
+            store.append(ens)
+            return ens
+        return runner
+
+    def test_sups_match_unpruned_loop(self):
+        # acceptance 8 settings for N = 250: 32 checkpoints, 512 atoms
+        from repmut.closed_form import linear_engine
+        from repmut.scenarios import linear_bm_scenario
+        sc = linear_bm_scenario()
+        ref = linear_engine(sc.model, sc.fitness, sc.initial_law)
+        pruned = 0
+        for seed in (81, 82, 83):
+            store = []
+            res = dqt_estimate(sc.model, sc.fitness, sc.initial_law, ref, T=1.0, N=250,
+                               reps=2, seed=seed, checkpoints=32, ref_atoms=512,
+                               steps_per_unit=400, _particle_runner=self.recorded(store))
+            assert np.array_equal(res.sups, unpruned_sups(store, ref, 512))
+            assert res.lp_solved + res.lp_pruned == 2 * 32
+            pruned += res.lp_pruned
+        assert pruned > 0

@@ -4,7 +4,7 @@ import pytest
 from repmut.model import (DomainSpec, FitnessFunction, InitialLaw, ModelError,
                           check_fitness_bound, check_fitness_modulus,
                           probe_points, sample_initial, validate_model)
-from repmut.scenarios import bm_model, cir_model, gamma_like_law, linear_fitness
+from repmut.scenarios import bm_model, cir_model, gamma_like_law, linear_fitness, ou_model
 
 
 class TestValidateModel:
@@ -26,6 +26,12 @@ class TestValidateModel:
         from repmut.scenarios import affine_model
         with pytest.raises(ModelError, match="positive definite"):
             affine_model([0.0, 0.0], np.eye(2), [[1.0, 0.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("kappa", [0.0, -0.0, np.inf, -np.inf, np.nan])
+    def test_ou_without_finite_reversion_rejected(self, kappa):
+        # kappa = 0 once reached the exact OU step and died as a non-finite state
+        with pytest.raises(ModelError, match="arithmetic-bm"):
+            ou_model(kappa, 0.0, 1.0)
 
     def test_validate_is_pure(self):
         m = cir_model()

@@ -234,14 +234,14 @@ class TestLogWeight:
             with pytest.raises(SimulationError, match="sparse"):
                 accumulate_log_weight(b, linear_fit_unshifted)
 
-    def test_additivity_over_concatenated_grids(self, linear_fit_unshifted):
+    def test_additivity_over_concatenated_grids(self):
+        # g(x) = x without declared structure: the fine-grid trapezoid path
+        fit = FitnessFunction(g=lambda x: np.asarray(x, float), g_max=0.0, q_coeffs=[1.0])
         m = bm_model(1.0, 0.0)
-        whole = simulate(m, np.zeros((1, 1)), TimeGrid(0, 1.0, 512), 0,
-                         fitness=linear_fit_unshifted)
-        first = simulate(m, np.zeros((1, 1)), TimeGrid(0, 0.5, 256), 0,
-                         fitness=linear_fit_unshifted)
-        second = simulate(m, np.array([[0.5]]), TimeGrid(0.5, 1.0, 256), 0,
-                          fitness=linear_fit_unshifted)
+        whole = simulate(m, np.zeros((1, 1)), TimeGrid(0, 1.0, 512), 0, fitness=fit)
+        first = simulate(m, np.zeros((1, 1)), TimeGrid(0, 0.5, 256), 0, fitness=fit)
+        second = simulate(m, np.array([[0.5]]), TimeGrid(0.5, 1.0, 256), 0, fitness=fit)
+        assert {b.scheme for b in (whole, first, second)} == {"exact-gaussian"}
         assert (first.logw[0, -1] + second.logw[0, -1]
                 == pytest.approx(whole.logw[0, -1], abs=1e-12))
 
