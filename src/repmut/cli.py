@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,7 +33,8 @@ from .scenarios import (CANONICAL, Scenario, affine_quadratic_fitness, bm_model,
                         cir_model, gamma_like_law, linear_fitness, ou_model,
                         quadratic_decay_fitness)
 from .sde import SimulationError, TimeGrid
-from .spectral import SchrodingerProblem, SpectralError, cir_eigenpair, schrodinger_ground_state
+from .spectral import SpectralError, cir_eigenpair
+from .spectral import schrodinger_ground_state  # noqa: F401  (benchmarks/tracer.py patches it)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -65,6 +66,31 @@ DEFAULT_CONFIG = {
 }
 
 
+ENGINES = ("linear", "affine", "tilted", "pde", "particle")
+
+
+def _int_at_least(lo: int):
+    return lambda v: type(v) is int and v >= lo
+
+
+_POSITIVE = (lambda v: type(v) in (int, float) and 0 < v < np.inf, "a finite number > 0")
+# dotted config key -> (accepts the value, what the value must be)
+CONFIG_RULES = {
+    "horizon": _POSITIVE,
+    "seed": (lambda v: type(v) is int, "an integer"),
+    "steps_per_unit": (_int_at_least(1), "an integer >= 1"),
+    "engines": (lambda v: v is None or (type(v) is list and set(v) <= set(ENGINES)),
+                f"a list of engine names from {list(ENGINES)}"),
+    "particles.N": (lambda v: type(v) is list and all(map(_int_at_least(1), v)),
+                    "a list of integers >= 1"),
+    "particles.reps": (_int_at_least(1), "an integer >= 1"),
+    "particles.n_kde": (_int_at_least(1), "an integer >= 1"),
+    "particles.q": _POSITIVE,
+    "metric.checkpoints": (_int_at_least(2), "an integer >= 2"),
+    "metric.ref_atoms": (_int_at_least(1), "an integer >= 1"),
+}
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -82,16 +108,11 @@ def load_config(path: str) -> dict:
             cfg[key].update(val)
         else:
             cfg[key] = val
-    horizon, checkpoints = cfg["horizon"], cfg["metric"]["checkpoints"]
-    if type(horizon) not in (int, float) or not 0 < horizon < np.inf:
-        raise ConfigError(f"horizon must be a finite number > 0, not {horizon!r}")
-    if type(checkpoints) is not int or checkpoints < 2:
-        raise ConfigError(f"metric.checkpoints must be an integer >= 2, not {checkpoints!r}")
-    if type(cfg["seed"]) is not int:
-        raise ConfigError(f"seed must be an integer, not {cfg['seed']!r}")
-    spu = cfg["steps_per_unit"]
-    if type(spu) is not int or spu < 1:
-        raise ConfigError(f"steps_per_unit must be an integer >= 1, not {spu!r}")
+    for key, (accepts, rule) in CONFIG_RULES.items():
+        section, _, sub = key.partition(".")
+        val = cfg[section][sub] if sub else cfg[section]
+        if not accepts(val):
+            raise ConfigError(f"{key} must be {rule}, not {val!r}")
     return cfg
 
 
@@ -111,8 +132,7 @@ def build_scenario(cfg: dict) -> Scenario:
                               f"choose from {sorted(CANONICAL)}")
         sc = CANONICAL[name](horizon=cfg["horizon"])
         if cfg.get("engines"):
-            sc = Scenario(sc.name, sc.model, sc.fitness, sc.initial_law,
-                          sc.horizon, tuple(cfg["engines"]), sc.meta)
+            sc = replace(sc, engines=tuple(cfg["engines"]))
         return sc
     if not (cfg.get("model") and cfg.get("fitness") and cfg.get("initial")):
         raise ConfigError("config needs either a scenario name or "
@@ -198,18 +218,14 @@ def _new_manifest(cfg: dict, seed) -> RunManifest:
 
 
 def _build_eigenpair(sc: Scenario):
+    """The tilted engine's eigenpair for the scenario's model: Kummer for CIR,
+    the exponential-quadratic pair for every model ``affine_form`` accepts."""
     model = sc.model
     if model.kind == "cir":
         p = model.params
         lam0 = p["a"] * (np.sqrt(p["b"] ** 2 + 2 * p["sigma"] ** 2) + p["b"]) \
             / p["sigma"] ** 2
         return cir_eigenpair(p["a"], p["b"], p["sigma"], lam0)
-    st = getattr(sc.fitness, "structure", None)
-    if st and st.get("kind") == "affine-quadratic" and np.any(np.asarray(st["G"])):
-        sig_gen = float(sc.meta.get("sigma_gen", 1.0)) if sc.meta else 1.0
-        prob = SchrodingerProblem(sigma=sig_gen, g=sc.fitness.g, half_width=8.0,
-                                  nodes=2048)
-        return schrodinger_ground_state(prob)
     model, alpha, delta, G = affine_form(sc.model, sc.fitness)
     if not G.any() and not model.params["B"].any():
         raise RejectedCondition("no exponential-quadratic eigenpair for B = 0, G = 0")
@@ -466,8 +482,7 @@ def cmd_validate(full: bool = True) -> int:
 
 def cmd_manifest(cfg: dict, out, seed) -> int:
     manifest = _new_manifest(cfg, seed)
-    for stage in ("solve/linear", "solve/affine", "solve/tilted", "solve/pde",
-                  "solve/particle", "particles", "chaos/N=*"):
+    for stage in [f"solve/{e}" for e in ENGINES] + ["particles", "chaos/N=*"]:
         manifest.stage_seed(stage)
     text = manifest.to_json()
     if out:

@@ -4,13 +4,18 @@ Three routes to the same normalized density flow:
 
 * ``linear_engine`` -- constant-coefficient models with fitness whose
   generator image and gradient-times-diffusion are constant; the solution
-  is an exponentially tilted Gaussian convolution and is fully analytic
-  for Gaussian initial data.
+  is an exponentially tilted Gaussian convolution, fully analytic for
+  Gaussian initial data and a kernel quadrature on the law's nodes (1D)
+  otherwise.
 * ``affine_engine`` -- affine drift, constant diffusion, concave quadratic
   fitness; an exponential-quadratic eigenfunction turns the weighted
-  expectation into a Gaussian transition density.
-* ``tilted_engine`` -- any model with a supplied positive eigenpair; the
-  eigen-tilted SDE is simulated and the density recovered by weighted KDE.
+  expectation into a Gaussian transition density.  Its degenerate case
+  B = 0, G = 0 has no such eigenfunction and runs the linear engine's
+  kernel quadrature.
+* ``tilted_engine`` -- any model with a supplied positive eigenpair whose
+  residual on that model is small (``affine_eigenpair`` for affine models,
+  ``spectral.cir_eigenpair`` for CIR); the eigen-tilted SDE is simulated
+  and the density recovered by weighted KDE.
 
 All five engines (these three, the particle system and the PDE oracle in
 ``cli``) return the same ``Solution``: a density evaluator u(t, x), an
@@ -236,57 +241,67 @@ def linear_engine(model: DiffusionModel, fitness: FitnessFunction,
         c = -np.atleast_1d(np.asarray(st["delta"], float))  # exact gradient
     else:
         c = np.linalg.solve(sig.T, cond.C2)  # grad g = sigma^{-T} C2^T
-    x0 = np.zeros(n)
-    g0 = float(np.asarray(fitness.g(x0[None, 0:1] if n == 1
-                                    else x0[None, :])).reshape(-1)[0])  # g(0)
+    if u0.kind != "gaussian":
+        return _kernel_quadrature("linear-quadrature", u0, u0, fitness, b, a, c, horizon,
+                                  grid_size)
+    m0, S0 = u0.params["mean"], u0.params["cov"]
+    g0 = float(np.asarray(fitness.g(np.zeros((1, n)))).reshape(-1)[0])  # g(0)
 
-    def kernel_mean(t):
-        return b * t - (a @ c) * t * t / 2.0  # sigma C2^T = sigma sigma^T grad g
+    def moments(t):
+        V = S0 + a * t
+        kernel_mean = b * t - (a @ c) * t * t / 2.0  # sigma C2^T = sigma sigma^T grad g
+        return GaussianMoments(m0 + kernel_mean + t * (V @ c), V)
 
-    if u0.kind == "gaussian":
-        m0, S0 = u0.params["mean"], u0.params["cov"]
+    def u(t, x):
+        return u0.density(x) if t <= 0 else moments(t).density(x)
 
-        def moments(t):
-            V = S0 + a * t
-            mean = m0 + kernel_mean(t) + t * (V @ c)
-            return GaussianMoments(mean, V)
+    def mass(t):
+        cb = float(c @ b)
+        cac = float(c @ a @ c)
+        cm = float(c @ m0)
+        cSc = float(c @ S0 @ c)
+        return float(np.exp(t * g0 + cb * t * t / 2.0 + cac * t ** 3 / 6.0
+                            + t * cm + t * t * cSc / 2.0))
 
-        def u(t, x):
-            if t <= 0:
-                return u0.density(x)
-            return moments(t).density(x)
+    mT = moments(horizon)
+    grid = _auto_grid(float(mT.mean[0]), np.sqrt(float(mT.cov[0, 0]))) if n == 1 \
+        else np.zeros(1)
+    return Solution(engine="linear-analytic", horizon=horizon, shift=fitness.g_max,
+                    u=u, mass=mass, grid=grid)
 
-        def mass(t):
-            cb = float(c @ b)
-            cac = float(c @ a @ c)
-            cm = float(c @ m0)
-            cSc = float(c @ S0 @ c)
-            return float(np.exp(t * g0 + cb * t * t / 2.0 + cac * t ** 3 / 6.0
-                                + t * cm + t * t * cSc / 2.0))
 
-        mT = moments(horizon)
-        grid = _auto_grid(float(mT.mean[0]), np.sqrt(float(mT.cov[0, 0]))) if n == 1 \
-            else np.zeros(1)
-        return Solution(engine="linear-analytic", horizon=horizon, shift=fitness.g_max,
-                        u=u, mass=mass, grid=grid, meta={"condition": cond})
+def _kernel_quadrature(engine: str, u0: InitialLaw, law: InitialLaw,
+                       fitness: FitnessFunction, b, a, c, horizon: float,
+                       grid_size: int) -> Solution:
+    """1D kernel route for constant (b, a = sigma sigma^T) and linear fitness
+    with gradient c: e^{t g(x)} times ``law`` convolved with the Gaussian
+    kernel of mean b t - a c t^2 / 2 and variance a t, normalized on a grid.
 
-    if n != 1:
+    ``law`` holds the quadrature nodes: a grid density (trapezoid rule) or
+    atoms.  The solution returns u0 at t <= 0, and h_0 = 1.
+    """
+    if a.shape[0] != 1:
         raise RejectedCondition("non-Gaussian initial data supported in 1D only")
-    if u0.kind == "grid-density":  # trapezoid rule on the law's grid
-        ygrid = u0.params["x"]
-        nodes, wts = ygrid, trapezoid_weights(ygrid) * u0.params["values"]
-    else:  # atoms
-        nodes, wts = u0.params["points"][:, 0], u0.params["weights"]
+    if law.kind == "grid-density":  # trapezoid rule on the law's grid
+        nodes = law.params["x"]
+        wts = trapezoid_weights(nodes) * law.params["values"]
+        lo, hi = nodes.min(), nodes.max()
+    elif law.kind == "point-cloud":
+        nodes, wts = law.params["points"][:, 0], law.params["weights"]
         span = max(nodes.max() - nodes.min(), 1.0)
-        ygrid = np.linspace(nodes.min() - 8 - span, nodes.max() + 8 + span, 4096)
+        lo, hi = nodes.min() - 8 - span, nodes.max() + 8 + span
+    else:
+        raise RejectedCondition(f"kernel quadrature needs a grid-density or "
+                                f"point-cloud law, not {law.kind}")
 
-    sd_T = np.sqrt(float(a[0, 0]) * horizon + 1.0)
-    grid = np.linspace(ygrid.min() - 10 * sd_T, ygrid.max() + 10 * sd_T, grid_size)
+    a1 = float(a[0, 0])
+    sd_T = np.sqrt(a1 * horizon + 1.0)
+    grid = np.linspace(lo - 10 * sd_T, hi + 10 * sd_T, grid_size)
 
     def numerator(t, x):
-        var = float(a[0, 0]) * t
-        conv = _gauss_kernel_sum(x, nodes, wts, r=float(kernel_mean(t)[0]), s=var) \
-            / np.sqrt(2 * np.pi * var)
+        var = a1 * t
+        r = float((b * t - (a @ c) * t * t / 2.0)[0])
+        conv = _gauss_kernel_sum(x, nodes, wts, r=r, s=var) / np.sqrt(2 * np.pi * var)
         expo = t * np.asarray(fitness.g(x), float)
         if expo.max() > 600.0:
             raise HorizonError("tilt overflow; reduce the horizon")
@@ -295,13 +310,13 @@ def linear_engine(model: DiffusionModel, fitness: FitnessFunction,
     u = _normalized_density(u0, grid, numerator)
 
     def mass(t):
-        cb = float(c @ b)
-        cac = float(c @ a @ c)
-        ey = float(np.exp(t * (c[0] * nodes + g0)) @ wts)
-        return float(np.exp(cb * t * t / 2.0 + cac * t ** 3 / 6.0) * ey)
+        if t <= 0:
+            return 1.0
+        ey = float(np.exp(t * np.asarray(fitness.g(nodes), float)) @ wts)
+        return float(np.exp(float(c @ b) * t * t / 2.0 + float(c @ a @ c) * t ** 3 / 6.0) * ey)
 
-    return Solution(engine="linear-quadrature", horizon=horizon, shift=fitness.g_max,
-                    u=u, mass=mass, grid=grid, meta={"condition": cond})
+    return Solution(engine=engine, horizon=horizon, shift=fitness.g_max,
+                    u=u, mass=mass, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +462,9 @@ def affine_engine(model: DiffusionModel, fitness: FitnessFunction,
 
     When the linear eigenpair system is singular (B = 0, G = 0: plain
     constant-coefficient model with linear fitness, which admits no
-    exponential-quadratic eigenfunction) the engine falls back to the
-    constant-condition kernel route on quadrature grids.
+    exponential-quadratic eigenfunction) the engine runs the linear engine's
+    kernel quadrature, a Gaussian u0 tabulated on 4096 nodes over
+    m0 +- (12 s0 + 1).
     """
     model, alpha, delta, G = affine_form(model, fitness)
     b, B, sig = model.params["b"], model.params["B"], model.params["sigma"]
@@ -456,10 +472,14 @@ def affine_engine(model: DiffusionModel, fitness: FitnessFunction,
     n = model.dim
 
     if not G.any() and not B.any():
-        # constant-coefficient model with linear fitness: no positive
-        # exponential-quadratic eigenfunction exists (H = 0 and the linear
-        # system for v is singular); use the constant-condition kernel route
-        return _affine_c2_fallback(model, fitness, u0, horizon, grid_size)
+        law = u0
+        if u0.kind == "gaussian" and n == 1:
+            m0 = float(u0.params["mean"][0])
+            s0 = float(np.sqrt(u0.params["cov"][0, 0]))
+            ygrid = np.linspace(m0 - 12 * s0 - 1, m0 + 12 * s0 + 1, 4096)
+            law = InitialLaw("grid-density", {"x": ygrid, "values": u0.density(ygrid)})
+        return _kernel_quadrature("affine-c2-fallback", u0, law, fitness, b, a, -delta,
+                                  horizon, grid_size)
     pair, H, v = affine_eigenpair(model, alpha, delta, G)
     Gamma = B - 2 * a @ H
     beta = b - a @ v
@@ -557,51 +577,6 @@ def affine_engine(model: DiffusionModel, fitness: FitnessFunction,
 
     return Solution(engine="affine-quadrature", horizon=horizon, shift=fitness.g_max,
                     u=u, mass=mass, grid=grid, meta={"eigenpair": pair, "H": H, "v": v})
-
-
-def _affine_c2_fallback(model, fitness, u0, horizon, grid_size):
-    """Degenerate affine case B = 0, G = 0: constant-condition kernel route,
-    evaluated by quadrature (independent of the linear engine's analytic
-    shortcut)."""
-    cond = detect_constant_condition(model, fitness)
-    sig = model.params["sigma"]
-    b = model.params["b"]
-    a = sig @ sig.T
-    n = model.dim
-    if n != 1:
-        raise RejectedCondition("fallback route implemented in 1D")
-    if u0.kind == "gaussian":
-        m0 = float(u0.params["mean"][0])
-        s0 = float(np.sqrt(u0.params["cov"][0, 0]))
-        ygrid = np.linspace(m0 - 12 * s0 - 1, m0 + 12 * s0 + 1, 4096)
-        yvals = u0.density(ygrid)
-    elif u0.kind == "grid-density":
-        ygrid, yvals = u0.params["x"], u0.params["values"]
-    else:
-        raise RejectedCondition("fallback needs a density-style initial law")
-    sd_T = np.sqrt(float(a[0, 0]) * horizon + 1.0)
-    grid = np.linspace(ygrid.min() - 10 * sd_T, ygrid.max() + 10 * sd_T, grid_size)
-    wy = trapezoid_weights(ygrid) * yvals
-
-    def numerator(t, x):
-        mshift = float((b * t - sig @ cond.C2 * t * t / 2.0)[0])
-        var = float(a[0, 0]) * t
-        conv = _gauss_kernel_sum(x, ygrid, wy, r=mshift, s=var) / np.sqrt(2 * np.pi * var)
-        return np.exp(t * np.asarray(fitness.g(x), float)) * conv
-
-    u = _normalized_density(u0, grid, numerator)
-
-    def mass(t):
-        if t <= 0:
-            return 1.0
-        c1 = cond.C1
-        c2sq = float(cond.C2 @ cond.C2)
-        tilt = np.exp(t * np.asarray(fitness.g(ygrid), float))
-        ey = np.trapezoid(tilt * yvals, ygrid)
-        return float(np.exp(c1 * t * t / 2.0 + c2sq * t ** 3 / 6.0) * ey)
-
-    return Solution(engine="affine-c2-fallback", horizon=horizon, shift=fitness.g_max,
-                    u=u, mass=mass, grid=grid, meta={"condition": cond})
 
 
 # ---------------------------------------------------------------------------

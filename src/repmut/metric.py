@@ -72,8 +72,6 @@ def dstar(p, q, x0=0.0):
     q = np.asarray(q, float)
     if p.ndim <= 1 and q.ndim <= 1 and (p.ndim == 0 or p.shape == q.shape):
         direct = np.abs(p - q) if p.ndim == 0 else np.linalg.norm(p - q)
-        if p.ndim > 0 and p.size > 1:
-            direct = np.linalg.norm(p - q)
     else:
         direct = np.abs(p - q)
     return np.minimum(direct, _l(p, x0) + _l(q, x0))

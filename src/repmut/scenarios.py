@@ -9,7 +9,7 @@ throughout the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -115,7 +115,6 @@ class Scenario:
     initial_law: InitialLaw
     horizon: float
     engines: tuple
-    meta: dict = field(default_factory=dict)
 
 
 def linear_bm_scenario(m0=0.0, s0=1.0, g_max=2.0, horizon=1.0) -> Scenario:
@@ -157,8 +156,7 @@ def harmonic_scenario(sigma_gen=1.0, horizon=1.0) -> Scenario:
         fitness=quadratic_decay_fitness(),
         initial_law=InitialLaw("gaussian", {"mean": [0.0], "cov": [[0.25]]}),
         horizon=horizon,
-        engines=("tilted", "pde", "particle"),
-        meta={"sigma_gen": sigma_gen})
+        engines=("tilted", "pde", "particle"))
 
 
 CANONICAL = {

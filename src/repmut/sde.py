@@ -276,14 +276,6 @@ def _joint_step(model: DiffusionModel, x, z1, z2, h):
     return x_new, integral
 
 
-def simulate_cir(model: DiffusionModel, initial, grid: TimeGrid, seed: int,
-                 **kwargs) -> PathBundle:
-    """CIR paths under the full-truncation scheme (states recorded >= 0)."""
-    if model.kind != "cir":
-        raise SimulationError("simulate_cir expects a cir-kind model")
-    return simulate(model, initial, grid, seed, **kwargs)
-
-
 def accumulate_log_weight(bundle: PathBundle, fitness: FitnessFunction) -> np.ndarray:
     """Trapezoid of the shifted fitness along stored paths; (N, S) array.
 

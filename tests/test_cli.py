@@ -4,10 +4,13 @@ import os
 import numpy as np
 import pytest
 
-from repmut.cli import (EXIT_CONFIG, EXIT_OK, ConfigError,
+from repmut.cli import (EXIT_CONFIG, EXIT_OK, ConfigError, _build_eigenpair,
                         build_scenario, build_solution, canonical_json,
                         config_hash, load_config, main)
-from repmut.closed_form import EngineError
+from repmut.closed_form import EngineError, RejectedCondition, tilted_engine
+from repmut.model import InitialLaw
+from repmut.scenarios import ou_model, quadratic_decay_fitness
+from repmut.spectral import SchrodingerProblem, schrodinger_ground_state
 
 
 def write_cfg(tmp_path, name="cfg.json", **overrides):
@@ -85,6 +88,27 @@ class TestConfig:
         assert main(["manifest", "--config", path]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("particles.N", [50, 0, 200]), ("particles.N", [50, 100.5, 200]),
+        ("particles.N", 100), ("particles.reps", 0), ("particles.reps", 2.0),
+        ("particles.n_kde", "abc"), ("particles.n_kde", True), ("particles.q", -1),
+        ("particles.q", 0), ("particles.q", "x"), ("particles.q", float("nan")),
+        ("metric.ref_atoms", 0), ("metric.ref_atoms", None), ("engines", ["lineer"]),
+        ("engines", "linear")])
+    def test_bad_particles_metric_or_engines_exits_config_error(self, tmp_path, capsys,
+                                                               key, value):
+        section, _, sub = key.partition(".")
+        if sub:
+            path, cfg = write_cfg(tmp_path)
+            path, _ = write_cfg(tmp_path, **{section: {**cfg[section], sub: value}})
+        else:
+            path, _ = write_cfg(tmp_path, **{key: value})
+        for command in ("manifest", "solve", "chaos"):
+            assert main([command, "--config", path, "--out", str(tmp_path / "o")]) \
+                == EXIT_CONFIG
+            assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_custom_model_sections(self, tmp_path):
         path, _ = write_cfg(tmp_path, scenario=None,
                             model={"kind": "ou", "kappa": 1.0, "sigma": 1.0},
@@ -158,23 +182,48 @@ class TestSolveCommand:
         assert h.tolist() == [sol.mass(s) for s in t]
 
 
+OU_QUADRATIC = {"scenario": None, "model": {"kind": "ou", "kappa": 1.0, "sigma": 1.0},
+                "fitness": {"kind": "quadratic-decay"},
+                "initial": {"kind": "gaussian", "mean": [0.0], "cov": [[0.25]]}}
+
+
 class TestEigenpairGuard:
-    def test_wrong_eigenpair_skips_tilted(self, tmp_path, capsys):
-        # the pair comes from the fitness alone (sigma_gen 1 on a plain BM
-        # generator); on OU(kappa=1, sigma=1) its residual is about 0.61
-        path, _ = write_cfg(tmp_path, scenario=None, engines=["tilted", "pde"],
-                            model={"kind": "ou", "kappa": 1.0, "sigma": 1.0},
-                            fitness={"kind": "quadratic-decay"},
-                            initial={"kind": "gaussian", "mean": [0.0], "cov": [[0.25]]},
-                            particles={"n_kde": 2000}, metric={"checkpoints": 3})
+    def test_wrong_eigenpair_skips_tilted(self):
+        # the Schrodinger pair of g = -x^2 under (1/2) d^2/dx^2 ignores the
+        # OU drift; on OU(kappa=1, sigma=1) its residual is about 0.61
+        fit = quadratic_decay_fitness()
+        pair = schrodinger_ground_state(SchrodingerProblem(sigma=1.0, g=fit.g,
+                                                           half_width=8.0, nodes=2048))
+        law = InitialLaw("gaussian", {"mean": [0.0], "cov": [[0.25]]})
+        with pytest.raises(RejectedCondition, match="eigenpair residual"):
+            tilted_engine(ou_model(1.0, 0.0, 1.0), fit, pair, law, 0.05, n_paths=2000)
+
+    @pytest.mark.parametrize("overrides,source", [
+        ({"scenario": "harmonic-confining"}, "affine-analytic"),
+        ({"scenario": "ou-linear"}, "affine-analytic"),
+        (OU_QUADRATIC, "affine-analytic"),
+        ({"scenario": "cir-linear"}, "kummer")],
+        ids=["harmonic-confining", "ou-linear", "ou-quadratic-decay", "cir-linear"])
+    def test_eigenpair_comes_from_the_model(self, tmp_path, overrides, source):
+        path, _ = write_cfg(tmp_path, engines=None, **overrides)
+        assert _build_eigenpair(build_scenario(load_config(path))).source == source
+
+    def test_linear_bm_has_no_eigenpair(self, tmp_path):
+        path, _ = write_cfg(tmp_path)
+        with pytest.raises(RejectedCondition, match="B = 0, G = 0"):
+            _build_eigenpair(build_scenario(load_config(path)))
+
+    def test_tilted_runs_on_ou_quadratic_decay(self, tmp_path, capsys):
+        path, _ = write_cfg(tmp_path, engines=["tilted", "pde"], horizon=0.05,
+                            particles={"n_kde": 2000}, metric={"checkpoints": 3},
+                            **OU_QUADRATIC)
         out = tmp_path / "o"
         assert main(["solve", "--config", path, "--out", str(out)]) == EXIT_OK
-        stdout = capsys.readouterr().out
-        assert "engine tilted: skipped (eigenpair residual" in stdout
-        assert "L1(pde, tilted)" not in stdout
+        assert "L1(pde, tilted)" in capsys.readouterr().out
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["status"] == "failed-engines: tilted"
-        assert not (out / "density_tilted.csv").exists()
+        assert manifest["status"] == "complete"
+        rows = (out / "density_tilted.csv").read_text().strip().splitlines()
+        assert rows[0] == "t,x,u" and len({r.split(",")[0] for r in rows[1:]}) == 3
 
     def test_tilted_without_eigenpair_is_skipped(self, tmp_path, capsys):
         # linear-bm has B = 0, G = 0: no exponential-quadratic eigenpair, and

@@ -125,6 +125,7 @@ class TestLinearEngine:
         ana = linear_engine(sc.model, sc.fitness, sc.initial_law)
         num = linear_engine(sc.model, sc.fitness, law_grid)
         assert num.engine == "linear-quadrature"
+        assert num.mass(0.0) == 1.0 and num.u(0.0, x).tolist() == law_grid.density(x).tolist()
         xs = np.linspace(-4, 7, 501)
         l1 = np.trapezoid(np.abs(ana.u(0.8, xs) - num.u(0.8, xs)), xs)
         assert l1 < 1e-6
@@ -296,6 +297,13 @@ class TestAffineEngine:
         l1 = np.trapezoid(np.abs(sol.u(1.0, x) - ana.u(1.0, x)), x)
         assert l1 < 5e-4
         assert sol.mass(1.0) == pytest.approx(ana.mass(1.0), rel=1e-6)
+
+    def test_mixture_law_rejected_by_both_kernel_routes(self):
+        sc = linear_bm_scenario()
+        law = InitialLaw("mixture", {"components": [(0.5, -1.0, 0.5), (0.5, 1.0, 0.5)]})
+        for engine in (linear_engine, affine_engine):
+            with pytest.raises(RejectedCondition, match="not mixture"):
+                engine(sc.model, sc.fitness, law)
 
     def test_shift_invariance(self):
         m = ou_model(1.0, 0.0, 1.0)
@@ -478,27 +486,14 @@ class TestValidityHorizon:
         sol.u(0.9 * t_star, sol.grid)  # still evaluable below the horizon
 
 
-# The dense np.trapezoid forms of the three kernel quadratures, as the engines
+# The dense np.trapezoid forms of the two kernel quadratures (the linear one,
+# which the degenerate affine case shares, and the affine one), as the engines
 # evaluated them before the blocked numerics._gauss_kernel_sum: a full
 # (x, y) kernel matrix per call.  Oracles for the blocked evaluation.
 
 
 def dense_normalized(numerator, grid, x):
     return numerator(x) / np.trapezoid(numerator(grid), grid)
-
-
-def dense_fallback_u(sol, model, fitness, ygrid, yvals, t, x):
-    sig, b = model.params["sigma"], model.params["b"]
-    mshift = float((b * t - sig @ sol.meta["condition"].C2 * t * t / 2.0)[0])
-    var = float((sig @ sig.T)[0, 0]) * t
-
-    def numerator(xx):
-        diff = xx[:, None] - ygrid[None, :] - mshift
-        conv = np.trapezoid(np.exp(-0.5 * diff * diff / var) * yvals[None, :],
-                            ygrid, axis=1) / np.sqrt(2 * np.pi * var)
-        return np.exp(t * np.asarray(fitness.g(xx), float)) * conv
-
-    return dense_normalized(numerator, sol.grid, x)
 
 
 def dense_linear_u(sol, model, fitness, u0, t, x):
@@ -557,14 +552,19 @@ class TestBlockedKernelQuadrature:
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_fallback_gaussian_law(self):
+        # the B = 0, G = 0 affine case runs the linear kernel quadrature on
+        # the Gaussian law tabulated over +-(12 s0 + 1)
         sc = linear_bm_scenario()
         sol = affine_engine(sc.model, sc.fitness, sc.initial_law, horizon=0.5)
         assert sol.engine == "affine-c2-fallback"
         ygrid = np.linspace(-13.0, 13.0, 4096)  # the engine's nodes for N(0, 1)
-        yvals = sc.initial_law.density(ygrid)
+        table = InitialLaw("grid-density", {"x": ygrid,
+                                            "values": sc.initial_law.density(ygrid)})
         for t, x in ((0.05, self.xs), (0.5, sol.grid), (0.5, self.xs)):
-            self.assert_close(sol.u(t, x), dense_fallback_u(sol, sc.model, sc.fitness,
-                                                            ygrid, yvals, t, x))
+            self.assert_close(sol.u(t, x), dense_linear_u(sol, sc.model, sc.fitness,
+                                                          table, t, x))
+        assert sol.u(0.0, self.xs).tolist() == sc.initial_law.density(self.xs).tolist()
+        assert sol.mass(0.0) == 1.0
 
     def test_fallback_grid_density_law_on_nonuniform_grid(self):
         y = 3.0 * np.sinh(np.linspace(-2.5, 2.5, 1500))
@@ -574,8 +574,8 @@ class TestBlockedKernelQuadrature:
         sol = affine_engine(sc.model, sc.fitness, law, horizon=0.5)
         assert sol.engine == "affine-c2-fallback"
         for t, x in ((0.1, sol.grid), (0.5, self.xs)):
-            self.assert_close(sol.u(t, x), dense_fallback_u(sol, sc.model, sc.fitness,
-                                                            y, law.params["values"], t, x))
+            self.assert_close(sol.u(t, x), dense_linear_u(sol, sc.model, sc.fitness,
+                                                          law, t, x))
 
     def test_linear_engine_grid_density_law(self):
         y = 3.0 * np.sinh(np.linspace(-2.5, 2.5, 1500))

@@ -5,7 +5,7 @@ from repmut import rng
 from repmut.model import FitnessFunction
 from repmut.scenarios import bm_model, cir_model, linear_fitness, ou_model
 from repmut.sde import (SimulationError, TimeGrid, TiltedDrift,
-                        accumulate_log_weight, simulate, simulate_cir)
+                        accumulate_log_weight, simulate)
 
 
 class TestRng:
@@ -166,7 +166,7 @@ class TestCir:
         from repmut.model import DiffusionModel, DomainSpec
         m = DiffusionModel(domain=DomainSpec("half-line", 1), kind="cir",
                            params={"a": 1.0, "b": 0.0, "sigma": 1e-12})
-        b = simulate_cir(m, np.ones((1, 1)), TimeGrid(0, 1.0, 1000), 0)
+        b = simulate(m, np.ones((1, 1)), TimeGrid(0, 1.0, 1000), 0)
         assert b.positions[0, -1, 0] == pytest.approx(2.0, rel=1e-6)
 
     def test_terminal_mean_matches_ode(self):
@@ -174,7 +174,7 @@ class TestCir:
         m = cir_model(1.0, -1.0, 1.0)
         n = 100_000
         grid = TimeGrid(0, 1.0, 256)
-        b = simulate_cir(m, np.ones((n, 1)), grid, 12,
+        b = simulate(m, np.ones((n, 1)), grid, 12,
                          store=grid.checkpoint_indices(2))
         xt = b.positions[:, -1, 0]
         se = xt.std() / np.sqrt(n)
@@ -182,7 +182,7 @@ class TestCir:
 
     def test_recorded_states_nonnegative(self):
         m = cir_model(0.5, -1.0, 1.0)  # Feller boundary: 2a = sigma^2
-        b = simulate_cir(m, np.full((2000, 1), 0.05), TimeGrid(0, 1.0, 200), 3)
+        b = simulate(m, np.full((2000, 1), 0.05), TimeGrid(0, 1.0, 200), 3)
         assert b.positions.min() >= 0.0
         assert b.scheme == "cir-full-truncation"
 
