@@ -223,9 +223,7 @@ def _build_eigenpair(sc: Scenario):
     model = sc.model
     if model.kind == "cir":
         p = model.params
-        lam0 = p["a"] * (np.sqrt(p["b"] ** 2 + 2 * p["sigma"] ** 2) + p["b"]) \
-            / p["sigma"] ** 2
-        return cir_eigenpair(p["a"], p["b"], p["sigma"], lam0)
+        return cir_eigenpair(p["a"], p["b"], p["sigma"])
     model, alpha, delta, G = affine_form(sc.model, sc.fitness)
     if not G.any() and not model.params["B"].any():
         raise RejectedCondition("no exponential-quadratic eigenpair for B = 0, G = 0")

@@ -81,22 +81,12 @@ class Eigenpair:
     phi: Callable
     dphi: Callable
     source: str
-    log_phi: Optional[Callable] = None
-    grad_log_phi: Optional[Callable] = None
+    log_phi: Callable
+    grad_log_phi: Callable
     d2phi: Optional[Callable] = None
     fd_step: Optional[float] = None
     grid: Optional[np.ndarray] = None
     phi_grid: Optional[np.ndarray] = None
-
-    def log_phi_at(self, x):
-        if self.log_phi is not None:
-            return self.log_phi(x)
-        return np.log(np.maximum(self.phi(x), 1e-300))
-
-    def grad_log_phi_at(self, x):
-        if self.grad_log_phi is not None:
-            return self.grad_log_phi(x)
-        return self.dphi(x) / np.maximum(self.phi(x), 1e-300)
 
 
 @dataclass(frozen=True)
@@ -541,13 +531,13 @@ def affine_engine(model: DiffusionModel, fitness: FitnessFunction,
                       size=grid_size)
 
     wy = trapezoid_weights(ygrid)
-    log_wy = pair.log_phi_at(ygrid) + np.log(np.maximum(yvals, 1e-300))
+    log_wy = pair.log_phi(ygrid) + np.log(np.maximum(yvals, 1e-300))
 
     def log_numerator(t, x):
         A, r, S = transition(t)
         s1 = float(S[0, 0])
         log_int = _gauss_kernel_sum(x, ygrid, wy, float(A[0, 0]), float(r[0]), s1, log_wy)
-        return log_int - 0.5 * np.log(2 * np.pi * s1) - pair.log_phi_at(x)
+        return log_int - 0.5 * np.log(2 * np.pi * s1) - pair.log_phi(x)
 
     norm_cache = {}
 
@@ -589,10 +579,10 @@ def tilted_extra_drift(model: DiffusionModel, pair: Eigenpair) -> TiltedDrift:
     def extra(t, x):
         if model.dim == 1:
             s = model.diffusion(x)[:, 0, 0]
-            return (s * s * pair.grad_log_phi_at(x[:, 0]))[:, None]
+            return (s * s * pair.grad_log_phi(x[:, 0]))[:, None]
         sig = model.diffusion(x)
         a = np.einsum("pij,pkj->pik", sig, sig)
-        return np.einsum("pik,pk->pi", a, pair.grad_log_phi_at(x))
+        return np.einsum("pik,pk->pi", a, pair.grad_log_phi(x))
 
     return TiltedDrift(base=model, extra=extra)
 
@@ -612,12 +602,12 @@ def _reweighted_initial(u0: InitialLaw, pair: Eigenpair, domain_kind: str) -> In
         base = u0.density(xg)
     elif u0.kind == "point-cloud":
         pts = u0.params["points"][:, 0]
-        wts = u0.params["weights"] * np.exp(pair.log_phi_at(pts))
+        wts = u0.params["weights"] * np.exp(pair.log_phi(pts))
         return InitialLaw("point-cloud", {"points": pts[:, None],
                                           "weights": wts / wts.sum()})
     else:
         raise RejectedCondition("unsupported initial law for tilted engine")
-    logw = pair.log_phi_at(xg) + np.log(np.maximum(base, 1e-300))
+    logw = pair.log_phi(xg) + np.log(np.maximum(base, 1e-300))
     vals = np.exp(logw - logw.max())
     total = np.trapezoid(vals, xg)
     return InitialLaw("grid-density", {"x": xg, "values": vals / total})
@@ -673,8 +663,8 @@ def tilted_engine(model: DiffusionModel, fitness: FitnessFunction,
         pos = bundle.positions[:, j, 0]
         est = kde(pos, grid_size=grid_size)
         xg = est.x
-        log_u = np.log(np.maximum(est.values, 1e-300)) - pair.log_phi_at(xg)
-        clip = pair.log_phi_at(xg) < -700.0
+        log_u = np.log(np.maximum(est.values, 1e-300)) - pair.log_phi(xg)
+        clip = pair.log_phi(xg) < -700.0
         lost = est.values[clip].sum() * (xg[1] - xg[0]) if clip.any() else 0.0
         if lost > 1e-6:
             raise EngineError(f"phi underflow clipped mass {lost:.2e}")

@@ -9,11 +9,15 @@ measures is the LP
     s.t.      |psi_k| <= s,   |psi_j - psi_k| <= l * d_star(x_j, x_k),
               s + l <= 1,
 
-solved exactly.  Small supports go through the in-house dense simplex;
-larger ones through scipy's HiGHS backend on a sparse, provably equivalent
-constraint set (for sorted 1D supports the star metric is the geodesic
-metric of the chain-plus-hub graph, so adjacent and hub edges imply all
-pairwise Lipschitz constraints).
+solved exactly on a sparse, provably equivalent constraint set (for sorted
+1D supports the star metric is the geodesic metric of the chain-plus-hub
+graph, so adjacent and hub edges imply all pairwise Lipschitz constraints).
+The constraints are built once, as sparse triplets, and feed both solvers.
+A merged support of at most ``DENSE_SIMPLEX_MAX_ATOMS`` atoms tries the
+in-house dense simplex, then scipy's HiGHS ("highs-fallback"); a larger one
+goes to HiGHS alone.  The first certificate that passes the check is
+returned; if none does, ``bl_distance`` raises ``LPError`` (the CLI exits
+with status 3) rather than returning an uncertified value.
 
 Every certificate is checked against all pairwise constraints.  On a 1D
 support that check is an O(K) sweep of running extremes rather than a
@@ -250,6 +254,9 @@ class BLResult:
 
 
 def _merged_support(mu: CompactifiedMeasure, nu: CompactifiedMeasure):
+    """The atoms of both measures in lexicographic order (ascending on a
+    line), coincident ones merged, with the mass differences mu - nu; atoms
+    whose difference is exactly zero are dropped."""
     if mu.dim != nu.dim:
         raise MetricError("dimension mismatch")
     atoms = np.vstack([mu.atoms, nu.atoms])
@@ -282,7 +289,9 @@ def bl_distance(mu: CompactifiedMeasure, nu: CompactifiedMeasure,
 
     Returns the optimum with a certifying test function on the merged
     support (star value last).  The certificate satisfies every pairwise
-    Lipschitz constraint and the norm budget.
+    Lipschitz constraint and the norm budget to 1e-10; a solve whose
+    certificate fails that check falls through to the next route, and
+    ``LPError`` is raised when no route is left.
     """
     atoms, delta = _merged_support(mu, nu)
     delta_star = -float(delta.sum())  # star masses difference balances atoms
@@ -292,12 +301,9 @@ def bl_distance(mu: CompactifiedMeasure, nu: CompactifiedMeasure,
     if K > 4096:
         raise MetricError("merged support too large; coarsen the measures first")
     one_d = atoms.shape[1] == 1
-    if one_d:
-        order = np.argsort(atoms[:, 0], kind="stable")
-        atoms, delta = atoms[order], delta[order]
     lvals = _l(atoms[:, 0] if one_d else atoms, x0)
 
-    if one_d:
+    if one_d:  # the chain needs sorted atoms, which _merged_support gives
         edges, weights = _edges_1d(atoms[:, 0], lvals)
     else:
         ii, jj = np.triu_indices(K, 1)
@@ -315,25 +321,22 @@ def bl_distance(mu: CompactifiedMeasure, nu: CompactifiedMeasure,
         return BLResult(0.0, np.zeros(K + 1), 0.0, 1.0, atoms, "trivial")
     obj_n = obj / scale
 
+    lp = _lp_constraints(edges, weights, K)
     if K <= DENSE_SIMPLEX_MAX_ATOMS:
-        psi, s, lip, val = _solve_dense(obj_n, edges, weights, K)
-        solver = "dense-simplex"
+        routes = (("dense-simplex", _solve_dense), ("highs-fallback", _solve_highs))
     else:
-        psi, s, lip, val = _solve_highs(obj_n, edges, weights, K)
-        solver = "highs"
-    result = BLResult(value=val * scale, psi=psi, s=s, lip=lip, atoms=atoms,
-                      solver=solver, meta={"delta": obj, "x0": x0})
-    if check_certificate(result, x0) > 1e-10:
-        # rare degenerate vertex; the second exact solver usually produces a
-        # clean certificate, otherwise rescale into strict feasibility
-        if solver == "dense-simplex":
-            psi, s, lip, val = _solve_highs(obj_n, edges, weights, K)
-            result = BLResult(value=val * scale, psi=psi, s=s, lip=lip,
-                              atoms=atoms, solver="highs-fallback",
-                              meta={"delta": obj, "x0": x0})
-        if check_certificate(result, x0) > 1e-10:
-            result = _repair_certificate(result, x0)
-    return result
+        routes = (("highs", _solve_highs),)
+    failed = []
+    for solver, solve in routes:
+        psi, s, lip, val = solve(obj_n, lp)
+        result = BLResult(value=val * scale, psi=psi, s=s, lip=lip, atoms=atoms,
+                          solver=solver, meta={"delta": obj, "x0": x0})
+        viol = check_certificate(result, x0)
+        if viol <= 1e-10:
+            return result
+        failed.append(f"{solver} {viol:.2e}")
+    raise LPError(f"no certificate within 1e-10 of feasible on {K} atoms "
+                  f"(violations: {', '.join(failed)})")
 
 
 def bl_flow_bound(mu: CompactifiedMeasure, nu: CompactifiedMeasure,
@@ -355,8 +358,7 @@ def bl_flow_bound(mu: CompactifiedMeasure, nu: CompactifiedMeasure,
     leak = float(np.abs(delta).sum() + abs(delta.sum()))
     if leak <= 0:
         return 0.0
-    order = np.argsort(atoms[:, 0], kind="stable")
-    x, delta = atoms[order, 0], delta[order]
+    x = atoms[:, 0]  # sorted by _merged_support
     lvals = _l(x, x0)
     _, w = _edges_1d(x, lvals)
     F = np.cumsum(delta)
@@ -366,83 +368,51 @@ def bl_flow_bound(mu: CompactifiedMeasure, nu: CompactifiedMeasure,
     return flow * leak / (flow + leak)
 
 
-def _repair_certificate(result: BLResult, x0: float) -> BLResult:
-    """Rescale a slightly infeasible certificate into the norm budget."""
-    psi = result.psi.copy()
-    K = len(result.atoms)
-    s_eff = float(np.abs(psi).max())
-    pts = result.atoms[:, 0] if result.atoms.shape[1] == 1 else result.atoms
-    lv = _l(pts, x0)
-    if result.atoms.shape[1] == 1:
-        dd = np.abs(pts[:, None] - pts[None, :])
-    else:
-        dd = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-    dmat = np.minimum(dd, lv[:, None] + lv[None, :])
-    np.fill_diagonal(dmat, np.inf)
-    ratios = np.abs(psi[:K, None] - psi[None, :K]) / dmat
-    star_ratios = np.abs(psi[:K] - psi[K]) / lv
-    l_eff = float(max(ratios.max() if K > 1 else 0.0, star_ratios.max()))
-    total = s_eff + l_eff
-    if total > 1.0:
-        psi /= total
-        s_eff /= total
-        l_eff /= total
-    value = float(psi @ result.meta["delta"])
-    return BLResult(value=value, psi=psi, s=s_eff, lip=l_eff,
-                    atoms=result.atoms, solver=result.solver + "+repair",
-                    meta=result.meta)
+def _lp_constraints(edges, weights, K):
+    """The LP's rows A z <= rhs over z = (psi_0..psi_K, s, l) as sparse
+    triplets (rows, cols, vals, rhs), psi_K being the star value.
 
-
-def _solve_dense(obj, edges, weights, K):
-    nv = K + 1  # psi nodes including star
-    n_psi = 2 * nv  # split into psi+ / psi-
-    n = n_psi + 2   # + s, l
-    ne = len(edges)
-    rows = 2 * ne + 2 * nv + 1
-    A = np.zeros((rows, n))
-    b = np.zeros(rows)
-    c = np.zeros(n)
-    c[:nv] = obj
-    c[nv:2 * nv] = -obj
-    r = 0
-    for (u, v), w in zip(edges, weights):
-        A[r, u] = 1.0; A[r, nv + u] = -1.0
-        A[r, v] = -1.0; A[r, nv + v] = 1.0
-        A[r, n_psi + 1] = -w
-        A[r + 1] = -A[r]
-        A[r + 1, n_psi + 1] = -w
-        r += 2
-    for k in range(nv):
-        A[r, k] = 1.0; A[r, nv + k] = -1.0; A[r, n_psi] = -1.0
-        A[r + 1, k] = -1.0; A[r + 1, nv + k] = 1.0; A[r + 1, n_psi] = -1.0
-        r += 2
-    A[r, n_psi] = 1.0
-    A[r, n_psi + 1] = 1.0
-    b[r] = 1.0
-    x, val = _dense_simplex(c, A, b)
-    psi = x[:nv] - x[nv:2 * nv]
-    return psi, float(x[n_psi]), float(x[n_psi + 1]), val
-
-
-def _solve_highs(obj, edges, weights, K):
+    Rows 2e, 2e+1 hold +-(psi_u - psi_v) <= l w_e for edge e = (u, v); rows
+    2ne+2k, 2ne+2k+1 hold +-psi_k <= s; the last row is s + l <= 1.
+    """
     nv = K + 1
-    n = nv + 2  # psi (free), s, l
     ne = len(edges)
-    u, v = edges[:, 0], edges[:, 1]
-    lip_col, s_col, node = np.full(ne, nv + 1), np.full(nv, nv), np.arange(nv)
-    one = np.ones(ne)
-    r = 2 * ne + 2 * nv  # the row of s + l <= 1
-    # rows 2e, 2e+1: +-(psi_u - psi_v) <= l w_e; rows 2ne+2k, 2ne+2k+1: +-psi_k <= s
-    rows = np.concatenate([np.repeat(np.arange(2 * ne), 3),
-                           2 * ne + np.repeat(np.arange(2 * nv), 2), [r, r]])
-    cols = np.concatenate([np.stack([u, v, lip_col, u, v, lip_col], axis=1).ravel(),
-                           np.stack([node, s_col, node, s_col], axis=1).ravel(),
-                           [nv, nv + 1]])
-    vals = np.concatenate([np.stack([one, -one, -weights, -one, one, -weights], axis=1).ravel(),
-                           np.tile([1.0, -1.0, -1.0, -1.0], nv), [1.0, 1.0]])
+    r = 2 * ne + 2 * nv
+    ecols = np.empty((ne, 6), np.intp)
+    ecols[:, 0] = ecols[:, 3] = edges[:, 0]
+    ecols[:, 1] = ecols[:, 4] = edges[:, 1]
+    ecols[:, 2] = ecols[:, 5] = nv + 1
+    evals = np.empty((ne, 6))
+    evals[:] = (1.0, -1.0, 0.0, -1.0, 1.0, 0.0)
+    evals[:, 2] = evals[:, 5] = -weights
+    ncols = np.empty((nv, 4), np.intp)
+    ncols[:, 0] = ncols[:, 2] = np.arange(nv)
+    ncols[:, 1] = ncols[:, 3] = nv
+    rows = np.concatenate([np.arange(6 * ne) // 3, 2 * ne + np.arange(4 * nv) // 2, [r, r]])
+    cols = np.concatenate([ecols.ravel(), ncols.ravel(), [nv, nv + 1]])
+    vals = np.concatenate([evals.ravel(), np.tile([1.0, -1.0, -1.0, -1.0], nv), [1.0, 1.0]])
     rhs = np.zeros(r + 1)
     rhs[r] = 1.0
-    A = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(r + 1, n))
+    return rows, cols, vals, rhs
+
+
+def _solve_dense(obj, lp):
+    """The LP by the dense simplex, each free psi split as psi+ - psi- >= 0."""
+    rows, cols, vals, rhs = lp
+    nv = len(obj)
+    A = np.zeros((len(rhs), nv + 2))
+    A[rows, cols] = vals
+    c = np.concatenate([obj, -obj, [0.0, 0.0]])
+    x, val = _dense_simplex(c, np.hstack([A[:, :nv], -A[:, :nv], A[:, nv:]]), rhs)
+    psi = x[:nv] - x[nv:2 * nv]
+    return psi, float(x[2 * nv]), float(x[2 * nv + 1]), val
+
+
+def _solve_highs(obj, lp):
+    rows, cols, vals, rhs = lp
+    nv = len(obj)
+    n = nv + 2  # psi (free), s, l
+    A = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(len(rhs), n))
     c = np.zeros(n)
     c[:nv] = -obj  # linprog minimizes
     bounds = [(None, None)] * nv + [(0, None), (0, None)]

@@ -32,16 +32,11 @@ class PdeError(RuntimeError):
 
 @dataclass(frozen=True)
 class PdeScheme:
-    """Spatial grid and stepping policy for the splitting solver."""
+    """Spatial grid and time step of the Strang-splitting solver."""
 
     half_width: float = 12.0        # [-L, L], or (0, L] on the half line
     nodes: int = 2048
     dt: Optional[float] = None      # defaults to the diffusive safety bound
-    splitting: str = "strang"       # "strang" | "lie"
-
-    def __post_init__(self):
-        if self.splitting not in ("strang", "lie"):
-            raise PdeError("splitting must be 'strang' or 'lie'")
 
 
 @dataclass
@@ -159,7 +154,6 @@ def solve_rm_pde(model: DiffusionModel, fitness: FitnessFunction,
     out_dens = [u.copy()]
     leak = 0.0
     clips = 0
-    lie = scheme.splitting == "lie"
 
     def react(vec, factor):
         w = vec * factor
@@ -172,7 +166,7 @@ def solve_rm_pde(model: DiffusionModel, fitness: FitnessFunction,
     # Strang: R(dt/2) C R(dt/2) per step, with the two half reactions that
     # meet between steps fused into one full reaction; half steps remain
     # only around stored snapshots and at the final time.
-    pending = full_react if lie else half_react
+    pending = half_react
     for k in range(steps):
         u = react(u, pending)
         before = wq @ u
@@ -193,12 +187,11 @@ def solve_rm_pde(model: DiffusionModel, fitness: FitnessFunction,
                 "enlarge the grid half width")
         u *= before / after
         stored = (k + 1) in snap_steps
-        if not lie:
-            if stored or k + 1 == steps:
-                u = react(u, half_react)
-                pending = half_react
-            else:
-                pending = full_react
+        if stored or k + 1 == steps:
+            u = react(u, half_react)
+            pending = half_react
+        else:
+            pending = full_react
         if stored:
             out_times.append((k + 1) * dt)
             out_dens.append(u.copy())

@@ -10,7 +10,7 @@ never gates anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -68,52 +68,30 @@ def kummer_M_prime(a: float, b: float, z):
 # CIR eigenpairs
 
 
-@dataclass(frozen=True)
-class KummerParams:
-    a: float
-    b: float
-    sigma: float
-    lam: float
-
-    @property
-    def kappa(self):
-        return -self.b
-
-    @property
-    def gamma(self):
-        return np.sqrt(self.kappa ** 2 + 2.0 * self.sigma ** 2)
-
-    @property
-    def lam_max(self):
-        # largest admissible eigenvalue for a positive eigenfunction
-        return self.a * (np.sqrt(self.b ** 2 + 2 * self.sigma ** 2) + self.b) / self.sigma ** 2
-
-    @property
-    def alpha(self):
-        # positive for lam < lam_max; keeps the Kummer factor positive on
-        # the half line (decided by the eigen-residual probe)
-        return (self.lam_max - self.lam) / self.gamma
-
-    @property
-    def beta(self):
-        return 2.0 * self.a / self.sigma ** 2
-
-    @property
-    def z_scale(self):
-        return 2.0 * self.gamma / self.sigma ** 2
-
-
-def cir_eigenpair(a: float, b: float, sigma: float, lam: float) -> Eigenpair:
+def cir_eigenpair(a: float, b: float, sigma: float,
+                  lam: Optional[float] = None) -> Eigenpair:
     """Positive eigenfunction exp(((kappa-gamma)/sigma^2) x) M(alpha, beta, z x)
-    of the CIR generator plus linear decay fitness g(x) = -x."""
+    of the CIR generator plus linear decay fitness g(x) = -x.
+
+    ``lam`` defaults to the largest eigenvalue whose eigenfunction stays
+    positive, lam_max = a (sqrt(b^2 + 2 sigma^2) + b) / sigma^2.
+    """
     if 2.0 * a < sigma * sigma:
         raise ModelError("Feller condition violated")
-    par = KummerParams(a, b, sigma, lam)
-    if lam > par.lam_max + 1e-12:
+    lam_max = a * (np.sqrt(b ** 2 + 2 * sigma ** 2) + b) / sigma ** 2
+    if lam is None:
+        lam = lam_max
+    if lam > lam_max + 1e-12:
         raise SpectralError(
-            f"lambda = {lam:g} exceeds the admissible maximum {par.lam_max:g}")
-    c = (par.kappa - par.gamma) / sigma ** 2
-    alpha, beta, q = par.alpha, par.beta, par.z_scale
+            f"lambda = {lam:g} exceeds the admissible maximum {lam_max:g}")
+    kappa = -b
+    gamma = np.sqrt(kappa ** 2 + 2.0 * sigma ** 2)
+    c = (kappa - gamma) / sigma ** 2
+    # alpha >= 0 for lam <= lam_max keeps the Kummer factor positive on the
+    # half line (decided by the eigen-residual probe)
+    alpha = (lam_max - lam) / gamma
+    beta = 2.0 * a / sigma ** 2
+    q = 2.0 * gamma / sigma ** 2
 
     def phi(x):
         x = np.asarray(x, float)

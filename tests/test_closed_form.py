@@ -282,8 +282,8 @@ class TestAffineEngine:
         x = np.linspace(-4, 4, 501)
         pbar = np.exp(-0.5 * (x[:, None] - A * y[None, :] - r) ** 2 / S) \
             / np.sqrt(2 * np.pi * S)
-        vals = np.exp(-pair.log_phi_at(x)) \
-            * np.trapezoid(np.exp(pair.log_phi_at(y))[None, :] * pbar * u0[None, :],
+        vals = np.exp(-pair.log_phi(x)) \
+            * np.trapezoid(np.exp(pair.log_phi(y))[None, :] * pbar * u0[None, :],
                            y, axis=1)
         vals /= np.trapezoid(vals, x)
         assert np.abs(sol.u(t, x) - vals).max() / vals.max() < 1e-9
@@ -529,11 +529,11 @@ def dense_affine_u(sol, B, b, a, u0, t, x):
     def log_numerator(xx):
         diff = xx[:, None] - A1 * ygrid[None, :] - r1
         log_k = -0.5 * diff * diff / s1 - 0.5 * np.log(2 * np.pi * s1)
-        log_int = log_k + pair.log_phi_at(ygrid)[None, :] \
+        log_int = log_k + pair.log_phi(ygrid)[None, :] \
             + np.log(np.maximum(yvals, 1e-300))[None, :]
         m = log_int.max(axis=1)
         integ = np.trapezoid(np.exp(log_int - m[:, None]), ygrid, axis=1)
-        return m + np.log(integ) - pair.log_phi_at(xx)
+        return m + np.log(integ) - pair.log_phi(xx)
 
     lz = log_numerator(sol.grid)
     mref = lz[np.isfinite(lz)].max()

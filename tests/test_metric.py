@@ -338,6 +338,51 @@ def loop_solve_highs(obj, edges, weights, K):
     return x[:nv], float(x[nv]), float(x[nv + 1]), float(-res.fun)
 
 
+def loop_solve_dense(obj, edges, weights, K):
+    """_solve_dense as it was written with its own Python-loop build of the
+    split (psi+, psi-, s, l) tableau."""
+    nv = K + 1  # psi nodes including star
+    n_psi = 2 * nv  # split into psi+ / psi-
+    n = n_psi + 2   # + s, l
+    ne = len(edges)
+    rows = 2 * ne + 2 * nv + 1
+    A = np.zeros((rows, n))
+    b = np.zeros(rows)
+    c = np.zeros(n)
+    c[:nv] = obj
+    c[nv:2 * nv] = -obj
+    r = 0
+    for (u, v), w in zip(edges, weights):
+        A[r, u] = 1.0; A[r, nv + u] = -1.0
+        A[r, v] = -1.0; A[r, nv + v] = 1.0
+        A[r, n_psi + 1] = -w
+        A[r + 1] = -A[r]
+        A[r + 1, n_psi + 1] = -w
+        r += 2
+    for k in range(nv):
+        A[r, k] = 1.0; A[r, nv + k] = -1.0; A[r, n_psi] = -1.0
+        A[r + 1, k] = -1.0; A[r + 1, nv + k] = 1.0; A[r + 1, n_psi] = -1.0
+        r += 2
+    A[r, n_psi] = 1.0
+    A[r, n_psi + 1] = 1.0
+    b[r] = 1.0
+    x, val = metric_mod._dense_simplex(c, A, b)
+    psi = x[:nv] - x[nv:2 * nv]
+    return psi, float(x[n_psi]), float(x[n_psi + 1]), val
+
+
+def lp_instance(mu, nu):
+    """bl_distance's normalized objective, chain-plus-hub edges and weights
+    for two measures on the line."""
+    atoms, delta = metric_mod._merged_support(mu, nu)
+    k = len(atoms)
+    lv = metric_mod._l(atoms[:, 0])
+    edges, w = metric_mod._edges_1d(atoms[:, 0], lv)
+    edges = np.vstack([edges, np.stack([np.arange(k), np.full(k, k)], axis=1)])
+    obj = np.concatenate([delta, [-delta.sum()]])
+    return obj / np.abs(obj).sum(), edges, np.concatenate([w, lv]), k
+
+
 def unpruned_sups(ensembles, reference, ref_atoms):
     """dqt_estimate's time-sup with every checkpoint's LP solved, as before
     the flow-bound pruning."""
@@ -386,7 +431,7 @@ class TestLpBuild:
             obj /= np.abs(obj).sum()
             with monkeypatch.context() as m:
                 m.setattr(scipy.optimize, "linprog", spy)
-                new = metric_mod._solve_highs(obj, edges, w, k)
+                new = metric_mod._solve_highs(obj, metric_mod._lp_constraints(edges, w, k))
             old = loop_solve_highs(obj, edges, w, k)
             assert np.array_equal(new[0], old[0])
             assert new[1:] == old[1:]
@@ -395,6 +440,77 @@ class TestLpBuild:
             assert np.array_equal(rhs_new, rhs_old)
             for attr in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(A_new, attr), getattr(A_old, attr))
+
+
+    def test_dense_route_matches_loop_build_bit_for_bit(self):
+        # acceptance 7's instances: 10,000 LPs between measures of 1-4 atoms;
+        # the bytes are compared, so the sign of a zero counts too
+        gen = np.random.default_rng(71)
+        solved = 0
+        while solved < 10_000:
+            ms = []
+            for _ in range(3):
+                k = int(gen.integers(1, 5))
+                ms.append(CompactifiedMeasure(gen.uniform(-6, 6, k)[:, None],
+                                              gen.dirichlet(np.ones(k)) * gen.uniform(0.2, 1.0)))
+            for a, b in ((0, 1), (1, 0), (0, 2), (2, 1)):
+                obj, edges, w, k = lp_instance(ms[a], ms[b])
+                new = metric_mod._solve_dense(obj, metric_mod._lp_constraints(edges, w, k))
+                old = loop_solve_dense(obj, edges, w, k)
+                assert new[0].tobytes() == old[0].tobytes()
+                assert np.array(new[1:]).tobytes() == np.array(old[1:]).tobytes()
+                solved += 1
+
+
+def shifted_certificate(solve):
+    """A solver whose certificate is moved by +3: the value is the same
+    (Delta sums to zero with the star), but |psi| now exceeds s <= 1."""
+    def corrupt(*args):
+        psi, s, lip, val = solve(*args)
+        return psi + 3.0, s, lip, val
+    return corrupt
+
+
+class TestSolveRoutes:
+    @staticmethod
+    def pair(k, seed):
+        gen = np.random.default_rng(seed)
+        return (CompactifiedMeasure(gen.uniform(-6, 6, k)[:, None], gen.dirichlet(np.ones(k)) * 0.8),
+                CompactifiedMeasure(gen.uniform(-6, 6, k)[:, None], gen.dirichlet(np.ones(k)) * 0.6))
+
+    def test_failed_dense_certificate_falls_back_to_highs(self, monkeypatch):
+        mu, nu = self.pair(4, 30)
+        monkeypatch.setattr(metric_mod, "DENSE_SIMPLEX_MAX_ATOMS", 0)
+        plain = bl_distance(mu, nu)
+        assert plain.solver == "highs"
+        monkeypatch.undo()
+        monkeypatch.setattr(metric_mod, "_solve_dense", shifted_certificate(metric_mod._solve_dense))
+        r = bl_distance(mu, nu)
+        assert r.solver == "highs-fallback"
+        assert r.value == plain.value
+        assert np.array_equal(r.psi, plain.psi)
+        assert check_certificate(r) <= 1e-10
+
+    def test_no_certified_route_raises(self, monkeypatch):
+        small, large = self.pair(4, 31), self.pair(40, 32)
+        monkeypatch.setattr(metric_mod, "_solve_dense", shifted_certificate(metric_mod._solve_dense))
+        monkeypatch.setattr(metric_mod, "_solve_highs", shifted_certificate(metric_mod._solve_highs))
+        for mu, nu in (small, large):
+            with pytest.raises(metric_mod.LPError, match="no certificate"):
+                bl_distance(mu, nu)
+
+    def test_chaos_exits_numeric_failure_without_a_certificate(self, tmp_path, monkeypatch):
+        import json
+        from repmut.cli import EXIT_NUMERIC, main
+        cfg = {"scenario": "linear-bm", "horizon": 0.5,
+               "particles": {"N": [20, 40, 80], "reps": 2, "q": 2.0},
+               "metric": {"checkpoints": 3, "ref_atoms": 128},
+               "steps_per_unit": 100, "seed": 7}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        monkeypatch.setattr(metric_mod, "_solve_highs", shifted_certificate(metric_mod._solve_highs))
+        assert main(["chaos", "--config", str(path), "--out", str(tmp_path / "out")]) \
+            == EXIT_NUMERIC
 
 
 class TestCertificateSweep:

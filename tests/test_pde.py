@@ -156,14 +156,6 @@ class TestRefinement:
             solve_rm_pde(sc.model, sc.fitness, u0, T=0.5,
                          scheme=PdeScheme(half_width=12.0, nodes=512, dt=0.01))
 
-    def test_lie_splitting_available(self):
-        sc = linear_bm_scenario()
-        u0 = gaussian_grid_density(1.0, 12.0, 512)
-        traj = solve_rm_pde(sc.model, sc.fitness, u0, T=0.25,
-                            scheme=PdeScheme(half_width=12.0, nodes=512,
-                                             splitting="lie"))
-        assert abs(np.trapezoid(traj.density(0.25).values, traj.grid) - 1) < 1e-9
-
 
 class TestSummary:
     def test_summary_json(self, tmp_path, zero_fitness):
@@ -198,7 +190,6 @@ def reference_solve(model, fitness, u0, T, scheme, store_times):
     u = u / np.trapezoid(u, x)
     gvals = np.asarray(fitness.g(x), float)
     half_react = np.exp(0.5 * dt * (gvals - gvals.max()))
-    full_react = half_react * half_react
 
     M = x.size
     D = model.diffusion(x[:, None])[:, 0, 0] ** 2 / 2.0
@@ -231,10 +222,9 @@ def reference_solve(model, fitness, u0, T, scheme, store_times):
 
     snap = np.unique(np.clip(np.round(np.asarray(store_times) / dt).astype(int),
                              0, steps))
-    lie = scheme.splitting == "lie"
     times, dens, clips = [0.0], [u.copy()], 0
     for k in range(steps):
-        u = react(u, full_react if lie else half_react)
+        u = react(u, half_react)
         before = np.trapezoid(u, x)
         u = scipy.linalg.solve_banded((1, 1), ab, explicit(u))
         neg = u < 0
@@ -245,8 +235,7 @@ def reference_solve(model, fitness, u0, T, scheme, store_times):
         after = np.trapezoid(u, x)
         assert abs(before - after) <= TOL["pde_mass_leak"]
         u = u / after * before
-        if not lie:
-            u = react(u, half_react)
+        u = react(u, half_react)
         if (k + 1) in snap:
             times.append((k + 1) * dt)
             dens.append(u.copy())
@@ -257,14 +246,13 @@ class TestAgainstReference:
     """The factored, fused solver reproduces the step-by-step one to
     roundoff: same steps, store times and clip count."""
 
-    @pytest.mark.parametrize("splitting", ["strang", "lie"])
     @pytest.mark.parametrize("scenario,T,half_width", [
         (cir_linear_scenario, 0.015, 14.0),
         (linear_bm_scenario, 0.1, 12.0),
     ])
-    def test_matches_reference(self, scenario, T, half_width, splitting):
+    def test_matches_reference(self, scenario, T, half_width):
         sc = scenario()
-        scheme = PdeScheme(half_width=half_width, nodes=2048, splitting=splitting)
+        scheme = PdeScheme(half_width=half_width, nodes=2048)
         if sc.model.domain.kind == "half-line":
             x = (np.arange(2048) + 0.5) * half_width / 2048
         else:
