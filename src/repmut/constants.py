@@ -28,7 +28,7 @@ TOL = {
     "bl_small_exact": 1e-9,             # dense simplex vs closed forms
     "bl_symmetry": 1e-10,
     "bl_triangle_slack": 1e-9,
-    "lp_certificate_feasibility": 1e-9,
+    "lp_certificate_feasibility": 1e-10,  # bl_distance's certificate gate
     # PDE oracle
     "pde_mass_leak": 1e-4,
     "pde_step_normalization": 1e-9,

@@ -289,7 +289,8 @@ def bl_distance(mu: CompactifiedMeasure, nu: CompactifiedMeasure,
 
     Returns the optimum with a certifying test function on the merged
     support (star value last).  The certificate satisfies every pairwise
-    Lipschitz constraint and the norm budget to 1e-10; a solve whose
+    Lipschitz constraint and the norm budget to
+    ``TOL["lp_certificate_feasibility"]`` (1e-10); a solve whose
     certificate fails that check falls through to the next route, and
     ``LPError`` is raised when no route is left.
     """
@@ -332,11 +333,11 @@ def bl_distance(mu: CompactifiedMeasure, nu: CompactifiedMeasure,
         result = BLResult(value=val * scale, psi=psi, s=s, lip=lip, atoms=atoms,
                           solver=solver, meta={"delta": obj, "x0": x0})
         viol = check_certificate(result, x0)
-        if viol <= 1e-10:
+        if viol <= TOL["lp_certificate_feasibility"]:
             return result
         failed.append(f"{solver} {viol:.2e}")
-    raise LPError(f"no certificate within 1e-10 of feasible on {K} atoms "
-                  f"(violations: {', '.join(failed)})")
+    raise LPError(f"no certificate within {TOL['lp_certificate_feasibility']:g} of feasible "
+                  f"on {K} atoms (violations: {', '.join(failed)})")
 
 
 def bl_flow_bound(mu: CompactifiedMeasure, nu: CompactifiedMeasure,

@@ -4,15 +4,21 @@ Everything here is immutable after construction.  Validation is probe-based:
 Lipschitz and bound checks are evaluated on sampled points and reported,
 never proven.  Hard failures are reserved for conditions that make the
 downstream simulation meaningless (Feller violation, singular diffusion).
+
+The probe points are a Halton sequence with Owen's random digit
+permutations (A. B. Owen, "A randomized Halton algorithm in R",
+arXiv:1706.02808, 2017), written here in numpy: ``halton`` reproduces
+SciPy's ``qmc.Halton(d, scramble=True, seed=seed).random(n)`` bit for bit,
+so the package never loads SciPy's statistics module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import rng
 
@@ -67,13 +73,43 @@ class DomainSpec:
         return np.full(self.dim, -w), np.full(self.dim, w)
 
 
+def halton(d: int, n: int, seed: int = 0) -> np.ndarray:
+    """First n points of the Owen-scrambled Halton sequence in [0, 1)^d.
+
+    Axis i is the van der Corput sequence in the i-th prime b.  Each of its
+    ceil(54 / log2 b) - 1 digits, the ones a double resolves, goes through
+    its own random permutation of range(b); the permutations are shuffles
+    by one ``np.random.default_rng(seed)``, axis by axis.  The digits are
+    summed in SciPy's order, so the points equal
+    ``qmc.Halton(d, scramble=True, seed=seed).random(n)``.
+    """
+    gen = np.random.default_rng(seed)
+    primes = []
+    while len(primes) < d:
+        b = primes[-1] + 1 if primes else 2
+        while any(b % p == 0 for p in primes):
+            b += 1
+        primes.append(b)
+    out = np.zeros((n, d))
+    for axis, b in enumerate(primes):
+        perms = np.repeat(np.arange(b)[None], math.ceil(54 / math.log2(b)) - 1, axis=0)
+        for perm in perms:
+            gen.shuffle(perm)
+        k, b2r = np.arange(n), 1.0 / b
+        for perm in perms:
+            out[:, axis] += perm[k % b] * b2r
+            k //= b
+            b2r /= b
+    return out
+
+
 def probe_points(domain: DomainSpec, count: int, seed: int = 0,
                  box: Optional[tuple] = None) -> np.ndarray:
-    """Quasi-random (Halton) probe points inside the domain's probe box."""
+    """Quasi-random probe points inside the domain's probe box: the
+    Owen-scrambled Halton points of ``halton`` (Owen, arXiv:1706.02808),
+    mapped affinely onto the box."""
     lo, hi = domain.probe_box() if box is None else (np.asarray(box[0], float), np.asarray(box[1], float))
-    sampler = qmc.Halton(d=domain.dim, scramble=True, seed=seed)
-    u = sampler.random(count)
-    return lo + u * (hi - lo)
+    return lo + halton(domain.dim, count, seed) * (hi - lo)
 
 
 # ---------------------------------------------------------------------------

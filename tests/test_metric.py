@@ -499,6 +499,13 @@ class TestSolveRoutes:
             with pytest.raises(metric_mod.LPError, match="no certificate"):
                 bl_distance(mu, nu)
 
+    def test_gate_reads_the_tolerance_table(self, monkeypatch):
+        # no violation is negative, so a negative gate certifies nothing
+        monkeypatch.setitem(metric_mod.TOL, "lp_certificate_feasibility", -1.0)
+        for mu, nu in (self.pair(4, 33), self.pair(40, 34)):
+            with pytest.raises(metric_mod.LPError, match="no certificate within -1 "):
+                bl_distance(mu, nu)
+
     def test_chaos_exits_numeric_failure_without_a_certificate(self, tmp_path, monkeypatch):
         import json
         from repmut.cli import EXIT_NUMERIC, main

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repmut.model import (DomainSpec, FitnessFunction, InitialLaw, ModelError,
-                          check_fitness_bound, check_fitness_modulus,
+                          check_fitness_bound, check_fitness_modulus, halton,
                           probe_points, sample_initial, validate_model)
 from repmut.scenarios import bm_model, cir_model, gamma_like_law, linear_fitness, ou_model
 
@@ -138,3 +138,27 @@ class TestInitialLawInvariants:
         dom = bm_model().domain
         pts = probe_points(dom, 1000, seed=1, box=fit.bound_region)
         assert (fit.g(pts[:, 0]) <= fit.g_max + 1e-12).all()
+
+
+class TestHalton:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bit_equal_to_scipy_scrambled_halton(self, d, seed):
+        from scipy.stats import qmc
+        for n in [*range(60), 64, 128, 256, 999, 1000, 4096]:
+            ref = qmc.Halton(d=d, scramble=True, seed=seed).random(n)
+            got = halton(d, n, seed)
+            assert got.shape == ref.shape == (n, d)
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), n
+
+    def test_pinned_stream(self):
+        # fixed independently of scipy, so the package's probe points stay put
+        assert halton(1, 8, 0)[:, 0].tolist() == [
+            0.0991217798843752, 0.5991217798843752, 0.3491217798843752, 0.8491217798843752,
+            0.2241217798843752, 0.7241217798843752, 0.4741217798843752, 0.9741217798843752]
+        assert halton(2, 5, 7).tolist() == [
+            [0.10224233015287731, 0.9346983862017634],
+            [0.6022423301528773, 0.2680317195350967],
+            [0.3522423301528773, 0.6013650528684301],
+            [0.8522423301528773, 0.7124761639795413],
+            [0.22724233015287731, 0.045809497312874536]]

@@ -1,6 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import repmut
@@ -39,3 +42,17 @@ def test_guard_sees_a_helper_left_behind(tmp_path):
         "def public():\n    return _used()\n")
     (tmp_path / "b.py").write_text("from . import a\n\nVALUE = a._used\n")
     assert unreferenced_private_helpers(tmp_path) == ["a.py:_left", "a.py:_Gone"]
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats costs about half a second of every command's start-up
+    code = "import sys, repmut.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
+def test_no_module_names_scipy_stats():
+    assert [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if "scipy.stats" in path.read_text()] == []
