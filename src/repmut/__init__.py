@@ -4,8 +4,7 @@ from .model import (DiffusionModel, DomainSpec, FitnessFunction, InitialLaw,
                     check_fitness_bound, check_fitness_modulus, sample_initial,
                     validate_model)
 from .sde import PathBundle, TiltedDrift, TimeGrid, accumulate_log_weight, simulate
-from .numerics import (GaussianMoments, GridDensity, covariance_integral,
-                       integrate, kde, matrix_exp)
+from .numerics import GaussianMoments, GridDensity, covariance_integral, kde, matrix_exp
 from .closed_form import (ConstantCondition, Eigenpair, Solution, affine_engine,
                           detect_constant_condition, eigenpair_residual,
                           linear_engine, solve_linear_v, solve_riccati,

@@ -74,8 +74,18 @@ def _int_at_least(lo: int):
 
 
 _POSITIVE = (lambda v: type(v) in (int, float) and 0 < v < np.inf, "a finite number > 0")
-# dotted config key -> (accepts the value, what the value must be)
+_OBJECT = (lambda v: type(v) is dict, "an object")
+_OBJECT_OR_NULL = (lambda v: v is None or type(v) is dict, "an object")
+# dotted config key -> (accepts the value, what the value must be); a section
+# precedes its keys
 CONFIG_RULES = {
+    "scenario": (lambda v: v is None or type(v) is str, "a scenario name"),
+    "model": _OBJECT_OR_NULL,
+    "fitness": _OBJECT_OR_NULL,
+    "initial": _OBJECT_OR_NULL,
+    "output": (lambda v: type(v) is str, "a path"),
+    "particles": _OBJECT,
+    "metric": _OBJECT,
     "horizon": _POSITIVE,
     "seed": (lambda v: type(v) is int, "an integer"),
     "steps_per_unit": (_int_at_least(1), "an integer >= 1"),

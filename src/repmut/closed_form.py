@@ -10,8 +10,9 @@ Three routes to the same normalized density flow:
 * ``affine_engine`` -- affine drift, constant diffusion, concave quadratic
   fitness; an exponential-quadratic eigenfunction turns the weighted
   expectation into a Gaussian transition density.  Its degenerate case
-  B = 0, G = 0 has no such eigenfunction and runs the linear engine's
-  kernel quadrature.
+  B = 0, G = 0 (arithmetic BM with linear fitness) has no such
+  eigenfunction and is the linear engine's case, so it returns
+  ``linear_engine``'s solution.
 * ``tilted_engine`` -- any model with a supplied positive eigenpair whose
   residual on that model is small (``affine_eigenpair`` for affine models,
   ``spectral.cir_eigenpair`` for CIR); the eigen-tilted SDE is simulated
@@ -232,8 +233,7 @@ def linear_engine(model: DiffusionModel, fitness: FitnessFunction,
     else:
         c = np.linalg.solve(sig.T, cond.C2)  # grad g = sigma^{-T} C2^T
     if u0.kind != "gaussian":
-        return _kernel_quadrature("linear-quadrature", u0, u0, fitness, b, a, c, horizon,
-                                  grid_size)
+        return _kernel_quadrature(u0, fitness, b, a, c, horizon, grid_size)
     m0, S0 = u0.params["mean"], u0.params["cov"]
     g0 = float(np.asarray(fitness.g(np.zeros((1, n)))).reshape(-1)[0])  # g(0)
 
@@ -260,29 +260,28 @@ def linear_engine(model: DiffusionModel, fitness: FitnessFunction,
                     u=u, mass=mass, grid=grid)
 
 
-def _kernel_quadrature(engine: str, u0: InitialLaw, law: InitialLaw,
-                       fitness: FitnessFunction, b, a, c, horizon: float,
-                       grid_size: int) -> Solution:
+def _kernel_quadrature(u0: InitialLaw, fitness: FitnessFunction, b, a, c,
+                       horizon: float, grid_size: int) -> Solution:
     """1D kernel route for constant (b, a = sigma sigma^T) and linear fitness
-    with gradient c: e^{t g(x)} times ``law`` convolved with the Gaussian
-    kernel of mean b t - a c t^2 / 2 and variance a t, normalized on a grid.
+    with gradient c: e^{t g(x)} times u0 convolved with the Gaussian kernel
+    of mean b t - a c t^2 / 2 and variance a t, normalized on a grid.
 
-    ``law`` holds the quadrature nodes: a grid density (trapezoid rule) or
-    atoms.  The solution returns u0 at t <= 0, and h_0 = 1.
+    u0's own nodes are the quadrature nodes: a grid density (trapezoid rule)
+    or atoms.  The solution returns u0 at t <= 0, and h_0 = 1.
     """
     if a.shape[0] != 1:
         raise RejectedCondition("non-Gaussian initial data supported in 1D only")
-    if law.kind == "grid-density":  # trapezoid rule on the law's grid
-        nodes = law.params["x"]
-        wts = trapezoid_weights(nodes) * law.params["values"]
+    if u0.kind == "grid-density":  # trapezoid rule on the law's grid
+        nodes = u0.params["x"]
+        wts = trapezoid_weights(nodes) * u0.params["values"]
         lo, hi = nodes.min(), nodes.max()
-    elif law.kind == "point-cloud":
-        nodes, wts = law.params["points"][:, 0], law.params["weights"]
+    elif u0.kind == "point-cloud":
+        nodes, wts = u0.params["points"][:, 0], u0.params["weights"]
         span = max(nodes.max() - nodes.min(), 1.0)
         lo, hi = nodes.min() - 8 - span, nodes.max() + 8 + span
     else:
         raise RejectedCondition(f"kernel quadrature needs a grid-density or "
-                                f"point-cloud law, not {law.kind}")
+                                f"point-cloud law, not {u0.kind}")
 
     a1 = float(a[0, 0])
     sd_T = np.sqrt(a1 * horizon + 1.0)
@@ -305,7 +304,7 @@ def _kernel_quadrature(engine: str, u0: InitialLaw, law: InitialLaw,
         ey = float(np.exp(t * np.asarray(fitness.g(nodes), float)) @ wts)
         return float(np.exp(float(c @ b) * t * t / 2.0 + float(c @ a @ c) * t ** 3 / 6.0) * ey)
 
-    return Solution(engine=engine, horizon=horizon, shift=fitness.g_max,
+    return Solution(engine="linear-quadrature", horizon=horizon, shift=fitness.g_max,
                     u=u, mass=mass, grid=grid)
 
 
@@ -450,11 +449,10 @@ def affine_engine(model: DiffusionModel, fitness: FitnessFunction,
     """Eigenfunction-tilted Gaussian solution for affine models with
     fitness -(alpha + delta^T x + x^T G x).
 
-    When the linear eigenpair system is singular (B = 0, G = 0: plain
-    constant-coefficient model with linear fitness, which admits no
-    exponential-quadratic eigenfunction) the engine runs the linear engine's
-    kernel quadrature, a Gaussian u0 tabulated on 4096 nodes over
-    m0 +- (12 s0 + 1).
+    B = 0, G = 0 (constant-coefficient model with linear fitness) admits no
+    exponential-quadratic eigenfunction: that case is the linear engine's,
+    and the engine returns ``linear_engine`` on the model restated as
+    arithmetic BM with the same b and sigma.
     """
     model, alpha, delta, G = affine_form(model, fitness)
     b, B, sig = model.params["b"], model.params["B"], model.params["sigma"]
@@ -462,14 +460,9 @@ def affine_engine(model: DiffusionModel, fitness: FitnessFunction,
     n = model.dim
 
     if not G.any() and not B.any():
-        law = u0
-        if u0.kind == "gaussian" and n == 1:
-            m0 = float(u0.params["mean"][0])
-            s0 = float(np.sqrt(u0.params["cov"][0, 0]))
-            ygrid = np.linspace(m0 - 12 * s0 - 1, m0 + 12 * s0 + 1, 4096)
-            law = InitialLaw("grid-density", {"x": ygrid, "values": u0.density(ygrid)})
-        return _kernel_quadrature("affine-c2-fallback", u0, law, fitness, b, a, -delta,
-                                  horizon, grid_size)
+        bm = DiffusionModel(domain=model.domain, kind="arithmetic-bm",
+                            params={"b": b, "sigma": sig})
+        return linear_engine(bm, fitness, u0, horizon, grid_size)
     pair, H, v = affine_eigenpair(model, alpha, delta, G)
     Gamma = B - 2 * a @ H
     beta = b - a @ v

@@ -4,7 +4,7 @@ matrix exponentials and covariance integrals."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -98,13 +98,6 @@ class GaussianMoments:
 # quadrature
 
 
-def integrate_trapezoid(values: np.ndarray, x: np.ndarray) -> float:
-    values = np.asarray(values, float)
-    if not np.isfinite(values).all():
-        raise NumericsError("non-finite integrand")
-    return float(np.trapezoid(values, x))
-
-
 def trapezoid_weights(x: np.ndarray) -> np.ndarray:
     """Weights w such that w @ f is the trapezoid integral of f over x."""
     half = 0.5 * np.diff(x)
@@ -136,26 +129,6 @@ def _gauss_kernel_sum(x, y, w, A=1.0, r=0.0, s=1.0, log_w=None) -> np.ndarray:
             blk -= peak[:, None]
             out[rows] = peak + np.log(np.exp(blk, out=blk) @ w)
     return out
-
-
-def integrate_gauss_hermite(f: Callable, order: int = 64,
-                            mean: float = 0.0, sd: float = 1.0) -> float:
-    """Integral of f against the N(mean, sd^2) density."""
-    nodes, weights = np.polynomial.hermite_e.hermegauss(order)
-    vals = f(mean + sd * nodes)
-    if not np.isfinite(vals).all():
-        raise NumericsError("non-finite integrand at quadrature nodes")
-    return float(np.sum(weights * vals) / np.sqrt(2.0 * np.pi))
-
-
-def integrate(f, rule) -> float:
-    """Dispatching front end: ``rule`` is a grid array or a GH options dict."""
-    if isinstance(rule, dict):
-        return integrate_gauss_hermite(f, rule.get("order", 64),
-                                       rule.get("mean", 0.0), rule.get("sd", 1.0))
-    x = np.asarray(rule, float)
-    vals = f(x) if callable(f) else np.asarray(f, float)
-    return integrate_trapezoid(vals, x)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import numpy as np
 from .constants import DEFAULT_CHECKPOINTS
 from .model import DiffusionModel, FitnessFunction, InitialLaw, sample_initial
 from .numerics import stored_index
+from .report import atomic_open
 from .sde import PathBundle, TimeGrid, simulate
 
 
@@ -41,14 +42,15 @@ class WeightedParticleEnsemble:
 
     def to_csv(self, path):
         """Rows (particle, t, x0.., logw), particle-major, in np.savetxt's
-        "%.18e" format, written CSV_CHUNK_ROWS rows at a time."""
+        "%.18e" format, written CSV_CHUNK_ROWS rows at a time to a temporary
+        file that replaces ``path`` once complete."""
         n, s, d = self.positions.shape
         table = np.concatenate([np.repeat(np.arange(n, dtype=float), s)[:, None],
                                 np.tile(self.times, n)[:, None],
                                 self.positions.reshape(n * s, d),
                                 self.logw.reshape(n * s, 1)], axis=1)
         line = ",".join(["%.18e"] * (d + 3)) + "\n"
-        with open(path, "w") as fh:
+        with atomic_open(path) as fh:
             fh.write("particle,t," + ",".join(f"x{k}" for k in range(d)) + ",logw\n")
             for lo in range(0, n * s, CSV_CHUNK_ROWS):
                 chunk = table[lo:lo + CSV_CHUNK_ROWS]

@@ -14,6 +14,7 @@ zero-flux wall at the origin.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -24,6 +25,7 @@ import scipy.linalg.lapack
 from .constants import TOL
 from .model import DiffusionModel, FitnessFunction
 from .numerics import GridDensity, stored_index, trapezoid_weights
+from .report import atomic_write_text
 
 
 class PdeError(RuntimeError):
@@ -63,9 +65,7 @@ class PdeTrajectory:
         }
 
     def summary_json(self, path):
-        import json
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
+        atomic_write_text(path, json.dumps(self.summary(), indent=2, sort_keys=True))
 
 
 def _build_grid(model: DiffusionModel, scheme: PdeScheme):

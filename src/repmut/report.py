@@ -9,6 +9,7 @@ CSV schemas (versioned; see README):
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
 
@@ -17,17 +18,26 @@ import numpy as np
 CSV_SCHEMA_VERSION = 1
 
 
-def atomic_write_text(path, text: str):
+@contextlib.contextmanager
+def atomic_open(path):
+    """A text handle on a temporary file beside ``path``, which replaces
+    ``path`` when the block ends; if the block raises, ``path`` is left as it
+    was and the temporary file is removed."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def atomic_write_text(path, text: str):
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def write_csv(path, header: str, rows):

@@ -94,13 +94,17 @@ class TestConfig:
         ("particles.n_kde", "abc"), ("particles.n_kde", True), ("particles.q", -1),
         ("particles.q", 0), ("particles.q", "x"), ("particles.q", float("nan")),
         ("metric.ref_atoms", 0), ("metric.ref_atoms", None), ("engines", ["lineer"]),
-        ("engines", "linear")])
+        ("engines", "linear"), ("particles", "abc"), ("metric", [1]), ("model", 5),
+        ("fitness", [1]), ("initial", "gaussian"), ("scenario", ["linear-bm"]),
+        ("output", 5)])
     def test_bad_particles_metric_or_engines_exits_config_error(self, tmp_path, capsys,
                                                                key, value):
         section, _, sub = key.partition(".")
         if sub:
             path, cfg = write_cfg(tmp_path)
             path, _ = write_cfg(tmp_path, **{section: {**cfg[section], sub: value}})
+        elif key in OU_QUADRATIC:  # the custom model sections, without a scenario
+            path, _ = write_cfg(tmp_path, **{**OU_QUADRATIC, key: value})
         else:
             path, _ = write_cfg(tmp_path, **{key: value})
         for command in ("manifest", "solve", "chaos"):

@@ -289,14 +289,41 @@ class TestAffineEngine:
         assert np.abs(sol.u(t, x) - vals).max() / vals.max() < 1e-9
 
     def test_degenerate_bm_falls_back(self):
+        # B = 0, G = 0 is the linear engine's case: the same solution, bit for bit
         sc = linear_bm_scenario()
         sol = affine_engine(sc.model, sc.fitness, sc.initial_law)
-        assert sol.engine == "affine-c2-fallback"
         ana = linear_engine(sc.model, sc.fitness, sc.initial_law)
+        assert sol.engine == "linear-analytic"
+        assert sol.grid.tolist() == ana.grid.tolist()
         x = np.linspace(-4, 7, 801)
-        l1 = np.trapezoid(np.abs(sol.u(1.0, x) - ana.u(1.0, x)), x)
-        assert l1 < 5e-4
-        assert sol.mass(1.0) == pytest.approx(ana.mass(1.0), rel=1e-6)
+        for t in (0.0, 0.3, 1.0):
+            assert sol.u(t, x).tolist() == ana.u(t, x).tolist()
+            assert sol.mass(t) == ana.mass(t)
+
+    def test_degenerate_bm_2d_gaussian(self):
+        # N(m0, S0) under b + sigma W and g = c.x - alpha stays Gaussian:
+        # V = S0 + a t, mean m0 + b t - a c t^2 / 2 + t V c, and
+        # h(t) = exp(-alpha t + t c.m0 + t^2 (c.S0 c + c.b) / 2 + t^3 c.a c / 6)
+        b, sig = np.array([0.1, -0.2]), np.array([[1.0, 0.0], [0.3, 0.8]])
+        m0, S0 = np.array([0.2, -0.1]), np.array([[0.5, 0.1], [0.1, 0.4]])
+        alpha, c = 0.3, np.array([1.0, -0.5])
+        fit = affine_quadratic_fitness(alpha, -c, np.zeros((2, 2)), g_max=5.0)
+        law = InitialLaw("gaussian", {"mean": m0, "cov": S0})
+        a = sig @ sig.T
+        for model in (bm_model(b, sig, n=2), affine_model(b, np.zeros((2, 2)), sig)):
+            sol = affine_engine(model, fit, law)
+            assert sol.engine == "linear-analytic"
+            x = np.random.default_rng(4).normal(0.0, 1.5, (50, 2))
+            for t in (0.25, 1.0):
+                V = S0 + a * t
+                d = x - (m0 + b * t - a @ c * t * t / 2 + t * V @ c)
+                q = np.einsum("pi,ij,pj->p", d, np.linalg.inv(V), d)
+                want = np.exp(-0.5 * q) / (2 * np.pi * np.sqrt(np.linalg.det(V)))
+                assert np.abs(sol.u(t, x) - want).max() <= 1e-12 * want.max()
+                h = np.exp(-alpha * t + t * c @ m0 + t * t * (c @ S0 @ c + c @ b) / 2
+                           + t ** 3 * (c @ a @ c) / 6)
+                assert sol.mass(t) == pytest.approx(h, rel=1e-12)
+            assert sol.mass(0.0) == 1.0
 
     def test_mixture_law_rejected_by_both_kernel_routes(self):
         sc = linear_bm_scenario()
@@ -551,16 +578,26 @@ class TestBlockedKernelQuadrature:
     def assert_close(got, want):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    @staticmethod
+    def assert_same_solution(sol, ref, cases):
+        for t, x in cases:
+            assert sol.u(t, x).tolist() == ref.u(t, x).tolist()
+            assert sol.mass(t) == ref.mass(t)
+
     def test_fallback_gaussian_law(self):
-        # the B = 0, G = 0 affine case runs the linear kernel quadrature on
-        # the Gaussian law tabulated over +-(12 s0 + 1)
+        # the B = 0, G = 0 affine case is linear_engine's analytic Gaussian,
+        # which the dense quadrature of the law tabulated on 4096 nodes over
+        # +-13 matches
         sc = linear_bm_scenario()
         sol = affine_engine(sc.model, sc.fitness, sc.initial_law, horizon=0.5)
-        assert sol.engine == "affine-c2-fallback"
-        ygrid = np.linspace(-13.0, 13.0, 4096)  # the engine's nodes for N(0, 1)
+        ref = linear_engine(sc.model, sc.fitness, sc.initial_law, horizon=0.5)
+        assert sol.engine == "linear-analytic"
+        cases = ((0.0, self.xs), (0.05, self.xs), (0.5, sol.grid), (0.5, self.xs))
+        self.assert_same_solution(sol, ref, cases)
+        ygrid = np.linspace(-13.0, 13.0, 4096)
         table = InitialLaw("grid-density", {"x": ygrid,
                                             "values": sc.initial_law.density(ygrid)})
-        for t, x in ((0.05, self.xs), (0.5, sol.grid), (0.5, self.xs)):
+        for t, x in cases[1:]:
             self.assert_close(sol.u(t, x), dense_linear_u(sol, sc.model, sc.fitness,
                                                           table, t, x))
         assert sol.u(0.0, self.xs).tolist() == sc.initial_law.density(self.xs).tolist()
@@ -572,8 +609,12 @@ class TestBlockedKernelQuadrature:
                                           / np.sqrt(2 * np.pi)})
         sc = linear_bm_scenario()
         sol = affine_engine(sc.model, sc.fitness, law, horizon=0.5)
-        assert sol.engine == "affine-c2-fallback"
-        for t, x in ((0.1, sol.grid), (0.5, self.xs)):
+        ref = linear_engine(sc.model, sc.fitness, law, horizon=0.5)
+        assert sol.engine == "linear-quadrature"
+        assert sol.grid.tolist() == ref.grid.tolist()
+        cases = ((0.0, self.xs), (0.1, sol.grid), (0.5, self.xs))
+        self.assert_same_solution(sol, ref, cases)
+        for t, x in cases[1:]:
             self.assert_close(sol.u(t, x), dense_linear_u(sol, sc.model, sc.fitness,
                                                           law, t, x))
 

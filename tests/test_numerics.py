@@ -4,37 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from repmut.numerics import (GaussianMoments, GridDensity, NumericsError,
                              _gauss_kernel_sum, covariance_integral, expm_integral,
-                             integrate, integrate_gauss_hermite,
-                             integrate_trapezoid, kde, matrix_exp,
-                             silverman_bandwidth, trapezoid_weights)
+                             kde, matrix_exp, silverman_bandwidth, trapezoid_weights)
 
 
 class TestIntegrate:
-    def test_constant_on_unit_grid_exact(self):
-        x = np.linspace(0, 1, 101)
-        assert integrate_trapezoid(np.ones_like(x), x) == 1.0
-
-    def test_gauss_hermite_second_moment(self):
-        val = integrate_gauss_hermite(lambda x: x ** 2, order=64)
-        assert val == pytest.approx(1.0, abs=1e-12)
-
-    def test_gaussian_integral_oracle(self):
-        x = np.linspace(-8, 8, 2 ** 12)
-        val = integrate_trapezoid(np.exp(-x ** 2), x)
-        assert val == pytest.approx(np.sqrt(np.pi), abs=1e-10)
-
-    def test_nan_aborts(self):
-        x = np.linspace(0, 1, 11)
-        vals = np.ones_like(x)
-        vals[3] = np.nan
-        with pytest.raises(NumericsError):
-            integrate_trapezoid(vals, x)
-
-    def test_dispatch(self):
-        assert integrate(lambda x: x ** 2, {"order": 32}) == pytest.approx(1.0)
-        x = np.linspace(0, 2, 21)
-        assert integrate(lambda t: np.ones_like(t), x) == pytest.approx(2.0)
-
     def test_trapezoid_weights_match_trapezoid(self):
         x = np.sort(np.random.default_rng(2).uniform(-3, 5, 257))
         f = np.sin(x) + x * x

@@ -223,3 +223,18 @@ class TestEnsembleCsv:
         ens.to_csv(tmp_path / "new.csv")
         savetxt_ensemble_csv(ens, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        # the last row cannot be formatted, so the write raises after the
+        # header and the first 2-row chunks have gone out
+        import repmut.particle
+        from repmut.particle import WeightedParticleEnsemble
+        monkeypatch.setattr(repmut.particle, "CSV_CHUNK_ROWS", 2)
+        logw = np.zeros((5, 2), dtype=object)
+        logw[4, 1] = "not a number"
+        ens = WeightedParticleEnsemble(times=np.array([0.0, 1.0]),
+                                       positions=np.zeros((5, 2, 1)), logw=logw,
+                                       shift=0.0, seed=0)
+        with pytest.raises(TypeError):
+            ens.to_csv(tmp_path / "ensemble.csv")
+        assert list(tmp_path.iterdir()) == []

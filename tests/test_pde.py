@@ -171,6 +171,18 @@ class TestSummary:
         assert set(data) >= {"mass_leak", "steps", "runtime_s"}
         assert data["steps"] == traj.steps
 
+    def test_failed_write_leaves_no_file(self, tmp_path, zero_fitness):
+        m = bm_model(0.0, 1.0)
+        x = np.linspace(-8, 8, 256)
+        u0 = GridDensity(x, np.exp(-0.5 * x ** 2)).normalize()
+        traj = solve_rm_pde(m, zero_fitness, u0, T=0.05,
+                            scheme=PdeScheme(half_width=8.0, nodes=256))
+        # "a" serializes, then the object after it raises
+        traj.summary = lambda: {"a": 1.0, "b": object()}
+        with pytest.raises(TypeError):
+            traj.summary_json(tmp_path / "pde_summary.json")
+        assert list(tmp_path.iterdir()) == []
+
 
 def reference_solve(model, fitness, u0, T, scheme, store_times):
     """The solver as first written: per-node flux assembly, a banded solve
