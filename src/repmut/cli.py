@@ -333,6 +333,9 @@ def _write_masses(path: str, times, analytic, particle) -> None:
 
 def cmd_solve(cfg: dict, out: str, seed, threads: int) -> int:
     sc = build_scenario(cfg)
+    if sc.model.dim != 1:
+        raise ConfigError(f"solve exports 1-D densities; the model has dimension "
+                          f"{sc.model.dim}")
     manifest = _new_manifest(cfg, seed)
     os.makedirs(out, exist_ok=True)
     manifest.write(os.path.join(out, "manifest.json"))

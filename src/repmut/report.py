@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import tempfile
 
 import numpy as np
 
@@ -21,11 +20,14 @@ CSV_SCHEMA_VERSION = 1
 @contextlib.contextmanager
 def atomic_open(path):
     """A text handle on a temporary file beside ``path``, which replaces
-    ``path`` when the block ends; if the block raises, ``path`` is left as it
-    was and the temporary file is removed."""
+    ``path`` when the block ends, with the mode a plain ``open`` would give;
+    if the block raises, ``path`` is left as it was and the temporary file
+    is removed."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    tmp = os.path.join(d, f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
+    # mode 0o666 less the umask, as open() gives (mkstemp would give 0600)
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             yield fh

@@ -412,7 +412,7 @@ def _check_pde_weak_form():
         return ((xx - 1.0) ** 2 - 1.0) * f(xx)
 
     res = []
-    for nodes, dtf in ((512, 1.0), (1024, 0.25)):
+    for nodes in (512, 1024):
         sch = PdeScheme(half_width=12.0, nodes=nodes)
         traj = solve_rm_pde(sc.model, sc.fitness, u0, T=0.5, scheme=sch,
                             store_every=1)

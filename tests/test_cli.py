@@ -167,6 +167,32 @@ class TestSolveCommand:
     def test_missing_config_is_config_error(self):
         assert main(["solve"]) == EXIT_CONFIG
 
+    def test_two_dimensional_model_is_config_error(self, tmp_path, capsys):
+        path, _ = write_cfg(tmp_path, scenario=None, engines=["linear"],
+                            model={"kind": "arithmetic-bm", "b": [0.1, -0.2],
+                                   "sigma": [[1.0, 0.0], [0.0, 1.0]], "n": 2},
+                            fitness={"kind": "affine-quadratic", "alpha": 0.0,
+                                     "delta": [1.0, 0.5], "G": [[0.0, 0.0], [0.0, 0.0]],
+                                     "g_max": 50.0},
+                            initial={"kind": "gaussian", "mean": [0.0, 0.0],
+                                     "cov": [[1.0, 0.0], [0.0, 1.0]]})
+        out = tmp_path / "o"
+        assert main(["solve", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert "1-D densities" in capsys.readouterr().err
+        assert not out.exists()  # raised before any engine ran
+
+    def test_outputs_get_the_mode_open_gives(self, tmp_path):
+        path, _ = write_cfg(tmp_path, engines=["linear", "pde"])
+        out = tmp_path / "o"
+        old = os.umask(0o022)
+        try:
+            assert main(["solve", "--config", path, "--out", str(out)]) == EXIT_OK
+        finally:
+            os.umask(old)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
+        assert "pde_summary.json" in modes and "density_linear.csv" in modes
+        assert set(modes.values()) == {0o644}, modes
+
     def test_affine_engine_with_grid_density_initial_law(self, tmp_path):
         path, _ = write_cfg(tmp_path, scenario=None, engines=["affine"],
                             model={"kind": "ou", "kappa": 1.0, "sigma": 1.0},
@@ -295,6 +321,22 @@ class TestSolutionContract:
         assert len(rows) == 3
         assert all(np.isnan(float(r[1])) for r in rows)
         assert all(np.isfinite(float(r[2])) for r in rows)
+
+    def test_pde_and_tilted_export_the_checkpoint_times(self, tmp_path):
+        path, _ = write_cfg(tmp_path, scenario="cir-linear", horizon=0.015,
+                            engines=["pde", "tilted"], steps_per_unit=400,
+                            particles={"n_kde": 2000}, metric={"checkpoints": 4})
+        out = tmp_path / "o"
+        assert main(["solve", "--config", path, "--out", str(out)]) == EXIT_OK
+        columns = {}
+        for engine in ("pde", "tilted"):
+            lines = (out / f"density_{engine}.csv").read_text().strip().splitlines()[1:]
+            columns[engine] = np.unique([float(line.split(",")[0]) for line in lines])
+        np.testing.assert_array_equal(columns["pde"], columns["tilted"])
+        np.testing.assert_array_equal(columns["pde"], np.linspace(0.0, 0.015, 4))
+        summary = json.loads((out / "pde_summary.json").read_text())
+        assert summary["dt"] <= 16 * summary["dt_bound"]
+        assert summary["negativity_clips"] == 0
 
 
 class TestChaosCommand:

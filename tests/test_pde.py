@@ -5,8 +5,8 @@ import scipy.linalg
 from repmut.constants import TOL
 from repmut.model import FitnessFunction
 from repmut.numerics import GridDensity
-from repmut.pde import (PdeError, PdeScheme, fitness_mean_trace, solve_rm_pde,
-                        weak_form_residual)
+from repmut.pde import (DT_MULTIPLE, PdeError, PdeScheme, _build_grid, _march_plan,
+                        fitness_mean_trace, solve_rm_pde, weak_form_residual)
 from repmut.scenarios import (bm_model, cir_linear_scenario, cir_model,
                               harmonic_scenario, linear_bm_scenario)
 
@@ -149,12 +149,49 @@ class TestRefinement:
         factor = errs[0] / errs[1]
         assert 4.0 * 0.6 <= factor <= 4.0 * 1.4
 
-    def test_dt_safety_bound_enforced(self):
+    def test_step_policy(self):
+        # each store interval is split into ceil(len / (16 dt_bound)) equal
+        # steps, and the stored times are the requested ones bit for bit
+        sc = cir_linear_scenario()
+        scheme = PdeScheme(half_width=14.0, nodes=512)
+        x, dx, _ = _build_grid(sc.model, scheme)
+        u0 = GridDensity(x, sc.initial_law.density(x)).normalize()
+        dt_bound = dx * dx / (2.0 * (sc.model.diffusion(x[:, None])[:, 0, 0] ** 2).max())
+        store = np.array([0.0, 0.0123, 0.0005, 0.07, 0.0123, 0.1])
+        traj = solve_rm_pde(sc.model, sc.fitness, u0, 0.1, scheme, store_times=store)
+        assert traj.times.tolist() == [0.0, 0.0005, 0.0123, 0.07, 0.1]
+        lengths = np.diff(traj.times)
+        counts = np.ceil(lengths / (DT_MULTIPLE * dt_bound)).astype(int)
+        assert traj.steps == counts.sum() < np.ceil(0.1 / dt_bound)
+        assert traj.meta["dt_bound"] == dt_bound
+        assert traj.meta["dt"] == (lengths / counts).max() <= DT_MULTIPLE * dt_bound
+        plan = _march_plan(0.1, DT_MULTIPLE * dt_bound, store)
+        assert [n for _, n, _, _ in plan] == counts.tolist()
+        assert all(dt <= DT_MULTIPLE * dt_bound for _, _, dt, _ in plan)
+
+    def test_store_every_keeps_every_kth_step(self):
         sc = linear_bm_scenario()
-        u0 = gaussian_grid_density(1.0, 12.0, 512)
-        with pytest.raises(PdeError, match="safety"):
-            solve_rm_pde(sc.model, sc.fitness, u0, T=0.5,
-                         scheme=PdeScheme(half_width=12.0, nodes=512, dt=0.01))
+        scheme = PdeScheme(half_width=12.0, nodes=256)
+        x, dx, _ = _build_grid(sc.model, scheme)
+        u0 = GridDensity(x, sc.initial_law.density(x)).normalize()
+        n = int(np.ceil(0.5 / (DT_MULTIPLE * dx * dx / 4.0)))  # sigma^2 = 2
+        assert n % 4 != 0
+        traj = solve_rm_pde(sc.model, sc.fitness, u0, 0.5, scheme, store_every=4)
+        assert traj.steps == n  # marched to T, which is not a 4th step
+        np.testing.assert_array_equal(traj.times, np.linspace(0.0, 0.5, n + 1)[::4])
+
+    def test_unrequested_horizon_is_marched_but_not_stored(self):
+        sc = linear_bm_scenario()
+        scheme = PdeScheme(half_width=12.0, nodes=256)
+        x = _build_grid(sc.model, scheme)[0]
+        u0 = GridDensity(x, sc.initial_law.density(x)).normalize()
+        traj = solve_rm_pde(sc.model, sc.fitness, u0, 0.2, scheme,
+                            store_times=[0.05, 0.3, -1.0])
+        assert traj.times.tolist() == [0.0, 0.05, 0.2]  # 0.3 clips to T
+        short = solve_rm_pde(sc.model, sc.fitness, u0, 0.2, scheme, store_times=[0.05])
+        assert short.times.tolist() == [0.0, 0.05]
+        assert short.steps == traj.steps
+        np.testing.assert_array_equal(short.densities, traj.densities[:2])
 
 
 class TestSummary:
@@ -184,10 +221,12 @@ class TestSummary:
         assert list(tmp_path.iterdir()) == []
 
 
-def reference_solve(model, fitness, u0, T, scheme, store_times):
+def reference_solve(model, fitness, u0, T, scheme, store_times, multiple=DT_MULTIPLE):
     """The solver as first written: per-node flux assembly, a banded solve
     that refactors at every step, trapezoid calls and two reaction half
-    steps per Strang step.  Kept as the oracle of the factored solver."""
+    steps per Strang step.  It marches from stored time to stored time (and
+    on to T), each interval in equal steps of at most ``multiple`` times the
+    explicit bound.  Kept as the oracle of the factored solver."""
     if model.domain.kind == "half-line":
         dx = scheme.half_width / scheme.nodes
         x = (np.arange(scheme.nodes) + 0.5) * dx
@@ -195,13 +234,10 @@ def reference_solve(model, fitness, u0, T, scheme, store_times):
         x = np.linspace(-scheme.half_width, scheme.half_width, scheme.nodes)
         dx = x[1] - x[0]
     half_line = model.domain.kind == "half-line"
-    dt = dx * dx / (2.0 * (model.diffusion(x[:, None])[:, 0, 0] ** 2).max())
-    steps = int(np.ceil(T / dt))
-    dt = T / steps
+    dt_max = multiple * dx * dx / (2.0 * (model.diffusion(x[:, None])[:, 0, 0] ** 2).max())
     u = np.maximum(u0(x), 0.0)
     u = u / np.trapezoid(u, x)
     gvals = np.asarray(fitness.g(x), float)
-    half_react = np.exp(0.5 * dt * (gvals - gvals.max()))
 
     M = x.size
     D = model.diffusion(x[:, None])[:, 0, 0] ** 2 / 2.0
@@ -217,41 +253,49 @@ def reference_solve(model, fitness, u0, T, scheme, store_times):
             diag[j] -= (D[j] / dx - bmid[j] / 2.0) / dx
         elif not half_line:
             diag[j] -= (D[j] / dx - bmid[j] / 2.0) / dx
-    ab = np.zeros((3, M))
-    ab[0, 1:] = -0.5 * dt * upper[:-1]
-    ab[1, :] = 1.0 - 0.5 * dt * diag
-    ab[2, :-1] = -0.5 * dt * lower[1:]
-
-    def explicit(vec):
-        out = (1.0 + 0.5 * dt * diag) * vec
-        out[:-1] += 0.5 * dt * upper[:-1] * vec[1:]
-        out[1:] += 0.5 * dt * lower[1:] * vec[:-1]
-        return out
 
     def react(vec, factor):
         w = vec * factor
         return w / np.trapezoid(w, x)
 
-    snap = np.unique(np.clip(np.round(np.asarray(store_times) / dt).astype(int),
-                             0, steps))
-    times, dens, clips = [0.0], [u.copy()], 0
-    for k in range(steps):
-        u = react(u, half_react)
-        before = np.trapezoid(u, x)
-        u = scipy.linalg.solve_banded((1, 1), ab, explicit(u))
-        neg = u < 0
-        if neg.any():
-            if u[neg].min() < -1e-12:
-                clips += int((u < -1e-14).sum())
-            u = np.maximum(u, 0.0)
-        after = np.trapezoid(u, x)
-        assert abs(before - after) <= TOL["pde_mass_leak"]
-        u = u / after * before
-        u = react(u, half_react)
-        if (k + 1) in snap:
-            times.append((k + 1) * dt)
+    stored = [t for t in sorted(set(np.clip(store_times, 0.0, T).tolist())) if t > 0]
+    times, dens, clips, steps, start = [0.0], [u.copy()], 0, 0, 0.0
+    for stop in sorted(set(stored) | {T}):
+        n = int(np.ceil((stop - start) / dt_max))
+        dt = (stop - start) / n
+        half_react = np.exp(0.5 * dt * (gvals - gvals.max()))
+        ab = np.zeros((3, M))
+        ab[0, 1:] = -0.5 * dt * upper[:-1]
+        ab[1, :] = 1.0 - 0.5 * dt * diag
+        ab[2, :-1] = -0.5 * dt * lower[1:]
+        for _ in range(n):
+            u = react(u, half_react)
+            before = np.trapezoid(u, x)
+            rhs = (1.0 + 0.5 * dt * diag) * u
+            rhs[:-1] += 0.5 * dt * upper[:-1] * u[1:]
+            rhs[1:] += 0.5 * dt * lower[1:] * u[:-1]
+            u = scipy.linalg.solve_banded((1, 1), ab, rhs)
+            neg = u < 0
+            if neg.any():
+                if u[neg].min() < -1e-12:
+                    clips += int((u < -1e-14).sum())
+                u = np.maximum(u, 0.0)
+            after = np.trapezoid(u, x)
+            assert abs(before - after) <= TOL["pde_mass_leak"]
+            u = u / after * before
+            u = react(u, half_react)
+        steps += n
+        start = stop
+        if stop in stored:
+            times.append(stop)
             dens.append(u.copy())
     return np.asarray(times), np.asarray(dens), steps, clips
+
+
+def _initial_on_grid(sc, half_width, box=False):
+    x = _build_grid(sc.model, PdeScheme(half_width=half_width, nodes=2048))[0]
+    vals = (np.abs(x) <= 1.0).astype(float) if box else sc.initial_law.density(x)
+    return GridDensity(x, np.maximum(vals, 0.0)).normalize()
 
 
 class TestAgainstReference:
@@ -265,11 +309,7 @@ class TestAgainstReference:
     def test_matches_reference(self, scenario, T, half_width):
         sc = scenario()
         scheme = PdeScheme(half_width=half_width, nodes=2048)
-        if sc.model.domain.kind == "half-line":
-            x = (np.arange(2048) + 0.5) * half_width / 2048
-        else:
-            x = np.linspace(-half_width, half_width, 2048)
-        u0 = GridDensity(x, np.maximum(sc.initial_law.density(x), 0.0)).normalize()
+        u0 = _initial_on_grid(sc, half_width)
         store = np.linspace(0.0, T, 3)
         traj = solve_rm_pde(sc.model, sc.fitness, u0, T, scheme, store_times=store)
         times, dens, steps, clips = reference_solve(sc.model, sc.fitness, u0, T,
@@ -277,5 +317,31 @@ class TestAgainstReference:
         assert traj.steps == steps
         assert traj.negativity_clips == clips
         np.testing.assert_array_equal(traj.times, times)
+        np.testing.assert_array_equal(traj.times, store)
         gap = np.abs(traj.densities - dens).max() / np.abs(dens).max()
         assert gap <= 1e-12
+
+
+class TestStepAccuracy:
+    """At 16 times the explicit bound the solution stays within 1e-5 L1 of
+    the bound-step march at every stored time, also from a discontinuous
+    initial density."""
+
+    @pytest.mark.parametrize("scenario,T,half_width,box", [
+        (linear_bm_scenario, 0.1, 12.0, False),
+        (cir_linear_scenario, 0.015, 14.0, False),
+        (linear_bm_scenario, 0.1, 12.0, True),
+    ], ids=["linear-bm", "cir", "box"])
+    def test_close_to_bound_step(self, scenario, T, half_width, box):
+        sc = scenario()
+        scheme = PdeScheme(half_width=half_width, nodes=2048)
+        u0 = _initial_on_grid(sc, half_width, box)
+        store = np.linspace(0.0, T, 4)
+        traj = solve_rm_pde(sc.model, sc.fitness, u0, T, scheme, store_times=store)
+        times, dens, steps, clips = reference_solve(sc.model, sc.fitness, u0, T,
+                                                    scheme, store, multiple=1)
+        np.testing.assert_array_equal(traj.times, times)
+        assert traj.negativity_clips == clips == 0
+        assert traj.steps * 15 < steps
+        l1 = np.trapezoid(np.abs(traj.densities - dens), traj.grid, axis=1)
+        assert l1.max() <= 1e-5
