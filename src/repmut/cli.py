@@ -262,14 +262,20 @@ def build_solution(engine: str, sc: Scenario, cfg: dict, seed: int,
     raise ConfigError(f"unknown engine {engine!r}")
 
 
+def _checkpoint_times(sc: Scenario, cfg: dict) -> np.ndarray:
+    """The step nodes at which the tilted and particle engines store; every
+    engine's density table uses them."""
+    grid_t = TimeGrid.per_unit(sc.horizon, int(cfg["steps_per_unit"]))
+    return grid_t.checkpoint_times(int(cfg["metric"]["checkpoints"]))
+
+
 def _pde_solution(sc: Scenario, cfg: dict) -> Solution:
     scheme = PdeScheme(half_width=14.0 if sc.model.domain.kind == "half-line" else 12.0,
                        nodes=2048)
     x = _build_grid(sc.model, scheme)[0]
     u0 = GridDensity(x, np.maximum(sc.initial_law.density(x), 0.0)).normalize()
-    times = np.linspace(0.0, sc.horizon, int(cfg["metric"]["checkpoints"]))
     traj = solve_rm_pde(sc.model, sc.fitness, u0, sc.horizon, scheme,
-                        store_times=times)
+                        store_times=_checkpoint_times(sc, cfg))
 
     def u(t, x):
         return traj.density(t)(np.asarray(x, float))
@@ -282,8 +288,7 @@ def _pde_solution(sc: Scenario, cfg: dict) -> Solution:
 def _particle_solution(sc: Scenario, cfg: dict, seed: int,
                        threads: int = 1) -> Solution:
     """The weighted particle system; ``repmut particles`` runs it too."""
-    spu = int(cfg["steps_per_unit"])
-    grid_t = TimeGrid(0.0, sc.horizon, max(1, int(round(spu * sc.horizon))))
+    grid_t = TimeGrid.per_unit(sc.horizon, int(cfg["steps_per_unit"]))
     ens = run_particles(sc.model, sc.fitness, sc.initial_law,
                         int(cfg["particles"]["n_kde"]), grid_t, seed,
                         checkpoints=int(cfg["metric"]["checkpoints"]),
@@ -339,7 +344,7 @@ def cmd_solve(cfg: dict, out: str, seed, threads: int) -> int:
     manifest = _new_manifest(cfg, seed)
     os.makedirs(out, exist_ok=True)
     manifest.write(os.path.join(out, "manifest.json"))
-    times = np.linspace(0.0, sc.horizon, int(cfg["metric"]["checkpoints"]))
+    times = _checkpoint_times(sc, cfg)
     solutions = {}
     failures = {}
     for engine in sc.engines:
@@ -359,7 +364,7 @@ def cmd_solve(cfg: dict, out: str, seed, threads: int) -> int:
     ref_grid = next(iter(solutions.values())).grid
     for engine, sol in solutions.items():
         rows = []
-        for t in times if sol.times is None else sol.times:
+        for t in times:
             try:
                 u = np.maximum(sol.u(t, ref_grid), 0.0)
             except (EngineError, KeyError):
@@ -386,8 +391,7 @@ def cmd_solve(cfg: dict, out: str, seed, threads: int) -> int:
 
     analytic = next((solutions[e] for e in ("linear", "affine") if e in solutions), None)
     particle = solutions.get("particle")
-    _write_masses(os.path.join(out, "masses.csv"),
-                  times if particle is None else particle.times, analytic, particle)
+    _write_masses(os.path.join(out, "masses.csv"), times, analytic, particle)
 
     manifest.status = "failed-engines: " + ",".join(failures) if failures else "complete"
     manifest.write(os.path.join(out, "manifest.json"))

@@ -642,7 +642,7 @@ def tilted_engine(model: DiffusionModel, fitness: FitnessFunction,
                                 f"exceeds {TOL['eigenpair_residual_rel']:g}")
     law = _reweighted_initial(u0, pair, model.domain.kind)
     x0 = sample_initial(law, n_paths, seed, domain=model.domain)
-    grid_t = TimeGrid(0.0, horizon, max(1, int(round(steps_per_unit * horizon))))
+    grid_t = TimeGrid.per_unit(horizon, steps_per_unit)
     store = grid_t.checkpoint_indices(checkpoints)
     tilt = tilted_extra_drift(model, pair)
     bundle = simulate(tilt, x0, grid_t, seed, store=store, threads=threads)

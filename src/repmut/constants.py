@@ -29,6 +29,7 @@ TOL = {
     "bl_symmetry": 1e-10,
     "bl_triangle_slack": 1e-9,
     "lp_certificate_feasibility": 1e-10,  # bl_distance's certificate gate
+    "lp_duality_gap_rel": 1e-7,         # (U - value) / U of a HiGHS solve
     # PDE oracle
     "pde_mass_leak": 1e-4,
     "pde_step_normalization": 1e-9,

@@ -14,10 +14,22 @@ solved exactly on a sparse, provably equivalent constraint set (for sorted
 graph, so adjacent and hub edges imply all pairwise Lipschitz constraints).
 The constraints are built once, as sparse triplets, and feed both solvers.
 A merged support of at most ``DENSE_SIMPLEX_MAX_ATOMS`` atoms tries the
-in-house dense simplex, then scipy's HiGHS ("highs-fallback"); a larger one
-goes to HiGHS alone.  The first certificate that passes the check is
-returned; if none does, ``bl_distance`` raises ``LPError`` (the CLI exits
-with status 3) rather than returning an uncertified value.
+in-house dense simplex, then HiGHS ("highs-fallback"); a larger one goes
+to HiGHS alone ("highs").  HiGHS runs through :class:`BLModel`, one model
+of the LP built from the triplets whose column costs change per solve.  A
+one-shot call solves on a new model, cold.  ``dqt_estimate`` holds one
+model per call: all its LPs live on the same reference midpoints when
+zero-difference atoms are kept, and each solve restarts from the basis of
+the model's first (cold) solve, so a value does not depend on the solves
+before it.
+
+A HiGHS solve also returns a weak-duality upper bound from its row duals
+(the flow-and-leak dual, the flat-norm form of Piccoli & Rossi, ARMA 2014),
+so the optimum is bracketed, not assumed.  The first result whose
+certificate passes the check and, for HiGHS, whose relative duality gap is
+within ``TOL["lp_duality_gap_rel"]`` is returned; if none does,
+``bl_distance`` raises ``LPError`` (the CLI exits with status 3) rather than
+returning an unchecked value.
 
 Every certificate is checked against all pairwise constraints.  On a 1D
 support that check is an O(K) sweep of running extremes rather than a
@@ -36,8 +48,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse
+from scipy.optimize._highspy import _core as highs_core
 
 from .constants import TOL, DENSE_SIMPLEX_MAX_ATOMS
 from .numerics import GridDensity
@@ -253,10 +265,11 @@ class BLResult:
     meta: dict = field(default_factory=dict)
 
 
-def _merged_support(mu: CompactifiedMeasure, nu: CompactifiedMeasure):
+def _merged_support(mu: CompactifiedMeasure, nu: CompactifiedMeasure,
+                    keep_zero: bool = False):
     """The atoms of both measures in lexicographic order (ascending on a
     line), coincident ones merged, with the mass differences mu - nu; atoms
-    whose difference is exactly zero are dropped."""
+    whose difference is exactly zero are dropped unless ``keep_zero``."""
     if mu.dim != nu.dim:
         raise MetricError("dimension mismatch")
     atoms = np.vstack([mu.atoms, nu.atoms])
@@ -272,6 +285,8 @@ def _merged_support(mu: CompactifiedMeasure, nu: CompactifiedMeasure):
     merged = atoms[keep_first]
     dsum = np.zeros(keep_first.sum())
     np.add.at(dsum, grp, delta)
+    if keep_zero:
+        return merged, dsum
     live = np.abs(dsum) > 0.0
     return merged[live], dsum[live]
 
@@ -284,60 +299,63 @@ def _edges_1d(x: np.ndarray, lvals: np.ndarray):
 
 
 def bl_distance(mu: CompactifiedMeasure, nu: CompactifiedMeasure,
-                x0: float = 0.0) -> BLResult:
+                x0: float = 0.0, *, model: Optional[BLModel] = None) -> BLResult:
     """Fortet-Mourier distance between compactified measures.
 
     Returns the optimum with a certifying test function on the merged
     support (star value last).  The certificate satisfies every pairwise
     Lipschitz constraint and the norm budget to
-    ``TOL["lp_certificate_feasibility"]`` (1e-10); a solve whose
-    certificate fails that check falls through to the next route, and
-    ``LPError`` is raised when no route is left.
+    ``TOL["lp_certificate_feasibility"]``; a HiGHS solve also carries its
+    weak-duality bound (``meta["dual_bound"]``) and relative duality gap
+    (``meta["gap_rel"]``), gated at ``TOL["lp_duality_gap_rel"]``.  A solve
+    that fails either gate falls through to the next route, and ``LPError``
+    is raised when no route is left.
+
+    ``model`` is a held :class:`BLModel` on the merged support with its
+    zero-difference atoms kept (``dqt_estimate`` builds one per call); without
+    it, a support of more than ``DENSE_SIMPLEX_MAX_ATOMS`` atoms is solved on
+    a new, cold model.
     """
-    atoms, delta = _merged_support(mu, nu)
+    atoms, delta = _merged_support(mu, nu, keep_zero=model is not None)
+    if model is not None and (x0 != model.x0 or not np.array_equal(atoms, model.atoms)):
+        raise MetricError("the merged support is not the held model's")
     delta_star = -float(delta.sum())  # star masses difference balances atoms
     K = len(atoms)
     if K == 0:
         return BLResult(0.0, np.zeros(1), 0.0, 1.0, atoms, "trivial")
     if K > 4096:
         raise MetricError("merged support too large; coarsen the measures first")
-    one_d = atoms.shape[1] == 1
-    lvals = _l(atoms[:, 0] if one_d else atoms, x0)
-
-    if one_d:  # the chain needs sorted atoms, which _merged_support gives
-        edges, weights = _edges_1d(atoms[:, 0], lvals)
-    else:
-        ii, jj = np.triu_indices(K, 1)
-        dd = np.linalg.norm(atoms[ii] - atoms[jj], axis=1)
-        weights = np.minimum(dd, lvals[ii] + lvals[jj])
-        edges = np.stack([ii, jj], axis=1)
-    # hub edges to the star node (index K)
-    hub = np.stack([np.arange(K), np.full(K, K)], axis=1)
-    edges = np.vstack([edges, hub])
-    weights = np.concatenate([weights, lvals])
-
     obj = np.concatenate([delta, [delta_star]])
     scale = np.abs(obj).sum()
     if scale <= 0:
         return BLResult(0.0, np.zeros(K + 1), 0.0, 1.0, atoms, "trivial")
     obj_n = obj / scale
 
-    lp = _lp_constraints(edges, weights, K)
     if K <= DENSE_SIMPLEX_MAX_ATOMS:
-        routes = (("dense-simplex", _solve_dense), ("highs-fallback", _solve_highs))
+        routes = ("dense-simplex", "highs-fallback")
     else:
-        routes = (("highs", _solve_highs),)
+        routes = ("highs",)
     failed = []
-    for solver, solve in routes:
-        psi, s, lip, val = solve(obj_n, lp)
+    for solver in routes:
+        meta = {"delta": obj, "x0": x0}
+        gap = 0.0
+        if solver == "dense-simplex":
+            lp = _support_lp(atoms, x0) if model is None else model.lp
+            psi, s, lip, val = _solve_dense(obj_n, lp)
+        else:
+            model = BLModel(atoms, x0) if model is None else model
+            psi, s, lip, val, upper = model.solve(obj_n)
+            gap = (upper - val) / upper if upper > 0 else 0.0
+            meta.update(dual_bound=upper * scale, gap_rel=gap)
         result = BLResult(value=val * scale, psi=psi, s=s, lip=lip, atoms=atoms,
-                          solver=solver, meta={"delta": obj, "x0": x0})
+                          solver=solver, meta=meta)
         viol = check_certificate(result, x0)
-        if viol <= TOL["lp_certificate_feasibility"]:
+        if viol <= TOL["lp_certificate_feasibility"] and gap <= TOL["lp_duality_gap_rel"]:
             return result
-        failed.append(f"{solver} {viol:.2e}")
+        failed.append(f"{solver}: violation {viol:.2e}, gap {gap:.2e}")
     raise LPError(f"no certificate within {TOL['lp_certificate_feasibility']:g} of feasible "
-                  f"on {K} atoms (violations: {', '.join(failed)})")
+                  f"and {TOL['lp_duality_gap_rel']:g} of optimal on {K} atoms "
+                  f"({'; '.join(failed)})")
 
 
 def bl_flow_bound(mu: CompactifiedMeasure, nu: CompactifiedMeasure,
@@ -409,20 +427,94 @@ def _solve_dense(obj, lp):
     return psi, float(x[2 * nv]), float(x[2 * nv + 1]), val
 
 
-def _solve_highs(obj, lp):
-    rows, cols, vals, rhs = lp
-    nv = len(obj)
-    n = nv + 2  # psi (free), s, l
-    A = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(len(rhs), n))
-    c = np.zeros(n)
-    c[:nv] = -obj  # linprog minimizes
-    bounds = [(None, None)] * nv + [(0, None), (0, None)]
-    res = scipy.optimize.linprog(c, A_ub=A, b_ub=rhs, bounds=bounds,
-                                 method="highs")
-    if not res.success:
-        raise LPError(f"HiGHS failed: {res.message}")
-    x = res.x
-    return x[:nv], float(x[nv]), float(x[nv + 1]), float(-res.fun)
+def _support_lp(atoms: np.ndarray, x0: float):
+    """The LP's constraint triplets (:func:`_lp_constraints`) on a merged
+    support: the chain plus hub graph on a sorted line, every pair plus hub
+    in higher dimension."""
+    K = len(atoms)
+    one_d = atoms.shape[1] == 1
+    lvals = _l(atoms[:, 0] if one_d else atoms, x0)
+    if one_d:  # the chain needs sorted atoms, which _merged_support gives
+        edges, weights = _edges_1d(atoms[:, 0], lvals)
+    else:
+        ii, jj = np.triu_indices(K, 1)
+        dd = np.linalg.norm(atoms[ii] - atoms[jj], axis=1)
+        weights = np.minimum(dd, lvals[ii] + lvals[jj])
+        edges = np.stack([ii, jj], axis=1)
+    # hub edges to the star node (index K)
+    hub = np.stack([np.arange(K), np.full(K, K)], axis=1)
+    return _lp_constraints(np.vstack([edges, hub]), np.concatenate([weights, lvals]), K)
+
+
+class BLModel:
+    """The BL LP on one merged support as a HiGHS model whose column costs
+    change from solve to solve (scipy's private ``_highspy`` binding).
+
+    Feasibility tolerances are 1e-10.  The first solve is cold, by dual
+    simplex, and its optimal basis becomes the anchor.  Every later solve
+    clears the solver and runs primal simplex from the anchor, which stays
+    primal feasible as only the costs change; so its result depends on its
+    instance and the anchor only, not on the solves in between.
+
+    Besides the primal optimum, a solve returns the weak-duality bound
+    U = y'b + |(A'y - c)_psi|_1 + sum_{s, l} max(c - A'y, 0) from the row
+    duals y >= 0 (clipped), which holds for any y >= 0 because every
+    feasible point has |psi| <= s <= 1 and s, l in [0, 1].
+    """
+
+    def __init__(self, atoms: np.ndarray, x0: float = 0.0):
+        self.atoms = atoms
+        self.x0 = x0
+        self.lp = _support_lp(atoms, x0)
+        rows, cols, vals, rhs = self.lp
+        self.nv = len(atoms) + 1  # psi (free, star last), then s, l >= 0
+        n = self.nv + 2
+        self.matrix = scipy.sparse.csc_array((vals, (rows, cols)), shape=(len(rhs), n))
+        self._transposed = self.matrix.T.tocsr()
+        self.rhs = rhs
+        model = highs_core.HighsLp()
+        model.num_col_ = model.a_matrix_.num_col_ = n
+        model.num_row_ = model.a_matrix_.num_row_ = len(rhs)
+        model.a_matrix_.format_ = highs_core.MatrixFormat.kColwise
+        model.a_matrix_.start_ = self.matrix.indptr
+        model.a_matrix_.index_ = self.matrix.indices
+        model.a_matrix_.value_ = self.matrix.data
+        model.col_cost_ = np.zeros(n)
+        model.col_lower_ = np.concatenate([np.full(self.nv, -highs_core.kHighsInf), [0.0, 0.0]])
+        model.col_upper_ = np.full(n, highs_core.kHighsInf)
+        model.row_lower_ = np.full(len(rhs), -highs_core.kHighsInf)
+        model.row_upper_ = rhs
+        self._highs = highs_core._Highs()
+        for key, value in (("output_flag", False), ("simplex_strategy", 1),
+                           ("primal_feasibility_tolerance", 1e-10),
+                           ("dual_feasibility_tolerance", 1e-10)):
+            self._highs.setOptionValue(key, value)
+        self._highs.passModel(model)
+        self._psi_cols = np.arange(self.nv, dtype=np.int32)
+        self._anchor = None
+
+    def solve(self, obj):
+        """max obj'psi over the LP; returns (psi, s, l, value, U)."""
+        h, nv = self._highs, self.nv
+        h.changeColsCost(nv, self._psi_cols, -obj)  # HiGHS minimizes
+        if self._anchor is not None:
+            h.clearSolver()
+            h.setBasis(self._anchor)
+        h.run()
+        status = h.getModelStatus()
+        if status != highs_core.HighsModelStatus.kOptimal:
+            raise LPError(f"HiGHS failed: {status}")
+        if self._anchor is None:
+            self._anchor = h.getBasis()
+            h.setOptionValue("simplex_strategy", 4)  # primal from the anchor on
+        sol = h.getSolution()
+        z = np.asarray(sol.col_value)
+        y = np.maximum(-np.asarray(sol.row_dual), 0.0)
+        red = self._transposed @ y  # A'y - c, c being zero on s and l
+        red[:nv] -= obj
+        upper = y @ self.rhs + np.abs(red[:nv]).sum() + np.maximum(-red[nv:], 0.0).sum()
+        return (z[:nv], float(z[nv]), float(z[nv + 1]),
+                -h.getInfo().objective_function_value, float(upper))
 
 
 def check_certificate(result: BLResult, x0: float = 0.0) -> float:
@@ -551,10 +643,11 @@ def dqt_estimate(model, fitness, initial_law, reference, *, T: float, N: int,
     from .sde import TimeGrid
 
     runner = run_particles if _particle_runner is None else _particle_runner
-    grid_t = TimeGrid(0.0, T, max(1, int(round(steps_per_unit * T))))
+    grid_t = TimeGrid.per_unit(T, steps_per_unit)
     lo, hi = reference.grid[0], reference.grid[-1]
     edges = np.linspace(lo, hi, ref_atoms + 1)
     mids = 0.5 * (edges[1:] + edges[:-1])
+    lp_model = BLModel(mids[:, None])  # every checkpoint's LP lives on mids
     sups = np.empty(reps)
     extra = np.zeros(reps)
     times_used = None
@@ -588,7 +681,7 @@ def dqt_estimate(model, fitness, initial_law, reference, *, T: float, N: int,
             if bounds[i] <= best * (1.0 - PRUNE_MARGIN):
                 lp_pruned += 1
                 continue
-            best = max(best, bl_distance(*pairs[i]).value)
+            best = max(best, bl_distance(*pairs[i], model=lp_model).value)
             lp_solved += 1
         sups[r] = best
     value = float(np.mean(sups ** q) ** (1.0 / q))

@@ -51,10 +51,20 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.steps + 1)
 
+    @classmethod
+    def per_unit(cls, T: float, steps_per_unit: int) -> "TimeGrid":
+        """[0, T] in round(steps_per_unit * T) steps, at least one."""
+        return cls(0.0, T, max(1, int(round(steps_per_unit * T))))
+
     def checkpoint_indices(self, count: int) -> np.ndarray:
         """Indices of ~count stored nodes, always including both ends."""
         count = min(max(count, 2), self.steps + 1)
         return np.unique(np.round(np.linspace(0, self.steps, count)).astype(int))
+
+    def checkpoint_times(self, count: int) -> np.ndarray:
+        """The nodes at :meth:`checkpoint_indices`: the times the Monte Carlo
+        engines store."""
+        return self.nodes[self.checkpoint_indices(count)]
 
 
 @dataclass(frozen=True)

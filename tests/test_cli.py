@@ -286,7 +286,7 @@ class TestHalfLineWall:
 
 class TestSolutionContract:
     """Every engine returns the same Solution surface, and cmd_solve exports
-    each one at its ``times`` (the checkpoint grid when that is None)."""
+    each one at the checkpoint times, which equal its ``times`` when set."""
 
     @pytest.mark.parametrize("engine,scenario", [
         ("linear", "linear-bm"), ("affine", "ou-linear"), ("tilted", "ou-linear"),
@@ -337,6 +337,20 @@ class TestSolutionContract:
         summary = json.loads((out / "pde_summary.json").read_text())
         assert summary["dt"] <= 16 * summary["dt_bound"]
         assert summary["negativity_clips"] == 0
+
+    def test_every_table_shares_the_stored_times(self, tmp_path):
+        # 20 Monte Carlo steps, 4 checkpoints: the particle engines store at
+        # step nodes 0, 7, 13 and 20, off linspace(0, T, 4)
+        path, _ = write_cfg(tmp_path, scenario="ou-linear", horizon=0.05, steps_per_unit=400,
+                            engines=["affine", "tilted", "pde", "particle"],
+                            particles={"n_kde": 2000}, metric={"checkpoints": 4})
+        out = tmp_path / "o"
+        assert main(["solve", "--config", path, "--out", str(out)]) == EXIT_OK
+        stored = np.array([0.0, 7, 13, 20]) * (0.05 / 20)
+        tables = [f"density_{e}.csv" for e in ("affine", "tilted", "pde", "particle")]
+        for name in tables + ["masses.csv"]:
+            t = np.unique(np.loadtxt(out / name, delimiter=",", skiprows=1, usecols=0))
+            np.testing.assert_array_equal(t, stored, err_msg=name)
 
 
 class TestChaosCommand:

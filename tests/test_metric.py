@@ -301,7 +301,7 @@ class TestDqt:
 
 
 def loop_highs_matrix(edges, weights, K):
-    """The constraint matrix as _solve_highs built it with a Python loop."""
+    """The constraint matrix as the HiGHS route first built it with a Python loop."""
     import scipy.sparse
     nv = K + 1
     rows, cols, vals, rhs = [], [], [], []
@@ -326,16 +326,19 @@ def loop_highs_matrix(edges, weights, K):
     return A, np.asarray(rhs)
 
 
-def loop_solve_highs(obj, edges, weights, K):
+def linprog_value(obj, A, rhs):
+    """The LP's optimum by scipy's linprog at feasibility tolerances of 1e-10,
+    the oracle for the held HiGHS model."""
     import scipy.optimize
-    nv = K + 1
-    A, rhs = loop_highs_matrix(edges, weights, K)
+    nv = len(obj)
     c = np.zeros(nv + 2)
     c[:nv] = -obj
     bounds = [(None, None)] * nv + [(0, None), (0, None)]
-    res = scipy.optimize.linprog(c, A_ub=A, b_ub=rhs, bounds=bounds, method="highs")
-    x = res.x
-    return x[:nv], float(x[nv]), float(x[nv + 1]), float(-res.fun)
+    res = scipy.optimize.linprog(c, A_ub=A, b_ub=rhs, bounds=bounds, method="highs",
+                                 options={"primal_feasibility_tolerance": 1e-10,
+                                          "dual_feasibility_tolerance": 1e-10})
+    assert res.success, res.message
+    return float(-res.fun)
 
 
 def loop_solve_dense(obj, edges, weights, K):
@@ -383,42 +386,47 @@ def lp_instance(mu, nu):
     return obj / np.abs(obj).sum(), edges, np.concatenate([w, lv]), k
 
 
+def dqt_pairs(ens, reference, edges):
+    """dqt_estimate's (empirical, reference) measure pairs of one replicate."""
+    from repmut.particle import tilted_measure
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    later = ens.times > 0
+    log_mass = np.log(np.exp(ens.logw[:, later]).mean(axis=0))
+    extra = max(0.0, float(np.max(log_mass / ens.times[later], initial=0.0)))
+    pairs = []
+    for t in ens.times:
+        scale = np.exp(-extra * t)
+        emp = tilted_measure(ens, t)
+        ea, em = bin_measure(emp.atoms, emp.masses * scale, edges)
+        h_ref = reference.mass_factor(t, shifted=True) * scale
+        cell = np.maximum(reference.u(t, mids), 0.0) * np.diff(edges)
+        total = cell.sum()
+        ref_m = cell / total * h_ref if total > 0 else cell
+        pairs.append((CompactifiedMeasure(ea[:, None], em),
+                      CompactifiedMeasure(mids[:, None], ref_m)))
+    return pairs
+
+
 def unpruned_sups(ensembles, reference, ref_atoms):
     """dqt_estimate's time-sup with every checkpoint's LP solved, as before
-    the flow-bound pruning."""
-    from repmut.particle import tilted_measure
+    the flow-bound pruning.  The LPs run on one held model whose anchor is,
+    as in dqt_estimate, the cold solve of replicate 0's largest-bound LP."""
     edges = np.linspace(reference.grid[0], reference.grid[-1], ref_atoms + 1)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    sups = []
-    for ens in ensembles:
-        later = ens.times > 0
-        log_mass = np.log(np.exp(ens.logw[:, later]).mean(axis=0))
-        extra = max(0.0, float(np.max(log_mass / ens.times[later], initial=0.0)))
-        best = 0.0
-        for t in ens.times:
-            scale = np.exp(-extra * t)
-            emp = tilted_measure(ens, t)
-            ea, em = bin_measure(emp.atoms, emp.masses * scale, edges)
-            emp_c = CompactifiedMeasure(ea[:, None], em)
-            h_ref = reference.mass_factor(t, shifted=True) * scale
-            cell = np.maximum(reference.u(t, mids), 0.0) * np.diff(edges)
-            total = cell.sum()
-            ref_m = cell / total * h_ref if total > 0 else cell
-            best = max(best, bl_distance(emp_c, CompactifiedMeasure(mids[:, None], ref_m)).value)
-        sups.append(best)
-    return np.array(sups)
+    model = metric_mod.BLModel(0.5 * (edges[1:] + edges[:-1])[:, None])
+    reps = [dqt_pairs(ens, reference, edges) for ens in ensembles]
+    first = int(np.argmax([metric_mod.bl_flow_bound(*p) for p in reps[0]]))
+    values = {(0, first): bl_distance(*reps[0][first], model=model).value}
+    for r, pairs in enumerate(reps):
+        for i, pair in enumerate(pairs):
+            if (r, i) not in values:
+                values[r, i] = bl_distance(*pair, model=model).value
+    return np.array([max(values[r, i] for i in range(len(pairs)))
+                     for r, pairs in enumerate(reps)])
 
 
 class TestLpBuild:
-    def test_matrix_and_solution_match_loop_build(self, monkeypatch):
-        import scipy.optimize
-        seen = []
-        real = scipy.optimize.linprog
-
-        def spy(c, A_ub=None, b_ub=None, **kw):
-            seen.append((A_ub, b_ub))
-            return real(c, A_ub=A_ub, b_ub=b_ub, **kw)
-
+    def test_matrix_and_solution_match_loop_build(self):
+        # the CSC matrix handed to HiGHS, and the optimum against linprog
         gen = np.random.default_rng(20)
         for k in (1, 5, 60, 300):
             x = np.sort(gen.uniform(-9, 9, k))
@@ -429,17 +437,14 @@ class TestLpBuild:
             obj = np.concatenate([gen.standard_normal(k), [0.0]])
             obj[-1] = -obj.sum()
             obj /= np.abs(obj).sum()
-            with monkeypatch.context() as m:
-                m.setattr(scipy.optimize, "linprog", spy)
-                new = metric_mod._solve_highs(obj, metric_mod._lp_constraints(edges, w, k))
-            old = loop_solve_highs(obj, edges, w, k)
-            assert np.array_equal(new[0], old[0])
-            assert new[1:] == old[1:]
+            model = metric_mod.BLModel(x[:, None])
             A_old, rhs_old = loop_highs_matrix(edges, w, k)
-            A_new, rhs_new = seen[-1]
-            assert np.array_equal(rhs_new, rhs_old)
+            A_old = A_old.tocsc()
+            assert np.array_equal(model.rhs, rhs_old)
             for attr in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(A_new, attr), getattr(A_old, attr))
+                assert np.array_equal(getattr(model.matrix, attr), getattr(A_old, attr))
+            val = model.solve(obj)[3]
+            assert val == pytest.approx(linprog_value(obj, A_old, rhs_old), rel=1e-9, abs=0.0)
 
 
     def test_dense_route_matches_loop_build_bit_for_bit(self):
@@ -466,8 +471,8 @@ def shifted_certificate(solve):
     """A solver whose certificate is moved by +3: the value is the same
     (Delta sums to zero with the star), but |psi| now exceeds s <= 1."""
     def corrupt(*args):
-        psi, s, lip, val = solve(*args)
-        return psi + 3.0, s, lip, val
+        psi, *rest = solve(*args)
+        return (psi + 3.0, *rest)
     return corrupt
 
 
@@ -494,7 +499,7 @@ class TestSolveRoutes:
     def test_no_certified_route_raises(self, monkeypatch):
         small, large = self.pair(4, 31), self.pair(40, 32)
         monkeypatch.setattr(metric_mod, "_solve_dense", shifted_certificate(metric_mod._solve_dense))
-        monkeypatch.setattr(metric_mod, "_solve_highs", shifted_certificate(metric_mod._solve_highs))
+        monkeypatch.setattr(metric_mod.BLModel, "solve", shifted_certificate(metric_mod.BLModel.solve))
         for mu, nu in (small, large):
             with pytest.raises(metric_mod.LPError, match="no certificate"):
                 bl_distance(mu, nu)
@@ -515,7 +520,7 @@ class TestSolveRoutes:
                "steps_per_unit": 100, "seed": 7}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        monkeypatch.setattr(metric_mod, "_solve_highs", shifted_certificate(metric_mod._solve_highs))
+        monkeypatch.setattr(metric_mod.BLModel, "solve", shifted_certificate(metric_mod.BLModel.solve))
         assert main(["chaos", "--config", str(path), "--out", str(tmp_path / "out")]) \
             == EXIT_NUMERIC
 
@@ -605,3 +610,137 @@ class TestPrunedSup:
             assert res.lp_solved + res.lp_pruned == 2 * 32
             pruned += res.lp_pruned
         assert pruned > 0
+
+
+def scaled_primal(solve, factor):
+    """A HiGHS solve whose primal is psi * factor: still feasible, but its
+    value sits below the optimum by 1 - factor, relative."""
+    def shrunk(*args):
+        psi, s, lip, val, upper = solve(*args)
+        return psi * factor, s, lip, val * factor, upper
+    return shrunk
+
+
+class TestDualityGap:
+    pair = staticmethod(TestSolveRoutes.pair)
+
+    def test_highs_results_carry_a_bound_above_the_value(self):
+        for seed in range(40, 45):
+            r = bl_distance(*self.pair(60, seed))
+            assert r.solver == "highs"
+            assert r.meta["dual_bound"] >= r.value
+            assert 0.0 <= r.meta["gap_rel"] <= metric_mod.TOL["lp_duality_gap_rel"]
+            assert r.meta["gap_rel"] == pytest.approx(
+                1.0 - r.value / r.meta["dual_bound"], rel=1e-6, abs=1e-15)
+        assert "gap_rel" not in bl_distance(*self.pair(4, 45)).meta
+
+    def test_perturbed_primal_trips_the_gate(self, monkeypatch):
+        small, large = self.pair(4, 46), self.pair(60, 47)
+        solve = metric_mod.BLModel.solve
+        monkeypatch.setattr(metric_mod.BLModel, "solve", scaled_primal(solve, 1.0 - 1e-6))
+        r = bl_distance(*small)  # the dense simplex carries no dual bound
+        assert r.solver == "dense-simplex"
+        with pytest.raises(metric_mod.LPError, match="of optimal on 120 atoms .*gap 1.0"):
+            bl_distance(*large)
+        monkeypatch.setattr(metric_mod, "_solve_dense", shifted_certificate(metric_mod._solve_dense))
+        with pytest.raises(metric_mod.LPError, match="highs-fallback: violation .*gap 1.0"):
+            bl_distance(*small)
+        # a primal within the gate still passes
+        monkeypatch.setattr(metric_mod.BLModel, "solve", scaled_primal(solve, 1.0 - 1e-9))
+        assert bl_distance(*large).meta["gap_rel"] <= 1e-7
+
+    def test_gap_gate_reads_the_tolerance_table(self, monkeypatch):
+        monkeypatch.setitem(metric_mod.TOL, "lp_duality_gap_rel", -1.0)
+        with pytest.raises(metric_mod.LPError, match="and -1 of optimal"):
+            bl_distance(*self.pair(60, 48))
+
+
+class TestHeldModel:
+    @staticmethod
+    def captured_pairs(monkeypatch, reps):
+        """The (mu, nu) pairs that dqt_estimate hands to bl_distance at
+        acceptance 8's settings for N = 250 on linear-bm."""
+        from repmut.closed_form import linear_engine
+        from repmut.scenarios import linear_bm_scenario
+        sc = linear_bm_scenario()
+        ref = linear_engine(sc.model, sc.fitness, sc.initial_law)
+        seen = []
+        real = metric_mod.bl_distance
+
+        def spy(mu, nu, x0=0.0, *, model=None):
+            seen.append((mu, nu))
+            return real(mu, nu, x0, model=model)
+
+        with monkeypatch.context() as m:
+            m.setattr(metric_mod, "bl_distance", spy)
+            dqt_estimate(sc.model, sc.fitness, sc.initial_law, ref, T=1.0, N=250, reps=reps,
+                         seed=81, checkpoints=32, ref_atoms=512, steps_per_unit=400)
+        return seen
+
+    def test_values_match_linprog_oracle(self, monkeypatch):
+        pairs = self.captured_pairs(monkeypatch, reps=2)
+        assert len(pairs) >= 10
+        mids = pairs[0][1].atoms
+        model = metric_mod.BLModel(mids)
+        A = model.matrix
+        for mu, nu in pairs:
+            r = bl_distance(mu, nu, model=model)
+            assert r.solver == "highs" and len(r.atoms) == 512
+            oracle = linprog_value(r.meta["delta"] / np.abs(r.meta["delta"]).sum(), A, model.rhs)
+            assert r.value == pytest.approx(oracle * np.abs(r.meta["delta"]).sum(),
+                                            rel=1e-9, abs=0.0)
+
+    def test_result_does_not_depend_on_the_solve_sequence(self, monkeypatch):
+        pairs = self.captured_pairs(monkeypatch, reps=1)[:6]
+        mids = pairs[0][1].atoms
+        results = []
+        for order in ([0, 1, 2, 3, 4, 5], [0, 4, 2, 5], [0, 3, 1, 5]):
+            model = metric_mod.BLModel(mids)
+            for i in order:
+                r = bl_distance(*pairs[i], model=model)
+            results.append(r)
+        first = results[0]
+        for r in results[1:]:
+            assert r.value == first.value
+            assert r.psi.tobytes() == first.psi.tobytes()
+            assert (r.s, r.lip, r.solver) == (first.s, first.lip, first.solver)
+            assert (r.meta["dual_bound"], r.meta["gap_rel"]) == \
+                (first.meta["dual_bound"], first.meta["gap_rel"])
+
+    def test_zero_difference_atoms_are_kept_and_checked(self):
+        x = np.linspace(-3.0, 3.0, 60)[:, None]
+        mu = CompactifiedMeasure(x, np.r_[np.full(30, 1 / 60), np.zeros(30)])
+        nu = CompactifiedMeasure(x, np.r_[np.full(30, 1 / 60), np.full(30, 1 / 80)])
+        held = bl_distance(mu, nu, model=metric_mod.BLModel(x))
+        one_shot = bl_distance(mu, nu)
+        assert len(held.atoms) == 60 and len(one_shot.atoms) == 30
+        assert held.value == pytest.approx(one_shot.value, rel=1e-9)
+        with pytest.raises(MetricError, match="held model"):
+            bl_distance(mu, nu, model=metric_mod.BLModel(x[1:]))
+        with pytest.raises(MetricError, match="held model"):
+            bl_distance(mu, nu, x0=1.0, model=metric_mod.BLModel(x))
+
+    def test_uses_only_the_declared_highs_methods(self, monkeypatch):
+        # the _Highs methods that scipy 1.15, the declared floor, binds too
+        allowed = {"passModel", "changeColsCost", "run", "clearSolver", "setBasis",
+                   "getBasis", "getSolution", "getInfo", "getModelStatus", "setOptionValue"}
+        used = set()
+        real = metric_mod.highs_core._Highs
+
+        class Guarded:
+            def __init__(self):
+                self._real = real()
+
+            def __getattr__(self, name):
+                assert name in allowed, name
+                used.add(name)
+                return getattr(self._real, name)
+
+        monkeypatch.setattr(metric_mod.highs_core, "_Highs", Guarded)
+        x = np.linspace(-3.0, 3.0, 60)[:, None]
+        gen = np.random.default_rng(49)
+        model = metric_mod.BLModel(x)
+        for _ in range(2):
+            mu = CompactifiedMeasure(x, gen.dirichlet(np.ones(60)) * 0.9)
+            bl_distance(mu, CompactifiedMeasure(x, np.full(60, 1 / 70)), model=model)
+        assert used == allowed
