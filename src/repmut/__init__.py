@@ -1,20 +1,17 @@
 """Stochastic solver suite for extended replicator-mutator dynamics."""
 
 from .model import (DiffusionModel, DomainSpec, FitnessFunction, InitialLaw,
-                    check_fitness_bound, check_fitness_modulus, sample_initial,
-                    validate_model)
-from .sde import PathBundle, TiltedDrift, TimeGrid, accumulate_log_weight, simulate
+                    check_fitness_bound, sample_initial, validate_model)
+from .sde import PathBundle, TiltedDrift, TimeGrid, simulate
 from .numerics import GaussianMoments, GridDensity, covariance_integral, kde, matrix_exp
 from .closed_form import (ConstantCondition, Eigenpair, Solution, affine_engine,
                           detect_constant_condition, eigenpair_residual,
                           linear_engine, solve_linear_v, solve_riccati,
                           tilted_engine)
-from .spectral import (SchrodingerProblem, cir_eigenpair, kummer_M,
-                       pinsky_diagnostic, schrodinger_ground_state)
+from .spectral import SchrodingerProblem, cir_eigenpair, kummer_M, schrodinger_ground_state
 from .particle import (EmpiricalMeasure, WeightedParticleEnsemble, mass_estimate,
                        normalized_measure, run_particles, tilted_measure)
-from .metric import (CompactifiedMeasure, bl_distance, compactify, dqt_estimate,
-                     dstar, wasserstein1_1d, STAR)
-from .pde import PdeScheme, fitness_mean_trace, solve_rm_pde
+from .metric import CompactifiedMeasure, bl_distance, dqt_estimate, dstar, STAR
+from .pde import PdeScheme, solve_rm_pde
 
 __version__ = "0.3.0"

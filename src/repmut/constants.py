@@ -25,7 +25,7 @@ TOL = {
     "measure_identity": 1e-15,
     "compactify_mass_slack": 1e-9,
     # metric module
-    "bl_small_exact": 1e-9,             # dense simplex vs closed forms
+    "bl_small_exact": 1e-9,             # HiGHS BL values vs closed forms
     "bl_symmetry": 1e-10,
     "bl_triangle_slack": 1e-9,
     "lp_certificate_feasibility": 1e-10,  # bl_distance's certificate gate
@@ -34,10 +34,6 @@ TOL = {
     "pde_mass_leak": 1e-4,
     "pde_step_normalization": 1e-9,
 }
-
-# Simplex atom-count threshold: merged supports at or below this size are
-# solved by the in-house dense simplex, larger ones by scipy's HiGHS backend.
-DENSE_SIMPLEX_MAX_ATOMS = 48
 
 # Default Euler steps per unit of time (overridable per scenario).
 DEFAULT_STEPS_PER_UNIT = 400

@@ -12,24 +12,19 @@ measures is the LP
 solved exactly on a sparse, provably equivalent constraint set (for sorted
 1D supports the star metric is the geodesic metric of the chain-plus-hub
 graph, so adjacent and hub edges imply all pairwise Lipschitz constraints).
-The constraints are built once, as sparse triplets, and feed both solvers.
-A merged support of at most ``DENSE_SIMPLEX_MAX_ATOMS`` atoms tries the
-in-house dense simplex, then HiGHS ("highs-fallback"); a larger one goes
-to HiGHS alone ("highs").  HiGHS runs through :class:`BLModel`, one model
-of the LP built from the triplets whose column costs change per solve.  A
-one-shot call solves on a new model, cold.  ``dqt_estimate`` holds one
-model per call: all its LPs live on the same reference midpoints when
-zero-difference atoms are kept, and each solve restarts from the basis of
-the model's first (cold) solve, so a value does not depend on the solves
-before it.
+Every LP runs on HiGHS through :class:`BLModel`, one model of the LP built
+from sparse triplets whose column costs change per solve.  A one-shot call
+solves on a new model, cold.  ``dqt_estimate`` holds one model per call: all
+its LPs live on the same reference midpoints when zero-difference atoms are
+kept, and each solve restarts from the basis of the model's first (cold)
+solve, so a value does not depend on the solves before it.
 
-A HiGHS solve also returns a weak-duality upper bound from its row duals
-(the flow-and-leak dual, the flat-norm form of Piccoli & Rossi, ARMA 2014),
-so the optimum is bracketed, not assumed.  The first result whose
-certificate passes the check and, for HiGHS, whose relative duality gap is
-within ``TOL["lp_duality_gap_rel"]`` is returned; if none does,
-``bl_distance`` raises ``LPError`` (the CLI exits with status 3) rather than
-returning an unchecked value.
+Each solve also returns a weak-duality upper bound from its row duals (the
+flow-and-leak dual, the flat-norm form of Piccoli & Rossi, ARMA 2014), so
+the optimum is bracketed, not assumed.  A result is returned only if its
+certificate passes the check and its relative duality gap is within
+``TOL["lp_duality_gap_rel"]``; otherwise ``bl_distance`` raises ``LPError``
+(the CLI exits with status 3) rather than returning an unchecked value.
 
 Every certificate is checked against all pairwise constraints.  On a 1D
 support that check is an O(K) sweep of running extremes rather than a
@@ -48,12 +43,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse
 from scipy.optimize._highspy import _core as highs_core
 
-from .constants import TOL, DENSE_SIMPLEX_MAX_ATOMS
-from .numerics import GridDensity
-from .particle import EmpiricalMeasure
+from .constants import TOL
 
 STAR = "star"
 # relative margin by which a flow bound must stay below the running sup for
@@ -62,6 +54,10 @@ PRUNE_MARGIN = 1e-6
 
 
 class MetricError(RuntimeError):
+    pass
+
+
+class LPError(MetricError):
     pass
 
 
@@ -109,6 +105,8 @@ class CompactifiedMeasure:
         if atoms.shape[0] == 1 and atoms.shape[1] > 1 and np.asarray(self.masses).size > 1:
             atoms = atoms.T
         masses = np.asarray(self.masses, float)
+        if masses.ndim != 1 or len(masses) != len(atoms):
+            raise MetricError(f"{masses.shape} masses for {len(atoms)} atoms; one per atom needed")
         if masses.size and masses.min() < -1e-15:
             raise MetricError("negative atom mass")
         total = masses.sum()
@@ -126,40 +124,6 @@ class CompactifiedMeasure:
         return self.atoms.shape[1]
 
 
-def compactify(measure, total_mass: Optional[float] = None) -> CompactifiedMeasure:
-    """Maps a sub-probability measure to the compactified space.
-
-    Accepts an EmpiricalMeasure (tilted or normalized), a GridDensity with
-    an explicit total mass, or raw (atoms, masses).
-    """
-    if isinstance(measure, EmpiricalMeasure):
-        return CompactifiedMeasure(measure.atoms, measure.masses)
-    if isinstance(measure, GridDensity):
-        if total_mass is None:
-            total_mass = measure.integral()
-        mids, masses = grid_density_atoms(measure)
-        scale = total_mass / masses.sum() if masses.sum() > 0 else 0.0
-        return CompactifiedMeasure(mids[:, None], masses * scale)
-    atoms, masses = measure
-    return CompactifiedMeasure(np.asarray(atoms, float), np.asarray(masses, float))
-
-
-def grid_density_atoms(dens: GridDensity, n_atoms: int = 512):
-    """Cell midpoints and trapezoid cell masses of a grid density."""
-    x, v = dens.x, dens.values
-    if x.size > n_atoms + 1:
-        edges = np.linspace(x[0], x[-1], n_atoms + 1)
-    else:
-        edges = x
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    masses = np.empty(mids.size)
-    for i in range(mids.size):
-        sl = (x >= edges[i]) & (x <= edges[i + 1])
-        xs = np.unique(np.concatenate([[edges[i]], x[sl], [edges[i + 1]]]))
-        masses[i] = np.trapezoid(dens(xs), xs)
-    return mids, masses
-
-
 def bin_measure(atoms: np.ndarray, masses: np.ndarray, edges: np.ndarray):
     """Weight-preserving binning of a 1D atomic measure onto cell midpoints.
 
@@ -170,84 +134,6 @@ def bin_measure(atoms: np.ndarray, masses: np.ndarray, edges: np.ndarray):
     hist, _ = np.histogram(pos, bins=edges, weights=masses)
     mids = 0.5 * (edges[1:] + edges[:-1])
     return mids, hist
-
-
-# ---------------------------------------------------------------------------
-# in-house dense simplex
-
-
-class LPError(MetricError):
-    pass
-
-
-def _dense_simplex(c, A, b, max_iter=None, bland_after=200, _depth=0):
-    """max c^T x s.t. A x <= b, x >= 0, b >= 0 (slack basis start).
-
-    Full-tableau primal simplex, Dantzig pricing with a Bland fallback, one
-    perturbation restart on stalling.  Returns (x, value).
-    """
-    A = np.asarray(A, float)
-    b = np.asarray(b, float)
-    c = np.asarray(c, float)
-    m, n = A.shape
-    if max_iter is None:
-        max_iter = 80 * (m + n)
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    T[:m, n:n + m] = np.eye(m)
-    T[:m, -1] = b
-    T[m, :n] = -c
-    basis = np.arange(n, n + m)
-    bland = False
-    stall = 0
-    for it in range(max_iter):
-        red = T[m, :-1]
-        if bland:
-            neg = np.nonzero(red < -1e-11)[0]
-            if neg.size == 0:
-                break
-            j = int(neg[0])
-        else:
-            j = int(np.argmin(red))
-            if red[j] >= -1e-11:
-                break
-        col = T[:m, j]
-        pos = col > 1e-11
-        if not pos.any():
-            raise LPError("LP unbounded (malformed instance)")
-        ratios = np.full(m, np.inf)
-        ratios[pos] = T[:m, -1][pos] / col[pos]
-        best = ratios.min()
-        ties = np.nonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))[0]
-        if bland:
-            i = int(ties[np.argmin(basis[ties])])
-        else:
-            # break ratio ties on the largest pivot (limits roundoff growth
-            # on degenerate instances)
-            i = int(ties[np.argmax(col[ties])])
-        piv = T[i, j]
-        T[i] /= piv
-        delta = np.outer(T[:, j], T[i])
-        delta[i] = 0.0
-        T -= delta
-        T[:, j] = 0.0
-        T[i, j] = 1.0
-        basis[i] = j
-        if T[m, -1] <= 0 and it > 0:
-            stall += 1
-        else:
-            stall = 0
-        if stall > bland_after:
-            bland = True
-    else:
-        if _depth == 0:
-            rng = np.random.default_rng(0)
-            return _dense_simplex(c, A, b + rng.uniform(1e-12, 1e-11, size=m),
-                                  max_iter, bland_after, _depth=1)
-        raise LPError("simplex did not terminate")
-    x = np.zeros(n + m)
-    x[basis] = T[:m, -1]
-    return x[:n], float(T[m, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +169,7 @@ def _merged_support(mu: CompactifiedMeasure, nu: CompactifiedMeasure,
         keep_first[1:] = ~same
     grp = np.cumsum(keep_first) - 1
     merged = atoms[keep_first]
-    dsum = np.zeros(keep_first.sum())
-    np.add.at(dsum, grp, delta)
+    dsum = np.bincount(grp, weights=delta, minlength=len(merged))
     if keep_zero:
         return merged, dsum
     live = np.abs(dsum) > 0.0
@@ -303,18 +188,16 @@ def bl_distance(mu: CompactifiedMeasure, nu: CompactifiedMeasure,
     """Fortet-Mourier distance between compactified measures.
 
     Returns the optimum with a certifying test function on the merged
-    support (star value last).  The certificate satisfies every pairwise
-    Lipschitz constraint and the norm budget to
-    ``TOL["lp_certificate_feasibility"]``; a HiGHS solve also carries its
-    weak-duality bound (``meta["dual_bound"]``) and relative duality gap
+    support (star value last), solved on a :class:`BLModel`.  The
+    certificate satisfies every pairwise Lipschitz constraint and the norm
+    budget to ``TOL["lp_certificate_feasibility"]``, and the result carries
+    its weak-duality bound (``meta["dual_bound"]``) and relative duality gap
     (``meta["gap_rel"]``), gated at ``TOL["lp_duality_gap_rel"]``.  A solve
-    that fails either gate falls through to the next route, and ``LPError``
-    is raised when no route is left.
+    that fails either gate raises ``LPError``.
 
     ``model`` is a held :class:`BLModel` on the merged support with its
     zero-difference atoms kept (``dqt_estimate`` builds one per call); without
-    it, a support of more than ``DENSE_SIMPLEX_MAX_ATOMS`` atoms is solved on
-    a new, cold model.
+    it, the LP is solved on a new, cold model.
     """
     atoms, delta = _merged_support(mu, nu, keep_zero=model is not None)
     if model is not None and (x0 != model.x0 or not np.array_equal(atoms, model.atoms)):
@@ -329,33 +212,19 @@ def bl_distance(mu: CompactifiedMeasure, nu: CompactifiedMeasure,
     scale = np.abs(obj).sum()
     if scale <= 0:
         return BLResult(0.0, np.zeros(K + 1), 0.0, 1.0, atoms, "trivial")
-    obj_n = obj / scale
 
-    if K <= DENSE_SIMPLEX_MAX_ATOMS:
-        routes = ("dense-simplex", "highs-fallback")
-    else:
-        routes = ("highs",)
-    failed = []
-    for solver in routes:
-        meta = {"delta": obj, "x0": x0}
-        gap = 0.0
-        if solver == "dense-simplex":
-            lp = _support_lp(atoms, x0) if model is None else model.lp
-            psi, s, lip, val = _solve_dense(obj_n, lp)
-        else:
-            model = BLModel(atoms, x0) if model is None else model
-            psi, s, lip, val, upper = model.solve(obj_n)
-            gap = (upper - val) / upper if upper > 0 else 0.0
-            meta.update(dual_bound=upper * scale, gap_rel=gap)
-        result = BLResult(value=val * scale, psi=psi, s=s, lip=lip, atoms=atoms,
-                          solver=solver, meta=meta)
-        viol = check_certificate(result, x0)
-        if viol <= TOL["lp_certificate_feasibility"] and gap <= TOL["lp_duality_gap_rel"]:
-            return result
-        failed.append(f"{solver}: violation {viol:.2e}, gap {gap:.2e}")
+    model = BLModel(atoms, x0) if model is None else model
+    psi, s, lip, val, upper = model.solve(obj / scale)
+    gap = (upper - val) / upper if upper > 0 else 0.0
+    result = BLResult(value=val * scale, psi=psi, s=s, lip=lip, atoms=atoms, solver="highs",
+                      meta={"delta": obj, "x0": x0, "dual_bound": upper * scale,
+                            "gap_rel": gap})
+    viol = check_certificate(result, x0)
+    if viol <= TOL["lp_certificate_feasibility"] and gap <= TOL["lp_duality_gap_rel"]:
+        return result
     raise LPError(f"no certificate within {TOL['lp_certificate_feasibility']:g} of feasible "
                   f"and {TOL['lp_duality_gap_rel']:g} of optimal on {K} atoms "
-                  f"({'; '.join(failed)})")
+                  f"(highs: violation {viol:.2e}, gap {gap:.2e})")
 
 
 def bl_flow_bound(mu: CompactifiedMeasure, nu: CompactifiedMeasure,
@@ -415,18 +284,6 @@ def _lp_constraints(edges, weights, K):
     return rows, cols, vals, rhs
 
 
-def _solve_dense(obj, lp):
-    """The LP by the dense simplex, each free psi split as psi+ - psi- >= 0."""
-    rows, cols, vals, rhs = lp
-    nv = len(obj)
-    A = np.zeros((len(rhs), nv + 2))
-    A[rows, cols] = vals
-    c = np.concatenate([obj, -obj, [0.0, 0.0]])
-    x, val = _dense_simplex(c, np.hstack([A[:, :nv], -A[:, :nv], A[:, nv:]]), rhs)
-    psi = x[:nv] - x[nv:2 * nv]
-    return psi, float(x[2 * nv]), float(x[2 * nv + 1]), val
-
-
 def _support_lp(atoms: np.ndarray, x0: float):
     """The LP's constraint triplets (:func:`_lp_constraints`) on a merged
     support: the chain plus hub graph on a sorted line, every pair plus hub
@@ -448,13 +305,16 @@ def _support_lp(atoms: np.ndarray, x0: float):
 
 class BLModel:
     """The BL LP on one merged support as a HiGHS model whose column costs
-    change from solve to solve (scipy's private ``_highspy`` binding).
+    change from solve to solve (scipy's private ``_highspy`` binding); every
+    ``bl_distance`` solve runs on one, held or new.
 
-    Feasibility tolerances are 1e-10.  The first solve is cold, by dual
-    simplex, and its optimal basis becomes the anchor.  Every later solve
-    clears the solver and runs primal simplex from the anchor, which stays
-    primal feasible as only the costs change; so its result depends on its
-    instance and the anchor only, not on the solves in between.
+    The constraint matrix goes to HiGHS as CSC arrays (``csc``) built with
+    numpy.  Feasibility tolerances are 1e-10, and presolve is off, which
+    makes a small LP faster.  The first solve is cold, by dual simplex, and
+    its optimal basis becomes the anchor.  Every later solve clears the
+    solver and runs primal simplex from the anchor, which stays primal
+    feasible as only the costs change; so its result depends on its instance
+    and the anchor only, not on the solves in between.
 
     Besides the primal optimum, a solve returns the weak-duality bound
     U = y'b + |(A'y - c)_psi|_1 + sum_{s, l} max(c - A'y, 0) from the row
@@ -465,31 +325,31 @@ class BLModel:
     def __init__(self, atoms: np.ndarray, x0: float = 0.0):
         self.atoms = atoms
         self.x0 = x0
-        self.lp = _support_lp(atoms, x0)
-        rows, cols, vals, rhs = self.lp
+        rows, cols, vals, rhs = _support_lp(atoms, x0)
         self.nv = len(atoms) + 1  # psi (free, star last), then s, l >= 0
         n = self.nv + 2
-        self.matrix = scipy.sparse.csc_array((vals, (rows, cols)), shape=(len(rhs), n))
-        self._transposed = self.matrix.T.tocsr()
+        # the CSC arrays (data, indices, indptr): entries by column, then row
+        order = np.lexsort((rows, cols))
+        self._cols = cols[order]
+        data, index = vals[order], rows[order]
+        indptr = np.zeros(n + 1, np.int64)
+        np.cumsum(np.bincount(self._cols, minlength=n), out=indptr[1:])
+        self.csc = (data, index, indptr)
         self.rhs = rhs
-        model = highs_core.HighsLp()
-        model.num_col_ = model.a_matrix_.num_col_ = n
-        model.num_row_ = model.a_matrix_.num_row_ = len(rhs)
-        model.a_matrix_.format_ = highs_core.MatrixFormat.kColwise
-        model.a_matrix_.start_ = self.matrix.indptr
-        model.a_matrix_.index_ = self.matrix.indices
-        model.a_matrix_.value_ = self.matrix.data
-        model.col_cost_ = np.zeros(n)
-        model.col_lower_ = np.concatenate([np.full(self.nv, -highs_core.kHighsInf), [0.0, 0.0]])
-        model.col_upper_ = np.full(n, highs_core.kHighsInf)
-        model.row_lower_ = np.full(len(rhs), -highs_core.kHighsInf)
-        model.row_upper_ = rhs
+        inf = highs_core.kHighsInf
+        lower = np.zeros(n)
+        lower[:self.nv] = -inf
         self._highs = highs_core._Highs()
-        for key, value in (("output_flag", False), ("simplex_strategy", 1),
+        for key, value in (("output_flag", False), ("simplex_strategy", 1), ("presolve", "off"),
                            ("primal_feasibility_tolerance", 1e-10),
                            ("dual_feasibility_tolerance", 1e-10)):
             self._highs.setOptionValue(key, value)
-        self._highs.passModel(model)
+        # the model from arrays: sizes, column-wise format, minimize, offset 0,
+        # costs, column and row bounds, the CSC arrays, every column continuous
+        self._highs.passModel(n, len(rhs), len(data), int(highs_core.MatrixFormat.kColwise),
+                              int(highs_core.ObjSense.kMinimize), 0.0, np.zeros(n), lower,
+                              np.full(n, inf), np.full(len(rhs), -inf), rhs, indptr, index, data,
+                              np.zeros(n, np.int32))
         self._psi_cols = np.arange(self.nv, dtype=np.int32)
         self._anchor = None
 
@@ -510,7 +370,8 @@ class BLModel:
         sol = h.getSolution()
         z = np.asarray(sol.col_value)
         y = np.maximum(-np.asarray(sol.row_dual), 0.0)
-        red = self._transposed @ y  # A'y - c, c being zero on s and l
+        data, index, _ = self.csc
+        red = np.bincount(self._cols, data * y[index], nv + 2)  # A'y - c, c = 0 on s, l
         red[:nv] -= obj
         upper = y @ self.rhs + np.abs(red[:nv]).sum() + np.maximum(-red[nv:], 0.0).sum()
         return (z[:nv], float(z[nv]), float(z[nv + 1]),

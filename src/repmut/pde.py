@@ -229,15 +229,6 @@ def solve_rm_pde(model: DiffusionModel, fitness: FitnessFunction,
                                "runtime_s": time.time() - t_start})
 
 
-def fitness_mean_trace(traj: PdeTrajectory, fitness: FitnessFunction):
-    """Time series of the population mean fitness along the trajectory."""
-    g = np.asarray(fitness.g(traj.grid), float)
-    vals = [np.trapezoid(g * traj.densities[i], traj.grid)
-            / np.trapezoid(traj.densities[i], traj.grid)
-            for i in range(len(traj.times))]
-    return traj.times.copy(), np.asarray(vals)
-
-
 def weak_form_residual(model: DiffusionModel, fitness: FitnessFunction,
                        traj: PdeTrajectory, f, df, d2f) -> float:
     """Residual of the variational identity for one smooth test function

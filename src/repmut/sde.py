@@ -284,23 +284,3 @@ def _joint_step(model: DiffusionModel, x, z1, z2, h):
     integral = (theta * h + (x - theta) * (one_e / kappa)
                 + sig * (cov / np.sqrt(v_x) * z1 + np.sqrt(v_i - cov * cov / v_x) * z2))
     return x_new, integral
-
-
-def accumulate_log_weight(bundle: PathBundle, fitness: FitnessFunction) -> np.ndarray:
-    """Trapezoid of the shifted fitness along stored paths; (N, S) array.
-
-    Requires the bundle to be stored on its full integration grid; sparse
-    bundles already carry fused weights from :func:`simulate`.  Joint-scheme
-    bundles step only between stored nodes, so their grid is unknown here.
-    """
-    if bundle.times.size != bundle.fine_steps + 1 or bundle.scheme == "exact-gaussian-joint":
-        raise SimulationError(
-            "bundle stores sparse checkpoints; pass fitness= to simulate instead")
-    g = np.empty(bundle.positions.shape[:2])
-    for j in range(bundle.times.size):
-        g[:, j] = _eval_fitness(fitness.shifted, bundle.positions[:, j])
-    dt = np.diff(bundle.times)
-    seg = 0.5 * dt * (g[:, 1:] + g[:, :-1])
-    out = np.zeros_like(g)
-    np.cumsum(seg, axis=1, out=out[:, 1:])
-    return out

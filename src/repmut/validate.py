@@ -377,10 +377,10 @@ def _check_certificate_sweep(n_cases=400):
 
 
 def _check_flow_upper_bound(n_cases=60):
-    # small supports (dense simplex) and merged supports beyond
-    # DENSE_SIMPLEX_MAX_ATOMS (HiGHS); every third case shares one grid
+    # small (1-8 atoms) and large (30-150 atoms) merged supports, each LP on
+    # its own cold HiGHS model; every third case shares one grid
     gen = np.random.default_rng(12)
-    worst, solvers = np.inf, set()
+    worst, unbounded = np.inf, 0
     grid = np.linspace(-9.0, 9.0, 257)
     for i in range(n_cases):
         k1, k2 = gen.integers(1, 9, 2) if i % 2 else gen.integers(30, 150, 2)
@@ -391,10 +391,10 @@ def _check_flow_upper_bound(n_cases=60):
             ms.append(CompactifiedMeasure(atoms[:, None],
                                           gen.dirichlet(np.ones(k)) * gen.uniform(0.1, 1.0)))
         res = bl_distance(*ms)
-        solvers.add(res.solver)
+        unbounded += not res.meta.get("dual_bound", -np.inf) >= res.value
         worst = min(worst, bl_flow_bound(*ms) - res.value)
-    ok = worst >= -1e-12 and {"highs", "dense-simplex"} <= solvers
-    return ok, f"least bound slack {worst:.2e}, solvers {'/'.join(sorted(solvers))}"
+    ok = worst >= -1e-12 and unbounded == 0
+    return ok, f"least bound slack {worst:.2e}, {unbounded} results without a dual bound"
 
 
 def _check_pde_weak_form():

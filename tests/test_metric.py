@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 import repmut.metric as metric_mod
 from repmut.metric import (STAR, CompactifiedMeasure, MetricError, bl_dirac_formula,
-                           bl_distance, bin_measure, check_certificate, compactify,
-                           dqt_estimate, dstar, grid_density_atoms, wasserstein1_1d)
-from repmut.numerics import GridDensity
-from repmut.particle import EmpiricalMeasure
+                           bl_distance, bin_measure, check_certificate, dqt_estimate,
+                           dstar, wasserstein1_1d)
 
 
 class TestDstar:
@@ -49,13 +48,11 @@ class TestDstar:
 
 class TestCompactify:
     def test_probability_measure_no_star_mass(self):
-        m = compactify(EmpiricalMeasure(np.array([[0.0], [1.0]]),
-                                        np.array([0.5, 0.5]), "normalized"))
+        m = CompactifiedMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
         assert m.star_mass == 0.0
 
     def test_tilted_deficit_to_star(self):
-        m = compactify(EmpiricalMeasure(np.array([[0.0]]),
-                                        np.array([np.exp(-1.0)]), "tilted"))
+        m = CompactifiedMeasure(np.array([[0.0]]), np.array([np.exp(-1.0)]))
         assert m.star_mass == pytest.approx(1 - np.exp(-1.0), abs=1e-15)
 
     def test_empty_measure_is_pure_star(self):
@@ -66,13 +63,13 @@ class TestCompactify:
         with pytest.raises(MetricError, match="exceeds"):
             CompactifiedMeasure(np.array([[0.0]]), np.array([1.1]))
 
-    def test_grid_density_atoms_conserve_mass(self):
-        x = np.linspace(-5, 5, 2001)
-        dens = GridDensity(x, np.exp(-0.5 * x ** 2) / np.sqrt(2 * np.pi))
-        mids, masses = grid_density_atoms(dens, 512)
-        assert masses.sum() == pytest.approx(dens.integral(), abs=1e-9)
-        c = compactify(dens, total_mass=0.7)
-        assert c.masses.sum() == pytest.approx(0.7, abs=1e-12)
+    def test_one_mass_per_atom(self):
+        # two atoms with three masses used to build, and a BL value came out
+        for atoms, masses in (([0.0, 1.0], [0.2, 0.3, 0.1]), ([[0.0], [1.0]], [0.3]),
+                              ([[0.0], [1.0]], [[0.2, 0.3]])):
+            with pytest.raises(MetricError, match="one per atom"):
+                CompactifiedMeasure(np.array(atoms), np.array(masses))
+        assert CompactifiedMeasure(np.array([0.0, 1.0]), np.array([0.2, 0.3])).atoms.shape == (2, 1)
 
 
 class TestBlDistance:
@@ -160,25 +157,6 @@ class TestBlDistance:
             nu = CompactifiedMeasure(gen.uniform(-6, 6, int(k2))[:, None],
                                      gen.dirichlet(np.ones(int(k2))) * 0.9)
             assert check_certificate(bl_distance(mu, nu)) <= 1e-9
-
-    def test_dense_vs_highs_agree(self):
-        gen = np.random.default_rng(7)
-        for _ in range(10):
-            k = int(gen.integers(8, 21))
-            mu = CompactifiedMeasure(gen.uniform(-6, 6, k)[:, None],
-                                     gen.dirichlet(np.ones(k)) * gen.uniform(0.3, 1))
-            nu = CompactifiedMeasure(gen.uniform(-6, 6, k)[:, None],
-                                     gen.dirichlet(np.ones(k)) * gen.uniform(0.3, 1))
-            dense = bl_distance(mu, nu)
-            assert dense.solver == "dense-simplex"
-            old = metric_mod.DENSE_SIMPLEX_MAX_ATOMS
-            metric_mod.DENSE_SIMPLEX_MAX_ATOMS = 0
-            try:
-                sparse = bl_distance(mu, nu)
-            finally:
-                metric_mod.DENSE_SIMPLEX_MAX_ATOMS = old
-            assert sparse.solver == "highs"
-            assert abs(dense.value - sparse.value) <= 1e-10
 
     def test_upper_bounds(self):
         gen = np.random.default_rng(8)
@@ -302,7 +280,6 @@ class TestDqt:
 
 def loop_highs_matrix(edges, weights, K):
     """The constraint matrix as the HiGHS route first built it with a Python loop."""
-    import scipy.sparse
     nv = K + 1
     rows, cols, vals, rhs = [], [], [], []
     r = 0
@@ -339,51 +316,6 @@ def linprog_value(obj, A, rhs):
                                           "dual_feasibility_tolerance": 1e-10})
     assert res.success, res.message
     return float(-res.fun)
-
-
-def loop_solve_dense(obj, edges, weights, K):
-    """_solve_dense as it was written with its own Python-loop build of the
-    split (psi+, psi-, s, l) tableau."""
-    nv = K + 1  # psi nodes including star
-    n_psi = 2 * nv  # split into psi+ / psi-
-    n = n_psi + 2   # + s, l
-    ne = len(edges)
-    rows = 2 * ne + 2 * nv + 1
-    A = np.zeros((rows, n))
-    b = np.zeros(rows)
-    c = np.zeros(n)
-    c[:nv] = obj
-    c[nv:2 * nv] = -obj
-    r = 0
-    for (u, v), w in zip(edges, weights):
-        A[r, u] = 1.0; A[r, nv + u] = -1.0
-        A[r, v] = -1.0; A[r, nv + v] = 1.0
-        A[r, n_psi + 1] = -w
-        A[r + 1] = -A[r]
-        A[r + 1, n_psi + 1] = -w
-        r += 2
-    for k in range(nv):
-        A[r, k] = 1.0; A[r, nv + k] = -1.0; A[r, n_psi] = -1.0
-        A[r + 1, k] = -1.0; A[r + 1, nv + k] = 1.0; A[r + 1, n_psi] = -1.0
-        r += 2
-    A[r, n_psi] = 1.0
-    A[r, n_psi + 1] = 1.0
-    b[r] = 1.0
-    x, val = metric_mod._dense_simplex(c, A, b)
-    psi = x[:nv] - x[nv:2 * nv]
-    return psi, float(x[n_psi]), float(x[n_psi + 1]), val
-
-
-def lp_instance(mu, nu):
-    """bl_distance's normalized objective, chain-plus-hub edges and weights
-    for two measures on the line."""
-    atoms, delta = metric_mod._merged_support(mu, nu)
-    k = len(atoms)
-    lv = metric_mod._l(atoms[:, 0])
-    edges, w = metric_mod._edges_1d(atoms[:, 0], lv)
-    edges = np.vstack([edges, np.stack([np.arange(k), np.full(k, k)], axis=1)])
-    obj = np.concatenate([delta, [-delta.sum()]])
-    return obj / np.abs(obj).sum(), edges, np.concatenate([w, lv]), k
 
 
 def dqt_pairs(ens, reference, edges):
@@ -426,7 +358,8 @@ def unpruned_sups(ensembles, reference, ref_atoms):
 
 class TestLpBuild:
     def test_matrix_and_solution_match_loop_build(self):
-        # the CSC matrix handed to HiGHS, and the optimum against linprog
+        # the CSC matrix handed to HiGHS, the optimum against linprog, and
+        # the dual bound with A'y from scipy's product on the loop build
         gen = np.random.default_rng(20)
         for k in (1, 5, 60, 300):
             x = np.sort(gen.uniform(-9, 9, k))
@@ -441,30 +374,15 @@ class TestLpBuild:
             A_old, rhs_old = loop_highs_matrix(edges, w, k)
             A_old = A_old.tocsc()
             assert np.array_equal(model.rhs, rhs_old)
-            for attr in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(model.matrix, attr), getattr(A_old, attr))
-            val = model.solve(obj)[3]
+            for new, attr in zip(model.csc, ("data", "indices", "indptr")):
+                assert np.array_equal(new, getattr(A_old, attr))
+            val, upper = model.solve(obj)[3:]
             assert val == pytest.approx(linprog_value(obj, A_old, rhs_old), rel=1e-9, abs=0.0)
-
-
-    def test_dense_route_matches_loop_build_bit_for_bit(self):
-        # acceptance 7's instances: 10,000 LPs between measures of 1-4 atoms;
-        # the bytes are compared, so the sign of a zero counts too
-        gen = np.random.default_rng(71)
-        solved = 0
-        while solved < 10_000:
-            ms = []
-            for _ in range(3):
-                k = int(gen.integers(1, 5))
-                ms.append(CompactifiedMeasure(gen.uniform(-6, 6, k)[:, None],
-                                              gen.dirichlet(np.ones(k)) * gen.uniform(0.2, 1.0)))
-            for a, b in ((0, 1), (1, 0), (0, 2), (2, 1)):
-                obj, edges, w, k = lp_instance(ms[a], ms[b])
-                new = metric_mod._solve_dense(obj, metric_mod._lp_constraints(edges, w, k))
-                old = loop_solve_dense(obj, edges, w, k)
-                assert new[0].tobytes() == old[0].tobytes()
-                assert np.array(new[1:]).tobytes() == np.array(old[1:]).tobytes()
-                solved += 1
+            y = np.maximum(-np.asarray(model._highs.getSolution().row_dual), 0.0)
+            red = A_old.T @ y
+            red[:k + 1] -= obj
+            assert upper == (y @ rhs_old + np.abs(red[:k + 1]).sum()
+                             + np.maximum(-red[k + 1:], 0.0).sum())
 
 
 def shifted_certificate(solve):
@@ -483,22 +401,8 @@ class TestSolveRoutes:
         return (CompactifiedMeasure(gen.uniform(-6, 6, k)[:, None], gen.dirichlet(np.ones(k)) * 0.8),
                 CompactifiedMeasure(gen.uniform(-6, 6, k)[:, None], gen.dirichlet(np.ones(k)) * 0.6))
 
-    def test_failed_dense_certificate_falls_back_to_highs(self, monkeypatch):
-        mu, nu = self.pair(4, 30)
-        monkeypatch.setattr(metric_mod, "DENSE_SIMPLEX_MAX_ATOMS", 0)
-        plain = bl_distance(mu, nu)
-        assert plain.solver == "highs"
-        monkeypatch.undo()
-        monkeypatch.setattr(metric_mod, "_solve_dense", shifted_certificate(metric_mod._solve_dense))
-        r = bl_distance(mu, nu)
-        assert r.solver == "highs-fallback"
-        assert r.value == plain.value
-        assert np.array_equal(r.psi, plain.psi)
-        assert check_certificate(r) <= 1e-10
-
     def test_no_certified_route_raises(self, monkeypatch):
         small, large = self.pair(4, 31), self.pair(40, 32)
-        monkeypatch.setattr(metric_mod, "_solve_dense", shifted_certificate(metric_mod._solve_dense))
         monkeypatch.setattr(metric_mod.BLModel, "solve", shifted_certificate(metric_mod.BLModel.solve))
         for mu, nu in (small, large):
             with pytest.raises(metric_mod.LPError, match="no certificate"):
@@ -632,22 +536,22 @@ class TestDualityGap:
             assert 0.0 <= r.meta["gap_rel"] <= metric_mod.TOL["lp_duality_gap_rel"]
             assert r.meta["gap_rel"] == pytest.approx(
                 1.0 - r.value / r.meta["dual_bound"], rel=1e-6, abs=1e-15)
-        assert "gap_rel" not in bl_distance(*self.pair(4, 45)).meta
+        small = bl_distance(*self.pair(4, 45))
+        assert small.meta["dual_bound"] >= small.value
+        assert small.meta["gap_rel"] <= metric_mod.TOL["lp_duality_gap_rel"]
 
     def test_perturbed_primal_trips_the_gate(self, monkeypatch):
         small, large = self.pair(4, 46), self.pair(60, 47)
         solve = metric_mod.BLModel.solve
         monkeypatch.setattr(metric_mod.BLModel, "solve", scaled_primal(solve, 1.0 - 1e-6))
-        r = bl_distance(*small)  # the dense simplex carries no dual bound
-        assert r.solver == "dense-simplex"
-        with pytest.raises(metric_mod.LPError, match="of optimal on 120 atoms .*gap 1.0"):
-            bl_distance(*large)
-        monkeypatch.setattr(metric_mod, "_solve_dense", shifted_certificate(metric_mod._solve_dense))
-        with pytest.raises(metric_mod.LPError, match="highs-fallback: violation .*gap 1.0"):
-            bl_distance(*small)
+        for pair, atoms in ((small, 8), (large, 120)):
+            with pytest.raises(metric_mod.LPError,
+                               match=f"of optimal on {atoms} atoms \\(highs: violation .*gap 1.0"):
+                bl_distance(*pair)
         # a primal within the gate still passes
         monkeypatch.setattr(metric_mod.BLModel, "solve", scaled_primal(solve, 1.0 - 1e-9))
-        assert bl_distance(*large).meta["gap_rel"] <= 1e-7
+        for pair in (small, large):
+            assert bl_distance(*pair).meta["gap_rel"] <= 1e-7
 
     def test_gap_gate_reads_the_tolerance_table(self, monkeypatch):
         monkeypatch.setitem(metric_mod.TOL, "lp_duality_gap_rel", -1.0)
@@ -682,7 +586,7 @@ class TestHeldModel:
         assert len(pairs) >= 10
         mids = pairs[0][1].atoms
         model = metric_mod.BLModel(mids)
-        A = model.matrix
+        A = scipy.sparse.csc_array(model.csc, shape=(len(model.rhs), model.nv + 2))
         for mu, nu in pairs:
             r = bl_distance(mu, nu, model=model)
             assert r.solver == "highs" and len(r.atoms) == 512

@@ -6,9 +6,17 @@ from repmut.constants import TOL
 from repmut.model import FitnessFunction
 from repmut.numerics import GridDensity
 from repmut.pde import (DT_MULTIPLE, PdeError, PdeScheme, _build_grid, _march_plan,
-                        fitness_mean_trace, solve_rm_pde, weak_form_residual)
+                        solve_rm_pde, weak_form_residual)
 from repmut.scenarios import (bm_model, cir_linear_scenario, cir_model,
                               harmonic_scenario, linear_bm_scenario)
+
+
+def fitness_mean_trace(traj, fitness):
+    """Time series of the population mean fitness along the trajectory."""
+    g = np.asarray(fitness.g(traj.grid), float)
+    vals = [np.trapezoid(g * u, traj.grid) / np.trapezoid(u, traj.grid)
+            for u in traj.densities]
+    return traj.times.copy(), np.asarray(vals)
 
 
 def gaussian_grid_density(var=0.25, half_width=12.0, nodes=2048):

@@ -4,8 +4,15 @@ import pytest
 from repmut import rng
 from repmut.model import FitnessFunction
 from repmut.scenarios import bm_model, cir_model, linear_fitness, ou_model
-from repmut.sde import (SimulationError, TimeGrid, TiltedDrift,
-                        accumulate_log_weight, simulate)
+from repmut.sde import SimulationError, TimeGrid, TiltedDrift, simulate
+
+
+def accumulate_log_weight(bundle, fitness):
+    """Trapezoid of the shifted fitness along a 1D bundle stored on its full
+    integration grid; (N, S) array, the oracle for the fused weights."""
+    g = fitness.shifted(bundle.positions[:, :, 0])
+    seg = 0.5 * np.diff(bundle.times) * (g[:, 1:] + g[:, :-1])
+    return np.concatenate([np.zeros((len(g), 1)), np.cumsum(seg, axis=1)], axis=1)
 
 
 class TestRng:
@@ -224,15 +231,6 @@ class TestLogWeight:
         assert b.scheme == "exact-gaussian"
         post = accumulate_log_weight(b, fit)
         assert np.abs(post - b.logw).max() < 1e-12
-
-    def test_accumulate_requires_full_grid(self, linear_fit_unshifted):
-        m = bm_model(0.0, 1.0)
-        grid = TimeGrid(0, 1.0, 128)
-        for fit in (None, linear_fit_unshifted):  # joint scheme: fine_steps is S - 1
-            b = simulate(m, np.zeros((4, 1)), grid, 5, fitness=fit,
-                         store=grid.checkpoint_indices(5))
-            with pytest.raises(SimulationError, match="sparse"):
-                accumulate_log_weight(b, linear_fit_unshifted)
 
     def test_additivity_over_concatenated_grids(self):
         # g(x) = x without declared structure: the fine-grid trapezoid path

@@ -11,23 +11,42 @@ import repmut
 PACKAGE = Path(repmut.__file__).parent
 
 
-def unreferenced_private_helpers(package: Path) -> list[str]:
-    """Module-level private functions and classes (``_name``) of the
-    package's modules that no code in the package names, outside their own
-    definition (a recursive call does not count)."""
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
-    helpers = [(module, node.name) for module, tree in trees.items() for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and node.name.startswith("_") and not node.name.startswith("__")]
+def names_used(trees) -> set[str]:
+    """The names and attributes that the given module trees use, each
+    outside its own definition (a recursive call does not count)."""
     named = set()
-    for tree in trees.values():
+    for tree in trees:
         for top in tree.body:
             own = getattr(top, "name", None)
             for node in ast.walk(top):
                 ref = getattr(node, "id", None) or getattr(node, "attr", None)
                 if isinstance(node, (ast.Name, ast.Attribute)) and ref != own:
                     named.add(ref)
+    return named
+
+
+def unreferenced_private_helpers(package: Path) -> list[str]:
+    """Module-level private functions and classes (``_name``) of the
+    package's modules that no code in the package names, outside their own
+    definition."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    helpers = [(module, node.name) for module, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    named = names_used(trees.values())
     return [f"{module}:{name}" for module, name in helpers if name not in named]
+
+
+def unused_exports(package: Path) -> list[str]:
+    """Names that the package's ``__init__.py`` exports and that no other
+    module of the package names, outside their own definition: an export
+    that only its own tests call."""
+    init = ast.parse((package / "__init__.py").read_text())
+    exports = [alias.asname or alias.name for node in init.body
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    named = names_used(ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))
+                       if path.name != "__init__.py")
+    return [name for name in exports if name not in named]
 
 
 def test_every_private_helper_is_referenced():
@@ -44,6 +63,21 @@ def test_guard_sees_a_helper_left_behind(tmp_path):
     assert unreferenced_private_helpers(tmp_path) == ["a.py:_left", "a.py:_Gone"]
 
 
+def test_every_export_is_used_by_the_package():
+    assert unused_exports(PACKAGE) == []
+
+
+def test_guard_sees_an_export_only_tests_call(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        "from .a import used, alone, looped\nfrom .b import run\n")
+    (tmp_path / "a.py").write_text(
+        "def used():\n    return 1\n\n\n"
+        "def alone():\n    return 2\n\n\n"
+        "def looped(x):\n    return looped(x - 1) if x else 0\n")
+    (tmp_path / "b.py").write_text("from . import a\n\n\ndef run():\n    return a.used()\n")
+    assert unused_exports(tmp_path) == ["alone", "looped", "run"]
+
+
 def test_cli_import_does_not_load_scipy_stats():
     # scipy.stats costs about half a second of every command's start-up
     code = "import sys, repmut.cli; print('scipy.stats' in sys.modules)"
@@ -54,5 +88,7 @@ def test_cli_import_does_not_load_scipy_stats():
 
 
 def test_no_module_names_scipy_stats():
-    assert [path.name for path in sorted(PACKAGE.glob("*.py"))
-            if "scipy.stats" in path.read_text()] == []
+    # scipy.sparse too: the BL model builds its CSC arrays with numpy
+    for module in ("scipy.stats", "scipy.sparse"):
+        assert [path.name for path in sorted(PACKAGE.glob("*.py"))
+                if module in path.read_text()] == [], module
