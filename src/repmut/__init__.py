@@ -1,7 +1,7 @@
 """Stochastic solver suite for extended replicator-mutator dynamics."""
 
 from .model import (DiffusionModel, DomainSpec, FitnessFunction, InitialLaw,
-                    check_fitness_bound, sample_initial, validate_model)
+                    check_fitness_bound, sample_initial)
 from .sde import PathBundle, TiltedDrift, TimeGrid, simulate
 from .numerics import GaussianMoments, GridDensity, covariance_integral, kde, matrix_exp
 from .closed_form import (ConstantCondition, Eigenpair, Solution, affine_engine,

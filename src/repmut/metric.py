@@ -107,6 +107,8 @@ class CompactifiedMeasure:
         masses = np.asarray(self.masses, float)
         if masses.ndim != 1 or len(masses) != len(atoms):
             raise MetricError(f"{masses.shape} masses for {len(atoms)} atoms; one per atom needed")
+        if not (np.isfinite(atoms).all() and np.isfinite(masses).all()):
+            raise MetricError("atoms and masses must be finite")
         if masses.size and masses.min() < -1e-15:
             raise MetricError("negative atom mass")
         total = masses.sum()
@@ -434,26 +436,6 @@ def bl_dirac_formula(x, y, x0: float = 0.0) -> float:
     """Distance between unit Diracs: 2 d / (2 + d) with d = d_star(x, y)."""
     d = dstar(x, y, x0)
     return 2.0 * d / (2.0 + d)
-
-
-# ---------------------------------------------------------------------------
-# 1D Wasserstein diagnostic
-
-
-def wasserstein1_1d(mu_atoms, mu_masses, nu_atoms, nu_masses) -> float:
-    """W1 between equal-mass atomic measures on the line (CDF sweep)."""
-    mu_atoms = np.asarray(mu_atoms, float).reshape(-1)
-    nu_atoms = np.asarray(nu_atoms, float).reshape(-1)
-    mw = np.asarray(mu_masses, float)
-    nw = np.asarray(nu_masses, float)
-    if abs(mw.sum() - nw.sum()) > 1e-9 * max(mw.sum(), 1.0):
-        raise MetricError("unequal total masses; use bl_distance instead")
-    xs = np.concatenate([mu_atoms, nu_atoms])
-    ws = np.concatenate([mw, -nw])
-    order = np.argsort(xs, kind="stable")
-    xs, ws = xs[order], ws[order]
-    cdf_diff = np.cumsum(ws)[:-1]
-    return float(np.sum(np.abs(cdf_diff) * np.diff(xs)))
 
 
 # ---------------------------------------------------------------------------

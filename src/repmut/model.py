@@ -1,9 +1,9 @@
 """Diffusion models, fitness functions and initial laws.
 
-Everything here is immutable after construction.  Validation is probe-based:
-Lipschitz and bound checks are evaluated on sampled points and reported,
-never proven.  Hard failures are reserved for conditions that make the
-downstream simulation meaningless (Feller violation, singular diffusion).
+Everything here is immutable after construction.  Construction fails hard
+on conditions that make the downstream simulation meaningless (Feller
+violation, singular diffusion).  The fitness bound check is probe-based:
+g <= g_max is evaluated on sampled points and reported, never proven.
 
 The probe points are a Halton sequence with Owen's random digit
 permutations (A. B. Owen, "A randomized Halton algorithm in R",
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -133,7 +133,6 @@ class DiffusionModel:
     drift: Callable[[np.ndarray], np.ndarray] = None
     diffusion: Callable[[np.ndarray], np.ndarray] = None
     m: int = 1  # driving Brownian dimension
-    lipschitz_declared: bool = True
 
     def __post_init__(self):
         n = self.domain.dim
@@ -194,59 +193,23 @@ class DiffusionModel:
         return self.domain.dim
 
 
-def validate_model(model: DiffusionModel, probes: int = 256, seed: int = 0) -> dict:
-    """Probe-based sanity report for a model; pure in its inputs.
-
-    Flags local-Lipschitz violations on sampled pairs, re-checks the Feller
-    inequality for CIR and positive definiteness for affine kinds.  Only
-    reports; the hard failures already happened at construction.
-    """
-    pts = probe_points(model.domain, 2 * probes, seed=seed)
-    x, y = pts[:probes], pts[probes:]
-    bx, by = model.drift(x), model.drift(y)
-    dxy = np.linalg.norm(x - y, axis=1)
-    dxy = np.where(dxy == 0.0, 1.0, dxy)
-    drift_ratio = np.linalg.norm(bx - by, axis=1) / dxy
-    sx = model.diffusion(x).reshape(probes, -1)
-    sy = model.diffusion(y).reshape(probes, -1)
-    diff_ratio = np.linalg.norm(sx - sy, axis=1) / dxy
-    report = {
-        "kind": model.kind,
-        "drift_lipschitz_max": float(drift_ratio.max()),
-        "diffusion_lipschitz_max": float(diff_ratio.max()),
-        "lipschitz_declared": model.lipschitz_declared,
-        "flags": [],
-    }
-    if model.kind == "cir":
-        a, sig = model.params["a"], model.params["sigma"]
-        report["feller_margin"] = float(2 * a - sig * sig)
-    if model.kind == "affine":
-        sig = model.params["sigma"]
-        report["a_min_eig"] = float(np.linalg.eigvalsh(sig @ sig.T).min())
-    if not model.lipschitz_declared:
-        report["flags"].append("lipschitz not declared by user")
-    return report
-
-
 # ---------------------------------------------------------------------------
 # fitness functions
 
 
 @dataclass(frozen=True)
 class FitnessFunction:
-    """Fitness g with its shift bound and Lipschitz-modulus metadata.
+    """Fitness g with its shift bound.
 
     ``g_max`` is the scenario's shift constant: weights downstream integrate
     g - g_max.  For fitness functions that are genuinely bounded above it
     should be a true upper bound; for scenarios with linearly growing
     fitness it is a declared effective bound, validated only on
-    ``bound_region``.  ``q_coeffs`` are the coefficients (degree ascending)
-    of the modulus polynomial Q with |g(x)-g(y)| <= Q(|x|+|y|) |x-y|.
+    ``bound_region``.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
     g_max: float
-    q_coeffs: Sequence[float]
     bound_region: Optional[tuple] = None  # (lo, hi) arrays for probing
     structure: Optional[dict] = None      # engine hints, e.g. quadratic coefficients
 
@@ -259,9 +222,6 @@ class FitnessFunction:
 
     def shifted(self, x: np.ndarray) -> np.ndarray:
         return self.g(x) - self.g_max
-
-    def modulus(self, r: np.ndarray) -> np.ndarray:
-        return np.polynomial.polynomial.polyval(r, np.asarray(self.q_coeffs, float))
 
 
 def check_fitness_bound(fitness: FitnessFunction, domain: DomainSpec,
@@ -277,31 +237,13 @@ def check_fitness_bound(fitness: FitnessFunction, domain: DomainSpec,
     }
 
 
-def check_fitness_modulus(fitness: FitnessFunction,
-                          pairs: Sequence[tuple]) -> dict:
-    """Checks |g(x)-g(y)| <= Q(|x|+|y|)|x-y| on the given pairs.
-
-    Diagnostic only: the report lists violating pairs, nothing raises.
-    """
-    violations = []
-    for x, y in pairs:
-        xa, ya = np.asarray(x, float), np.asarray(y, float)
-        lhs = float(np.abs(fitness.g(xa) - fitness.g(ya)))
-        rhs = float(fitness.modulus(np.linalg.norm(np.atleast_1d(xa))
-                                    + np.linalg.norm(np.atleast_1d(ya)))
-                    * np.linalg.norm(np.atleast_1d(xa - ya)))
-        if lhs > rhs * (1 + 1e-12):
-            violations.append({"x": x, "y": y, "lhs": lhs, "rhs": rhs})
-    return {"pairs": len(list(pairs)), "violations": violations}
-
-
 # ---------------------------------------------------------------------------
 # initial laws
 
 
 @dataclass(frozen=True)
 class InitialLaw:
-    """Sampleable initial distribution with optional density and moments.
+    """Sampleable initial distribution with an optional density.
 
     Kinds: gaussian(mean, cov), mixture of gaussians, point-cloud (atoms
     with equal or given weights) and grid-density (1D tabulated density,
@@ -380,29 +322,6 @@ class InitialLaw:
             return np.interp(x, self.params["x"], self.params["values"],
                              left=0.0, right=0.0)
         raise ModelError(f"{self.kind} law has no density evaluator")
-
-    def moment(self, order: int) -> float:
-        """Raw moment E[X^order] (1D kinds only for order > 1)."""
-        if self.kind == "gaussian" and self.dim == 1:
-            m, v = self.params["mean"][0], self.params["cov"][0, 0]
-            # recursion E[X^k] = m E[X^{k-1}] + (k-1) v E[X^{k-2}]
-            mom = [1.0, m]
-            for k in range(2, order + 1):
-                mom.append(m * mom[k - 1] + (k - 1) * v * mom[k - 2])
-            return mom[order]
-        if self.kind == "point-cloud" and self.dim == 1:
-            pts, wts = self.params["points"][:, 0], self.params["weights"]
-            return float(np.sum(wts * pts ** order))
-        if self.kind == "grid-density":
-            x, f = self.params["x"], self.params["values"]
-            return float(np.trapezoid(x ** order * f, x))
-        if self.kind == "mixture":
-            total = 0.0
-            for w, m, v in self.params["components"]:
-                sub = InitialLaw("gaussian", {"mean": [m], "cov": [[v]]})
-                total += w * sub.moment(order)
-            return total
-        raise ModelError("moment not available for this law")
 
 
 def sample_initial(law: InitialLaw, count: int, seed: int,

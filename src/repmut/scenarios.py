@@ -32,12 +32,6 @@ def cir_model(a=1.0, b=-1.0, sigma=1.0) -> DiffusionModel:
                           params={"a": a, "b": b, "sigma": sigma})
 
 
-def affine_model(b, B, sigma) -> DiffusionModel:
-    b = np.atleast_1d(np.asarray(b, float))
-    return DiffusionModel(domain=DomainSpec("full-space", b.size), kind="affine",
-                          params={"b": b, "B": B, "sigma": sigma})
-
-
 def linear_fitness(slope=1.0, g_max=2.0, bound_lo=-10.0) -> FitnessFunction:
     """g(x) = slope * x with a declared effective shift bound.
 
@@ -50,7 +44,6 @@ def linear_fitness(slope=1.0, g_max=2.0, bound_lo=-10.0) -> FitnessFunction:
     return FitnessFunction(
         g=lambda x: slope * np.asarray(x, float),
         g_max=float(g_max),
-        q_coeffs=[abs(slope)],
         bound_region=(np.array([lo]), np.array([hi])),
         structure={"kind": "affine-quadratic", "alpha": 0.0,
                    "delta": [-slope], "G": [[0.0]]})
@@ -62,7 +55,6 @@ def quadratic_decay_fitness(scale=1.0) -> FitnessFunction:
     return FitnessFunction(
         g=lambda x: -scale * np.asarray(x, float) ** 2,
         g_max=0.0,
-        q_coeffs=[0.0, scale],
         structure={"kind": "affine-quadratic", "alpha": 0.0,
                    "delta": [0.0], "G": [[scale]]})
 
@@ -90,10 +82,7 @@ def affine_quadratic_fitness(alpha, delta, G, g_max: Optional[float] = None,
             g_max = float(-alpha)
         else:
             raise ValueError("g is unbounded above; pass g_max explicitly")
-    # modulus: |g(x)-g(y)| <= (|delta| + 2|G|(|x|+|y|)) |x-y|
-    q = [float(np.linalg.norm(delta_v)), 2.0 * float(np.linalg.norm(G_m, 2))]
-    return FitnessFunction(g=g, g_max=float(g_max), q_coeffs=q,
-                           bound_region=bound_region,
+    return FitnessFunction(g=g, g_max=float(g_max), bound_region=bound_region,
                            structure={"kind": "affine-quadratic", "alpha": float(alpha),
                                       "delta": delta_v.tolist(),
                                       "G": G_m.tolist()})
@@ -141,8 +130,7 @@ def cir_linear_scenario(a=1.0, b=-1.0, sigma=1.0, horizon=0.5) -> Scenario:
     return Scenario(
         name="cir-linear",
         model=cir_model(a, b, sigma),
-        fitness=FitnessFunction(g=lambda x: -np.asarray(x, float), g_max=0.0,
-                                q_coeffs=[1.0]),
+        fitness=FitnessFunction(g=lambda x: -np.asarray(x, float), g_max=0.0),
         initial_law=gamma_like_law(),
         horizon=horizon,
         engines=("tilted", "pde", "particle"))

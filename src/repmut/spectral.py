@@ -2,9 +2,7 @@
 
 Two concrete sources: Kummer confluent-hypergeometric eigenfunctions for
 the CIR model, and finite-difference ground states of the Schrodinger
-operator for polynomial confining fitness.  A heuristic diagnostic for the
-invariant-function integral test is included; it reports growth trends and
-never gates anything.
+operator for polynomial confining fitness.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ import scipy.linalg
 
 from .closed_form import Eigenpair
 from .constants import TOL
-from .model import DiffusionModel, ModelError
+from .model import ModelError
 
 
 class SpectralError(RuntimeError):
@@ -232,72 +230,3 @@ def schrodinger_ground_state(problem: SchrodingerProblem) -> Eigenpair:
                      log_phi=log_phi, grad_log_phi=grad_log_phi,
                      fd_step=h, grid=x, phi_grid=phi_grid)
     return pair
-
-
-# ---------------------------------------------------------------------------
-# invariant-function integral diagnostic
-
-
-def pinsky_diagnostic(model: DiffusionModel, phi: Callable, x0: float = 0.0,
-                      max_scale: int = 8, nodes: int = 4096) -> dict:
-    """Growth trend of the two nested invariance integrals on expanding
-    intervals [x0 - 2^k, x0] and [x0, x0 + 2^k], k = 1..max_scale.
-
-    Heuristic only: monotone unbounded growth on both sides is reported as
-    "consistent with divergence".  Works in log space to survive the
-    exponential factors.
-    """
-    if model.dim != 1:
-        raise SpectralError("diagnostic is one-dimensional")
-
-    def side(direction):
-        vals = []
-        for k in range(1, max_scale + 1):
-            width = 2.0 ** k
-            if direction > 0:
-                xs = np.linspace(x0, x0 + width, nodes)
-            else:
-                xs = np.linspace(x0 - width, x0, nodes)
-            if model.domain.kind == "half-line":
-                xs = np.clip(xs, 1e-9, None)
-            b = model.drift(xs[:, None])[:, 0]
-            s2 = model.diffusion(xs[:, None])[:, 0, 0] ** 2
-            # S(x) = int_{x0}^{x} 2 b / sigma^2
-            integrand = 2.0 * b / s2
-            if direction > 0:
-                S = np.concatenate([[0.0], np.cumsum(
-                    0.5 * np.diff(xs) * (integrand[1:] + integrand[:-1]))])
-            else:
-                S_rev = np.concatenate([[0.0], np.cumsum(
-                    0.5 * np.diff(xs)[::-1] * (integrand[::-1][1:] + integrand[::-1][:-1]))])
-                S = -S_rev[::-1]
-            log_phi2 = 2.0 * np.log(np.maximum(np.abs(phi(xs)), 1e-300))
-            inner_log_terms = log_phi2 - np.log(s2) + S
-            # inner(x) = int between x and x0 of exp(inner_log_terms)
-            m = inner_log_terms.max()
-            e = np.exp(inner_log_terms - m)
-            if direction > 0:
-                inner = np.concatenate([[0.0], np.cumsum(
-                    0.5 * np.diff(xs) * (e[1:] + e[:-1]))])
-            else:
-                cs = np.cumsum((0.5 * np.diff(xs) * (e[1:] + e[:-1]))[::-1])[::-1]
-                inner = np.concatenate([cs, [0.0]])
-            log_inner = np.where(inner > 0, np.log(np.maximum(inner, 1e-300)) + m, -np.inf)
-            log_outer = -log_phi2 - S + log_inner
-            mo = np.max(log_outer)
-            if mo > 600.0:  # integral astronomically large; report its log scale
-                vals.append(float(mo))
-                continue
-            total = np.trapezoid(np.exp(log_outer), xs)
-            vals.append(float(np.log(max(total, 1e-300))))
-        return vals
-
-    left = side(-1)
-    right = side(+1)
-    grew = all(np.diff(left) > 0) and all(np.diff(right) > 0)
-    return {
-        "x0": x0,
-        "log_integral_left": left,
-        "log_integral_right": right,
-        "trend": "consistent with divergence" if grew else "inconclusive",
-    }

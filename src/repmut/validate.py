@@ -17,7 +17,7 @@ from .closed_form import (affine_engine, eigenpair_residual, linear_engine,
 from .metric import (CompactifiedMeasure, _pair_violation_dense, _pair_violation_sweep,
                      bl_distance, bl_dirac_formula, bl_flow_bound, check_certificate,
                      dstar)
-from .model import FitnessFunction, InitialLaw, check_fitness_bound, validate_model
+from .model import FitnessFunction, InitialLaw, check_fitness_bound
 from .numerics import GridDensity, covariance_integral, kde, matrix_exp
 from .particle import (ensemble_from_bundle, mass_estimate, normalized_measure,
                        run_particles, tilted_measure)
@@ -43,13 +43,6 @@ def _check_law_normalization():
     total = np.trapezoid(law.params["values"], law.params["x"])
     ok = abs(total - 1.0) <= TOL["law_normalization"]
     return ok, f"integral {total:.12f}"
-
-
-def _check_validate_pure():
-    m = cir_model()
-    r1 = validate_model(m, seed=3)
-    r2 = validate_model(m, seed=3)
-    return r1 == r2, "reports equal" if r1 == r2 else "reports differ"
 
 
 def _check_rng_determinism():
@@ -96,7 +89,7 @@ def _check_trapezoid_additivity():
     m = bm_model(1.0, 0.0)  # deterministic path x_t = t
     # g(x) = x without declared structure, so the fine-grid trapezoid runs
     # (declared-affine fitness takes the exact joint step instead)
-    fit = FitnessFunction(g=lambda x: np.asarray(x, float), g_max=0.0, q_coeffs=[1.0])
+    fit = FitnessFunction(g=lambda x: np.asarray(x, float), g_max=0.0)
     whole = simulate(m, np.zeros((1, 1)), TimeGrid(0, 1.0, 512), 0, fitness=fit)
     first = simulate(m, np.zeros((1, 1)), TimeGrid(0, 0.5, 256), 0, fitness=fit)
     second = simulate(m, np.array([[0.5]]), TimeGrid(0.5, 1.0, 256), 0, fitness=fit)
@@ -149,7 +142,6 @@ def _check_shift_invariance():
     c = 5.0
     shifted_fit = FitnessFunction(g=lambda x: np.asarray(x, float) + c,
                                   g_max=sc.fitness.g_max + c,
-                                  q_coeffs=[1.0],
                                   bound_region=sc.fitness.bound_region)
     other = linear_engine(sc.model, shifted_fit, sc.initial_law)
     x = np.linspace(-4, 6, 257)
@@ -214,7 +206,7 @@ def _check_kummer_recurrence():
 
 
 def _check_eigen_residuals():
-    fit = FitnessFunction(g=lambda x: -np.asarray(x, float), g_max=0.0, q_coeffs=[1.0])
+    fit = FitnessFunction(g=lambda x: -np.asarray(x, float), g_max=0.0)
     m = cir_model(1.0, -1.0, 1.0)
     lam0 = 1.0 * (np.sqrt(1 + 2) - 1)
     pair = cir_eigenpair(1.0, -1.0, 1.0, lam0)
@@ -434,7 +426,6 @@ def _check_pde_positivity():
 VALIDATORS = [
     ("model.fitness-bound-probe", _check_fitness_bound_probe),
     ("model.law-normalization", _check_law_normalization),
-    ("model.validate-pure", _check_validate_pure),
     ("rng.determinism", _check_rng_determinism),
     ("sde.thread-independence", _check_thread_independence),
     ("sde.stream-independence", _check_stream_independence),

@@ -13,7 +13,7 @@ def std_normal_law():
 @pytest.fixture
 def zero_fitness():
     return FitnessFunction(g=lambda x: np.zeros_like(np.asarray(x, float)),
-                           g_max=0.0, q_coeffs=[0.0])
+                           g_max=0.0)
 
 
 @pytest.fixture

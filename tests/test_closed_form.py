@@ -5,21 +5,26 @@ from repmut.closed_form import (HorizonError, RejectedCondition, RiccatiError,
                                 affine_engine, detect_constant_condition,
                                 eigenpair_residual, linear_engine, riccati_residual,
                                 solve_linear_v, solve_riccati, tilted_engine)
-from repmut.model import FitnessFunction, InitialLaw
+from repmut.model import DiffusionModel, DomainSpec, FitnessFunction, InitialLaw
 from repmut.numerics import GridDensity
 from repmut.numerics import covariance_integral, expm_integral, matrix_exp
-from repmut.scenarios import (affine_model, affine_quadratic_fitness, bm_model,
-                              gamma_like_law, linear_bm_scenario, ou_linear_scenario,
-                              ou_model, quadratic_decay_fitness)
+from repmut.scenarios import (affine_quadratic_fitness, bm_model, gamma_like_law,
+                              linear_bm_scenario, ou_linear_scenario, ou_model,
+                              quadratic_decay_fitness)
 from repmut.sde import TimeGrid
+
+
+def affine_model(b, B, sigma) -> DiffusionModel:
+    b = np.atleast_1d(np.asarray(b, float))
+    return DiffusionModel(domain=DomainSpec("full-space", b.size), kind="affine",
+                          params={"b": b, "B": B, "sigma": sigma})
 
 
 class TestConstantCondition:
     def test_bm_linear_recovers_constants(self):
         # constant model, g = C2 sigma^{-1} x: A g = C2 sigma^{-1} b
         m = bm_model(b=0.5, sigma=2.0)
-        fit = FitnessFunction(g=lambda x: 1.5 * np.asarray(x, float), g_max=10.0,
-                              q_coeffs=[1.5])
+        fit = FitnessFunction(g=lambda x: 1.5 * np.asarray(x, float), g_max=10.0)
         cond = detect_constant_condition(m, fit)
         # grad g = 1.5, C2 = 1.5 * 2 = 3, C1 = 1.5 * 0.5 = 0.75
         assert cond.C2[0] == pytest.approx(3.0, abs=1e-7)
@@ -27,8 +32,7 @@ class TestConstantCondition:
 
     def test_ou_linear_rejected(self):
         m = ou_model(1.0, 0.0, 1.0)
-        fit = FitnessFunction(g=lambda x: -np.asarray(x, float), g_max=4.0,
-                              q_coeffs=[1.0])
+        fit = FitnessFunction(g=lambda x: -np.asarray(x, float), g_max=4.0)
         with pytest.raises(RejectedCondition, match="not constant"):
             detect_constant_condition(m, fit)
 
@@ -135,7 +139,7 @@ class TestLinearEngine:
         base = linear_engine(sc.model, sc.fitness, sc.initial_law)
         c = 5.0
         fit5 = FitnessFunction(g=lambda x: np.asarray(x, float) + c,
-                               g_max=sc.fitness.g_max + c, q_coeffs=[1.0],
+                               g_max=sc.fitness.g_max + c,
                                bound_region=sc.fitness.bound_region)
         other = linear_engine(sc.model, fit5, sc.initial_law)
         x = np.linspace(-5, 7, 601)

@@ -5,7 +5,7 @@ import scipy.sparse
 import repmut.metric as metric_mod
 from repmut.metric import (STAR, CompactifiedMeasure, MetricError, bl_dirac_formula,
                            bl_distance, bin_measure, check_certificate, dqt_estimate,
-                           dstar, wasserstein1_1d)
+                           dstar)
 
 
 class TestDstar:
@@ -70,6 +70,14 @@ class TestCompactify:
             with pytest.raises(MetricError, match="one per atom"):
                 CompactifiedMeasure(np.array(atoms), np.array(masses))
         assert CompactifiedMeasure(np.array([0.0, 1.0]), np.array([0.2, 0.3])).atoms.shape == (2, 1)
+
+    def test_non_finite_atoms_and_masses_rejected(self):
+        # each of these once built, and its BL distance to a unit Dirac at 0
+        # came out finite: a NaN atom was dropped from the merged support
+        for atoms, masses in (([0.0, 1.0], [np.nan, 0.3]), ([np.nan, 1.0], [0.2, 0.3]),
+                              ([np.inf, 1.0], [0.2, 0.3])):
+            with pytest.raises(MetricError, match="finite"):
+                CompactifiedMeasure(np.array(atoms), np.array(masses))
 
 
 class TestBlDistance:
@@ -182,28 +190,6 @@ class TestBlDistance:
         assert check_certificate(r) <= 1e-9
 
 
-class TestWasserstein:
-    def test_identical(self):
-        assert wasserstein1_1d([0.0, 1.0], [0.5, 0.5], [0.0, 1.0], [0.5, 0.5]) == 0.0
-
-    def test_translated_diracs(self):
-        assert wasserstein1_1d([0.0], [1.0], [1.0], [1.0]) == 1.0
-
-    def test_empirical_vs_exact_grid(self):
-        gen = np.random.default_rng(9)
-        sample = gen.standard_normal(100_000)
-        x = np.linspace(-8, 8, 4001)
-        dens = np.exp(-0.5 * x ** 2) / np.sqrt(2 * np.pi)
-        cell = dens * (x[1] - x[0])
-        cell /= cell.sum()
-        d = wasserstein1_1d(sample, np.full(sample.size, 1.0 / sample.size), x, cell)
-        assert d <= 0.02
-
-    def test_unequal_masses_rejected(self):
-        with pytest.raises(MetricError, match="unequal"):
-            wasserstein1_1d([0.0], [1.0], [0.0], [0.5])
-
-
 class TestDqt:
     def _setup(self):
         from repmut.closed_form import linear_engine
@@ -253,6 +239,16 @@ class TestDqt:
         res = dqt_estimate(sc.model, sc.fitness, sc.initial_law, ref, T=0.5, N=1,
                            reps=2, seed=3, ref_atoms=128, _particle_runner=runner)
         assert (res.extra_shift == 0.0).all()
+
+    def test_nan_reference_density_raises(self):
+        # a NaN reference density once gave the value 0, every LP pruned
+        import types
+        sc, ref = self._setup()
+        nan_ref = types.SimpleNamespace(grid=ref.grid, mass_factor=ref.mass_factor,
+                                        u=lambda t, x: np.full(np.shape(x), np.nan))
+        with pytest.raises(MetricError, match="finite"):
+            dqt_estimate(sc.model, sc.fitness, sc.initial_law, nan_ref, T=0.5, N=1,
+                         reps=1, seed=3, checkpoints=3, ref_atoms=64, steps_per_unit=100)
 
     def test_decay_with_n(self):
         sc, ref = self._setup()

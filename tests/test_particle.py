@@ -56,7 +56,7 @@ class TestRunParticles:
 class TestMeasures:
     def test_uniform_masses_for_constant_fitness(self):
         fit = FitnessFunction(g=lambda x: np.full_like(np.asarray(x, float), 2.0),
-                              g_max=2.0, q_coeffs=[0.0])
+                              g_max=2.0)
         ens, _ = small_ensemble(fitness=fit)
         nm = normalized_measure(ens, 1.0)
         assert np.abs(nm.masses - 1.0 / 256).max() < 1e-15
@@ -109,7 +109,7 @@ class TestMeasures:
     def test_constant_negative_fitness_exact_mass(self):
         # shifted g = -1: total tilted mass e^{-t} exactly
         fit = FitnessFunction(g=lambda x: np.full_like(np.asarray(x, float), -1.0),
-                              g_max=0.0, q_coeffs=[0.0])
+                              g_max=0.0)
         ens, _ = small_ensemble(fitness=fit)
         for t in ens.times:
             tm = tilted_measure(ens, t)

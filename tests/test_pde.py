@@ -69,7 +69,7 @@ class TestLinearFitness:
     def test_constant_fitness_trace(self):
         m = bm_model(0.0, 1.0)
         fit = FitnessFunction(g=lambda x: np.full_like(np.asarray(x, float), 3.0),
-                              g_max=3.0, q_coeffs=[0.0])
+                              g_max=3.0)
         u0 = gaussian_grid_density(0.5, half_width=10.0, nodes=512)
         traj = solve_rm_pde(m, fit, u0, T=0.2,
                             scheme=PdeScheme(half_width=10.0, nodes=512))
@@ -101,7 +101,7 @@ class TestHalfLine:
         # Gamma(2a/s^2, 2|b|/s^2) = Gamma(2, 2) is stationary for g = 0
         m = cir_model(1.0, -1.0, 1.0)
         fit = FitnessFunction(g=lambda x: np.zeros_like(np.asarray(x, float)),
-                              g_max=0.0, q_coeffs=[0.0])
+                              g_max=0.0)
         dx = 14.0 / 1024
         x = (np.arange(1024) + 0.5) * dx
         u0 = GridDensity(x, 4.0 * x * np.exp(-2.0 * x)).normalize()
@@ -114,7 +114,7 @@ class TestHalfLine:
     def test_mass_leak_guard_raises(self):
         m = bm_model(0.0, np.sqrt(2.0))
         fit = FitnessFunction(g=lambda x: np.zeros_like(np.asarray(x, float)),
-                              g_max=0.0, q_coeffs=[0.0])
+                              g_max=0.0)
         x = np.linspace(-3, 3, 256)
         u0 = GridDensity(x, np.exp(-0.5 * x ** 2)).normalize()
         with pytest.raises(PdeError, match="leak"):

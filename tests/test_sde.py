@@ -198,7 +198,7 @@ class TestLogWeight:
     def test_constant_fitness_shifts_to_zero(self):
         m = bm_model(0.0, 1.0)
         fit = FitnessFunction(g=lambda x: np.full_like(np.asarray(x, float), 3.0),
-                              g_max=3.0, q_coeffs=[0.0])
+                              g_max=3.0)
         b = simulate(m, np.zeros((8, 1)), TimeGrid(0, 1.0, 64), 1, fitness=fit)
         assert np.abs(b.logw).max() == 0.0
         # unshifted value c*t is recoverable from the recorded shift
@@ -214,8 +214,7 @@ class TestLogWeight:
     def test_trapezoid_second_order(self, linear_fit_unshifted):
         # deterministic smooth path: halving dt cuts the quadrature error ~4x
         m = bm_model(1.0, 0.0)
-        fit = FitnessFunction(g=lambda x: np.asarray(x, float) ** 2, g_max=0.0,
-                              q_coeffs=[0.0, 1.0])
+        fit = FitnessFunction(g=lambda x: np.asarray(x, float) ** 2, g_max=0.0)
         errs = []
         for steps in (2 ** 5, 2 ** 6):
             b = simulate(m, np.zeros((1, 1)), TimeGrid(0, 1.0, steps), 0, fitness=fit)
@@ -224,7 +223,7 @@ class TestLogWeight:
 
     def test_accumulate_matches_fused(self):
         # g(x) = x without declared structure: the fused trapezoid path
-        fit = FitnessFunction(g=lambda x: np.asarray(x, float), g_max=0.0, q_coeffs=[1.0])
+        fit = FitnessFunction(g=lambda x: np.asarray(x, float), g_max=0.0)
         m = bm_model(0.0, 1.0)
         grid = TimeGrid(0, 1.0, 128)
         b = simulate(m, np.zeros((16, 1)), grid, 5, fitness=fit)
@@ -234,7 +233,7 @@ class TestLogWeight:
 
     def test_additivity_over_concatenated_grids(self):
         # g(x) = x without declared structure: the fine-grid trapezoid path
-        fit = FitnessFunction(g=lambda x: np.asarray(x, float), g_max=0.0, q_coeffs=[1.0])
+        fit = FitnessFunction(g=lambda x: np.asarray(x, float), g_max=0.0)
         m = bm_model(1.0, 0.0)
         whole = simulate(m, np.zeros((1, 1)), TimeGrid(0, 1.0, 512), 0, fitness=fit)
         first = simulate(m, np.zeros((1, 1)), TimeGrid(0, 0.5, 256), 0, fitness=fit)
@@ -344,7 +343,6 @@ class TestJointGaussian:
         store = grid.checkpoint_indices(3)
         lin = linear_fitness(slope=1.0, g_max=0.0, bound_lo=-50.0)
         quad = FitnessFunction(g=lambda x: -np.asarray(x, float) ** 2, g_max=0.0,
-                               q_coeffs=[0.0, 1.0],
                                structure={"kind": "affine-quadratic", "alpha": 0.0,
                                           "delta": [0.0], "G": [[1.0]]})
         bm = bm_model(0.0, 1.0)

@@ -25,16 +25,16 @@ def names_used(trees) -> set[str]:
     return named
 
 
-def unreferenced_private_helpers(package: Path) -> list[str]:
-    """Module-level private functions and classes (``_name``) of the
-    package's modules that no code in the package names, outside their own
-    definition."""
+def unreferenced_definitions(package: Path) -> list[str]:
+    """Module-level functions and classes of the package's modules, public
+    or private, that no code in the package names outside their own
+    definition.  An export in ``__init__.py`` is not a use: a name that
+    only the package's tests call is listed."""
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
-    helpers = [(module, node.name) for module, tree in trees.items() for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and node.name.startswith("_") and not node.name.startswith("__")]
+    defined = [(module, node.name) for module, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
     named = names_used(trees.values())
-    return [f"{module}:{name}" for module, name in helpers if name not in named]
+    return [f"{module}:{name}" for module, name in defined if name not in named]
 
 
 def unused_exports(package: Path) -> list[str]:
@@ -50,7 +50,8 @@ def unused_exports(package: Path) -> list[str]:
 
 
 def test_every_private_helper_is_referenced():
-    assert unreferenced_private_helpers(PACKAGE) == []
+    # public functions and classes too, not only the ``_name`` helpers
+    assert unreferenced_definitions(PACKAGE) == []
 
 
 def test_guard_sees_a_helper_left_behind(tmp_path):
@@ -58,9 +59,11 @@ def test_guard_sees_a_helper_left_behind(tmp_path):
         "def _used():\n    return 1\n\n\n"
         "def _left(x):\n    return _left(x - 1) if x else 0\n\n\n"
         "class _Gone:\n    pass\n\n\n"
-        "def public():\n    return _used()\n")
-    (tmp_path / "b.py").write_text("from . import a\n\nVALUE = a._used\n")
-    assert unreferenced_private_helpers(tmp_path) == ["a.py:_left", "a.py:_Gone"]
+        "def public():\n    return _used()\n\n\n"
+        "def leftover():\n    return 2\n")
+    (tmp_path / "b.py").write_text("from . import a\n\nVALUE = a.public\n")
+    (tmp_path / "__init__.py").write_text("from .a import leftover\n")
+    assert unreferenced_definitions(tmp_path) == ["a.py:_left", "a.py:_Gone", "a.py:leftover"]
 
 
 def test_every_export_is_used_by_the_package():

@@ -4,12 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from repmut.closed_form import eigenpair_residual, tilted_extra_drift
 from repmut.model import FitnessFunction
-from repmut.scenarios import bm_model, cir_model
+from repmut.scenarios import cir_model
 from repmut.spectral import (EnlargeGridError, SchrodingerProblem, SpectralError,
                              cir_eigenpair, kummer_M, kummer_M_prime,
-                             pinsky_diagnostic, schrodinger_ground_state)
+                             schrodinger_ground_state)
 
-CIR_FIT = FitnessFunction(g=lambda x: -np.asarray(x, float), g_max=0.0, q_coeffs=[1.0])
+CIR_FIT = FitnessFunction(g=lambda x: -np.asarray(x, float), g_max=0.0)
 
 
 def cir_lam_max(a, b, sigma):
@@ -154,26 +154,3 @@ class TestSchrodinger:
         x = np.linspace(-3, 3, 101)
         assert np.abs(gs5.phi(x) - gs0.phi(x)).max() < 1e-10
 
-
-class TestPinskyDiagnostic:
-    def test_bm_constant_function_quadratic_growth(self):
-        m = bm_model(0.0, 1.0)
-        rep = pinsky_diagnostic(m, lambda x: np.ones_like(np.asarray(x, float)),
-                                x0=0.0, max_scale=6)
-        assert rep["trend"] == "consistent with divergence"
-        # integral ~ width^2 / 2: log values grow by ~2 log 2 per doubling
-        diffs = np.diff(rep["log_integral_right"])
-        assert np.all(np.abs(diffs - 2 * np.log(2)) < 0.2)
-
-    def test_monotone_in_scale(self):
-        m = bm_model(0.0, 1.0)
-        rep = pinsky_diagnostic(m, lambda x: np.ones_like(np.asarray(x, float)))
-        assert all(np.diff(rep["log_integral_left"]) > 0)
-
-    def test_ou_eigenfunction_smoke(self):
-        from repmut.closed_form import affine_engine
-        from repmut.scenarios import ou_linear_scenario
-        sc = ou_linear_scenario()
-        pair = affine_engine(sc.model, sc.fitness, sc.initial_law).meta["eigenpair"]
-        rep = pinsky_diagnostic(sc.model, pair.phi, x0=0.0, max_scale=5)
-        assert "trend" in rep
