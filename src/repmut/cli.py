@@ -28,7 +28,7 @@ from .model import InitialLaw, ModelError
 from .numerics import GridDensity, NumericsError, kde, stored_index
 from .particle import mass_estimate, mass_estimate_se, normalized_measure, run_particles
 from .pde import PdeError, PdeScheme, _build_grid, solve_rm_pde
-from .report import atomic_write_text, loglog_svg, write_csv
+from .report import atomic_write_text, csv_text, loglog_svg, write_csv
 from .scenarios import (CANONICAL, Scenario, affine_quadratic_fitness, bm_model,
                         cir_model, gamma_like_law, linear_fitness, ou_model,
                         quadratic_decay_fitness)
@@ -362,15 +362,16 @@ def cmd_solve(cfg: dict, out: str, seed, threads: int) -> int:
         return EXIT_NUMERIC
 
     ref_grid = next(iter(solutions.values())).grid
+    x_text, t_text = csv_text(ref_grid), csv_text(times)  # shared by every table
     for engine, sol in solutions.items():
-        rows = []
-        for t in times:
+        blocks = [np.empty((0, 3), dtype=object)]
+        for t, t_s in zip(times, t_text):
             try:
                 u = np.maximum(sol.u(t, ref_grid), 0.0)
             except (EngineError, KeyError):
                 continue
-            rows.extend([t, x, v] for x, v in zip(ref_grid, u))
-        write_csv(os.path.join(out, f"density_{engine}.csv"), "t,x,u", rows)
+            blocks.append(np.array([[t_s] * len(u), x_text, u], dtype=object).T)
+        write_csv(os.path.join(out, f"density_{engine}.csv"), "t,x,u", np.concatenate(blocks))
 
     if "pde" in solutions:
         solutions["pde"].meta["trajectory"].summary_json(

@@ -63,14 +63,13 @@ class DomainSpec:
         hi = np.array([b[1] for b in self.bounds])
         return np.isfinite(x).all(axis=1) & ((x > lo) & (x < hi)).all(axis=1)
 
-    def probe_box(self, fallback_half_width: float = 10.0):
-        """Finite box used for probe sampling on unbounded domains."""
+    def probe_box(self):
+        """Finite box for probe sampling: the box, [1e-3, 10] on the half-line, else [-10, 10]^dim."""
         if self.kind == "box":
             return np.array([b[0] for b in self.bounds]), np.array([b[1] for b in self.bounds])
         if self.kind == "half-line":
-            return np.array([1e-3]), np.array([fallback_half_width])
-        w = fallback_half_width
-        return np.full(self.dim, -w), np.full(self.dim, w)
+            return np.array([1e-3]), np.array([10.0])
+        return np.full(self.dim, -10.0), np.full(self.dim, 10.0)
 
 
 def halton(d: int, n: int, seed: int = 0) -> np.ndarray:
@@ -219,9 +218,6 @@ class FitnessFunction:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.g(x)
-
-    def shifted(self, x: np.ndarray) -> np.ndarray:
-        return self.g(x) - self.g_max
 
 
 def check_fitness_bound(fitness: FitnessFunction, domain: DomainSpec,

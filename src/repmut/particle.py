@@ -42,28 +42,28 @@ class WeightedParticleEnsemble:
 
     def to_csv(self, path):
         """Rows (particle, t, x0.., logw), particle-major, in np.savetxt's
-        "%.18e" format, written CSV_CHUNK_ROWS rows at a time to a temporary
-        file that replaces ``path`` once complete."""
+        "%.18e" (each particle index and time formatted once), written
+        CSV_CHUNK_ROWS rows at a time to a temporary file that replaces ``path``."""
         n, s, d = self.positions.shape
-        table = np.concatenate([np.repeat(np.arange(n, dtype=float), s)[:, None],
-                                np.tile(self.times, n)[:, None],
-                                self.positions.reshape(n * s, d),
-                                self.logw.reshape(n * s, 1)], axis=1)
-        line = ",".join(["%.18e"] * (d + 3)) + "\n"
+        index_text = np.array(["%.18e" % i for i in range(n)], dtype=object)
+        time_text = np.array(["%.18e" % t for t in self.times.tolist()], dtype=object)
+        line = "%s,%s" + ",%.18e" * (d + 1) + "\n"
         with atomic_open(path) as fh:
             fh.write("particle,t," + ",".join(f"x{k}" for k in range(d)) + ",logw\n")
             for lo in range(0, n * s, CSV_CHUNK_ROWS):
-                chunk = table[lo:lo + CSV_CHUNK_ROWS]
-                fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+                i, j = np.divmod(np.arange(lo, min(lo + CSV_CHUNK_ROWS, n * s)), s)
+                chunk = np.empty((len(i), d + 3), dtype=object)
+                chunk[:, 0], chunk[:, 1] = index_text[i], time_text[j]
+                chunk[:, 2:-1], chunk[:, -1] = self.positions[i, j], self.logw[i, j]
+                fh.write(line * len(i) % tuple(chunk.ravel().tolist()))
 
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Atoms with masses; ``normalization`` is "normalized" or "tilted"."""
+    """Atoms with masses: normalized to 1, or tilted (exp(L_i) / N)."""
 
     atoms: np.ndarray   # (N, n)
     masses: np.ndarray  # (N,)
-    normalization: str
 
     @property
     def total_mass(self) -> float:
@@ -99,16 +99,14 @@ def normalized_measure(ens: WeightedParticleEnsemble, t: float) -> EmpiricalMeas
         raise ParticleError("all weights underflowed; shorten the horizon "
                             "or lower the shift")
     w = np.exp(lw - m)
-    return EmpiricalMeasure(atoms=ens.positions[:, j], masses=w / w.sum(),
-                            normalization="normalized")
+    return EmpiricalMeasure(atoms=ens.positions[:, j], masses=w / w.sum())
 
 
 def tilted_measure(ens: WeightedParticleEnsemble, t: float) -> EmpiricalMeasure:
     """Sub-probability measure with atom masses exp(L_i)/N."""
     j = stored_index(ens.times, t)
     masses = np.exp(ens.logw[:, j]) / ens.n_particles
-    return EmpiricalMeasure(atoms=ens.positions[:, j], masses=masses,
-                            normalization="tilted")
+    return EmpiricalMeasure(atoms=ens.positions[:, j], masses=masses)
 
 
 def mass_estimate(ens: WeightedParticleEnsemble, t: float) -> float:

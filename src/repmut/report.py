@@ -5,6 +5,8 @@ CSV schemas (versioned; see README):
   rates:     N,D,ci_lo,ci_hi
   masses:    t,h_t,h_t_mc,se
   l1_table:  engine_a,engine_b,l1
+  slope:     slope,ci_lo,ci_hi,theory,inversions
+  ensemble:  particle,t,x0..,logw  (written by WeightedParticleEnsemble.to_csv)
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import contextlib
 import os
 
 import numpy as np
-
-CSV_SCHEMA_VERSION = 1
 
 
 @contextlib.contextmanager
@@ -43,18 +43,26 @@ def atomic_write_text(path, text: str):
 
 
 def write_csv(path, header: str, rows):
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write ``rows`` (equal-length rows or a 2-D array) under ``header``, by one
+    ``%`` per table: text as it is, integers as digits, other numbers "%.17g"."""
+    table = np.array(rows, dtype=object)  # a copy: a column of mixed kinds becomes text
+    specs = []
+    for col in table.T if table.ndim == 2 else ():  # ragged rows fail in the % below
+        kinds = {_spec(tp) for tp in set(map(type, col))}
+        if len(kinds) != 1:  # mixed, or no rows
+            col[:], kinds = csv_text(col), {"%s"}
+        specs.append(kinds.pop())
+    line = ",".join(specs) + "\n"
+    atomic_write_text(path, header + "\n" + line * len(table) % tuple(table.ravel().tolist()))
 
 
-def _fmt(v):
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
+def csv_text(values) -> list:
+    """Each value as ``write_csv`` writes it, to format a repeated one once."""
+    return [_spec(type(v)) % v for v in values]
+
+
+def _spec(tp) -> str:
+    return "%s" if issubclass(tp, str) else "%d" if issubclass(tp, (int, np.integer)) else "%.17g"
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +87,9 @@ def loglog_svg(path, x, y, ci=None, fit=None, annotation="", title="",
     ml, mr, mt, mb = 70, 20, 40, 55
     lx = np.log10(np.asarray(x, float))
     ly = np.log10(np.asarray(y, float))
-    ylo_data = ly.min() if ci is None else np.log10(max(min(c[0] for c in ci), 1e-300))
-    yhi_data = ly.max() if ci is None else np.log10(max(c[1] for c in ci))
     xlo, xhi = lx.min(), lx.max()
-    ylo, yhi = ylo_data, yhi_data
+    ylo = ly.min() if ci is None else np.log10(max(min(c[0] for c in ci), 1e-300))
+    yhi = ly.max() if ci is None else np.log10(max(c[1] for c in ci))
     xpad, ypad = 0.05 * (xhi - xlo + 1e-9), 0.08 * (yhi - ylo + 1e-9)
     xlo, xhi, ylo, yhi = xlo - xpad, xhi + xpad, ylo - ypad, yhi + ypad
 

@@ -86,15 +86,14 @@ class PathBundle:
     logw: Optional[np.ndarray] = None   # (N, S), integral of g - shift
     shift: float = 0.0
     fine_steps: int = 0
-    particle_ids: Optional[np.ndarray] = None
 
     @property
     def n_particles(self) -> int:
         return self.positions.shape[0]
 
 
-def _eval_fitness(fit, x: np.ndarray) -> np.ndarray:
-    return fit(x[:, 0]) if x.shape[1] == 1 else fit(x)
+def _shifted_fitness(fitness: FitnessFunction, x: np.ndarray) -> np.ndarray:
+    return (fitness.g(x[:, 0]) if x.shape[1] == 1 else fitness.g(x)) - fitness.g_max
 
 
 def _is_affine(fitness: Optional[FitnessFunction]) -> bool:
@@ -171,7 +170,7 @@ def simulate(model_or_tilt, initial: np.ndarray, grid: TimeGrid, seed: int,
             x, integral = _joint_step(base, x, z1[:, None], z2[:, None], h)
             check_finite(x, store_idx[j + 1])
             # g affine: h g(mean of X over the interval) is its exact integral
-            acc = acc + h * _eval_fitness(fitness.shifted, integral / h)
+            acc = acc + h * _shifted_fitness(fitness, integral / h)
             positions[sl, j + 1] = x
             logw[sl, j + 1] = acc
 
@@ -179,7 +178,7 @@ def simulate(model_or_tilt, initial: np.ndarray, grid: TimeGrid, seed: int,
         x = x0[sl].copy()
         cid = ids[sl]
         acc = np.zeros(x.shape[0]) if fitness is not None else None
-        g_prev = _eval_fitness(fitness.shifted, x) if fitness is not None else None
+        g_prev = _shifted_fitness(fitness, x) if fitness is not None else None
         store_set = set(int(i) for i in store_idx)
         positions[sl, 0] = x
         if logw is not None:
@@ -219,7 +218,7 @@ def simulate(model_or_tilt, initial: np.ndarray, grid: TimeGrid, seed: int,
             check_finite(x, k + 1)
             x_rec = np.maximum(x, 0.0) if scheme == "cir-full-truncation" else x
             if fitness is not None:
-                g_new = _eval_fitness(fitness.shifted, x_rec)
+                g_new = _shifted_fitness(fitness, x_rec)
                 acc = acc + 0.5 * dt * (g_prev + g_new)
                 g_prev = g_new
             if (k + 1) in store_set:
@@ -242,8 +241,7 @@ def simulate(model_or_tilt, initial: np.ndarray, grid: TimeGrid, seed: int,
     return PathBundle(times=times, positions=positions, seed=int(seed),
                       scheme=scheme, logw=logw,
                       shift=(fitness.g_max if fitness is not None else 0.0),
-                      fine_steps=len(store_idx) - 1 if joint else grid.steps,
-                      particle_ids=ids)
+                      fine_steps=len(store_idx) - 1 if joint else grid.steps)
 
 
 def _exact_step(model: DiffusionModel, x, z, dt, sqdt):

@@ -9,6 +9,7 @@ from repmut.cli import (EXIT_CONFIG, EXIT_OK, ConfigError, _build_eigenpair,
                         config_hash, load_config, main)
 from repmut.closed_form import EngineError, RejectedCondition, tilted_engine
 from repmut.model import InitialLaw
+from repmut.report import write_csv
 from repmut.scenarios import ou_model, quadratic_decay_fitness
 from repmut.spectral import SchrodingerProblem, schrodinger_ground_state
 
@@ -455,3 +456,75 @@ class TestCsvSchemas:
             lines = (out / name).read_text().strip().splitlines()[1:]
             times = {line.split(",")[0] for line in lines}
             assert len(times) == 5, f"{name} covers {len(times)} of 5 checkpoints"
+
+
+def fmt_csv_oracle(path, header, rows):
+    """The per-value writer that write_csv replaced, kept as the oracle of
+    its byte-identity tests."""
+    def fmt(v):
+        if isinstance(v, str):
+            return v
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return format(float(v), ".17g")
+
+    lines = [header] + [",".join(fmt(v) for v in row) for row in rows]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+SPECIAL = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e300]
+
+WRITE_CSV_CASES = {
+    "special-floats": [SPECIAL, [np.float64(v) for v in SPECIAL]],
+    "scalar-types": [[np.float64(0.1), np.int64(-7), True, 10**17, 10**20, np.True_],
+                     [np.float64(1e17), np.int64(2**62), False, -10**17, 0, np.False_]],
+    "mixed-int-float-column": [[1, "a"], [0.5, "b"], [10**17, "c"],
+                               [np.int64(3), "d"], [np.float64(2.5), "e"]],
+    "mixed-text-number-column": [["nan", 1.0], [float("nan"), 2], ["x", -0.0]],
+    "text-columns": [["affine", "linear", 0.0], ["linear", "pde", 8.0089494959548155e-06]],
+    "tuples": [(0.05, 1, "x"), (0.1, 2, "y")],
+    "empty-rows": [],
+    "empty-row": [[]],
+    "empty-float-array": np.empty((0, 3)),
+    "float-array": np.vstack([np.random.default_rng(3).normal(scale=1e3, size=(50, 6)),
+                              SPECIAL]),
+    "int-array": np.array([[0, -1, 2**62], [10**17, 5, 6]], dtype=np.int64),
+    "bool-array": np.array([[True, False], [False, True]]),
+    "object-array": np.array([[1, 0.5, "x", np.int64(4)],
+                              [np.int64(2), np.nan, "y", 10**18]], dtype=object),
+    "str-array": np.array([["a", "b"], ["c", "d"]]),
+}
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("name", sorted(WRITE_CSV_CASES))
+    def test_byte_identical_to_per_value_writer(self, tmp_path, name):
+        rows = WRITE_CSV_CASES[name]
+        write_csv(tmp_path / "new.csv", "a,b", rows)
+        fmt_csv_oracle(tmp_path / "old.csv", "a,b", rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_ragged_rows_rejected(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_csv(tmp_path / "r.csv", "a,b", [[1, 2], [3]])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_density_tables_parse_back_to_the_solutions(self, tmp_path):
+        path, _ = write_cfg(tmp_path, engines=["linear", "pde", "particle"],
+                            horizon=0.1, metric={"checkpoints": 3})
+        out = tmp_path / "o"
+        assert main(["solve", "--config", path, "--out", str(out)]) == EXIT_OK
+        seeds = json.loads((out / "manifest.json").read_text())["stage_seeds"]
+        cfg = load_config(path)
+        sc = build_scenario(cfg)
+        sols = {e: build_solution(e, sc, cfg, seeds[f"solve/{e}"]) for e in sc.engines}
+        grid = sols["linear"].grid
+        for engine, sol in sols.items():
+            data = np.loadtxt(out / f"density_{engine}.csv", delimiter=",", skiprows=1)
+            times = np.unique(data[:, 0])
+            assert len(times) == 3
+            expected = np.concatenate(
+                [np.column_stack([np.full(len(grid), t), grid,
+                                  np.maximum(sol.u(t, grid), 0.0)]) for t in times])
+            np.testing.assert_array_equal(data, expected, err_msg=engine)

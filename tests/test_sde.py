@@ -10,7 +10,7 @@ from repmut.sde import SimulationError, TimeGrid, TiltedDrift, simulate
 def accumulate_log_weight(bundle, fitness):
     """Trapezoid of the shifted fitness along a 1D bundle stored on its full
     integration grid; (N, S) array, the oracle for the fused weights."""
-    g = fitness.shifted(bundle.positions[:, :, 0])
+    g = fitness.g(bundle.positions[:, :, 0]) - fitness.g_max
     seg = 0.5 * np.diff(bundle.times) * (g[:, 1:] + g[:, :-1])
     return np.concatenate([np.zeros((len(g), 1)), np.cumsum(seg, axis=1)], axis=1)
 
