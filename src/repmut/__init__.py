@@ -4,8 +4,7 @@ from .model import (DiffusionModel, DomainSpec, FitnessFunction, InitialLaw,
                     check_fitness_bound, sample_initial)
 from .sde import PathBundle, TiltedDrift, TimeGrid, simulate
 from .numerics import GaussianMoments, GridDensity, covariance_integral, kde, matrix_exp
-from .closed_form import (ConstantCondition, Eigenpair, Solution, affine_engine,
-                          detect_constant_condition, eigenpair_residual,
+from .closed_form import (Eigenpair, Solution, affine_engine, eigenpair_residual,
                           linear_engine, solve_linear_v, solve_riccati,
                           tilted_engine)
 from .spectral import SchrodingerProblem, cir_eigenpair, kummer_M, schrodinger_ground_state

@@ -401,6 +401,9 @@ def cmd_solve(cfg: dict, out: str, seed, threads: int) -> int:
 
 def cmd_chaos(cfg: dict, out: str, seed, threads: int) -> int:
     sc = build_scenario(cfg)
+    if sc.model.dim != 1:
+        raise ConfigError(f"chaos bins 1-D measures; the model has dimension "
+                          f"{sc.model.dim}")
     n_ladder = [int(n) for n in cfg["particles"]["N"]]
     if len(n_ladder) < 3:
         raise ConfigError("chaos study needs at least 3 particle counts")

@@ -1,12 +1,13 @@
 """Closed-form and semi-analytic solution engines.
 
-Three routes to the same normalized density flow:
+Three routes to the same normalized density flow.  The two closed forms
+learn the fitness only from its declared affine-quadratic form
+(``FitnessFunction.declared_form``) and reject fitness without one.
 
-* ``linear_engine`` -- constant-coefficient models with fitness whose
-  generator image and gradient-times-diffusion are constant; the solution
-  is an exponentially tilted Gaussian convolution, fully analytic for
-  Gaussian initial data and a kernel quadrature on the law's nodes (1D)
-  otherwise.
+* ``linear_engine`` -- constant-coefficient models with linear fitness
+  (declared G = 0); the solution is an exponentially tilted Gaussian
+  convolution, fully analytic for Gaussian initial data and a kernel
+  quadrature on the law's nodes (1D) otherwise.
 * ``affine_engine`` -- affine drift, constant diffusion, concave quadratic
   fitness; an exponential-quadratic eigenfunction turns the weighted
   expectation into a Gaussian transition density.  Its degenerate case
@@ -58,17 +59,6 @@ class RejectedCondition(Exception):
 
 
 @dataclass(frozen=True)
-class ConstantCondition:
-    """Constant generator image C1 = A g and gradient row C2 = (grad g)^T sigma."""
-
-    C1: float
-    C2: np.ndarray  # (m,)
-
-    def __post_init__(self):
-        object.__setattr__(self, "C2", np.atleast_1d(np.asarray(self.C2, float)))
-
-
-@dataclass(frozen=True)
 class Eigenpair:
     """Positive eigenfunction with (A + g) phi = -lam phi.
 
@@ -115,74 +105,6 @@ def _no_mass(t):
 
 
 # ---------------------------------------------------------------------------
-# constant-condition detection
-
-
-def _fd_gradient(f, x, h):
-    n = x.size
-    g = np.empty(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h * (1.0 + abs(x[i]))
-        g[i] = (f(x + e) - f(x - e)) / (2 * e[i])
-    return g
-
-
-def _fd_hessian(f, x, h):
-    n = x.size
-    H = np.empty((n, n))
-    f0 = f(x)
-    steps = [h * (1.0 + abs(x[i])) for i in range(n)]
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = steps[i]
-        H[i, i] = (f(x + ei) - 2 * f0 + f(x - ei)) / steps[i] ** 2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = steps[j]
-            H[i, j] = H[j, i] = (f(x + ei + ej) - f(x + ei - ej)
-                                 - f(x - ei + ej) + f(x - ei - ej)) \
-                / (4 * steps[i] * steps[j])
-    return H
-
-
-def detect_constant_condition(model: DiffusionModel, fitness,
-                              probes: int = 32, seed: int = 11):
-    """Returns ConstantCondition if A g and (grad g)^T sigma are constant on
-    probe points, else raises RejectedCondition.
-
-    Gradients use central differences with step 1e-5 (1 + |x|); Hessians use
-    1e-3 (1 + |x|) to keep the second-difference roundoff below the
-    constancy tolerance.
-    """
-    pts = probe_points(model.domain, max(probes, 32), seed=seed)
-    g = fitness.g if isinstance(fitness, FitnessFunction) else fitness
-
-    def g_point(x):
-        val = g(np.asarray(x)[None, 0] if x.size == 1 else x[None, :])
-        return float(np.asarray(val).reshape(-1)[0])
-
-    c1s, c2s = [], []
-    for x in pts:
-        grad = _fd_gradient(g_point, x, 1e-5)
-        hess = _fd_hessian(g_point, x, 1e-3)
-        sig = model.diffusion(x[None, :])[0]
-        b = model.drift(x[None, :])[0]
-        c1s.append(b @ grad + 0.5 * np.trace(sig @ sig.T @ hess))
-        c2s.append(grad @ sig)
-    c1s = np.asarray(c1s)
-    c2s = np.asarray(c2s)
-    C1 = float(np.median(c1s))
-    C2 = np.median(c2s, axis=0)
-    tol = TOL["constant_condition_rel"]
-    if np.abs(c1s - C1).max() > tol * (1.0 + abs(C1)):
-        raise RejectedCondition("A g is not constant on probe points")
-    if np.abs(c2s - C2).max() > tol * (1.0 + np.linalg.norm(C2)):
-        raise RejectedCondition("(grad g)^T sigma is not constant on probe points")
-    return ConstantCondition(C1=C1, C2=C2)
-
-
-# ---------------------------------------------------------------------------
 # linear engine (constant coefficients, linear fitness)
 
 
@@ -213,33 +135,33 @@ def _normalized_density(u0: InitialLaw, grid: np.ndarray, numerator: Callable) -
 def linear_engine(model: DiffusionModel, fitness: FitnessFunction,
                   u0: InitialLaw, horizon: float = 1.0,
                   grid_size: int = 2048) -> Solution:
-    """Tilted-convolution solution for constant (b, sigma) and linear g.
+    """Tilted-convolution solution for constant (b, sigma) and fitness
+    declared affine-quadratic with G = 0, g(x) = -(alpha + delta^T x).
 
-    For Gaussian initial data the output is the analytic Gaussian
-    N(mu_v + t V c, V) with V = S0 + sigma sigma^T t and kernel mean
-    mu_v = m0 + b t - sigma C2^T t^2 / 2; otherwise the convolution and
+    With a = sigma sigma^T and the gradient c = -delta, Gaussian initial
+    data give the analytic Gaussian N(mu_v + t V c, V) with V = S0 + a t and
+    kernel mean mu_v = m0 + b t - a c t^2 / 2; otherwise the convolution and
     normalization run on quadrature grids.
     """
     if model.kind != "arithmetic-bm":
         raise RejectedCondition("linear engine needs a constant-coefficient model")
-    cond = detect_constant_condition(model, fitness)
+    form = fitness.declared_form()
+    if form is None or form[2].any():
+        raise RejectedCondition("linear engine needs fitness with a declared "
+                                "affine-quadratic form and G = 0")
+    alpha, delta, _ = form
+    c = -delta
     sig = model.params["sigma"]
     b = model.params["b"]
     n = model.dim
     a = sig @ sig.T
-    st = getattr(fitness, "structure", None)
-    if st and st.get("kind") == "affine-quadratic" and not np.any(np.asarray(st["G"])):
-        c = -np.atleast_1d(np.asarray(st["delta"], float))  # exact gradient
-    else:
-        c = np.linalg.solve(sig.T, cond.C2)  # grad g = sigma^{-T} C2^T
     if u0.kind != "gaussian":
         return _kernel_quadrature(u0, fitness, b, a, c, horizon, grid_size)
     m0, S0 = u0.params["mean"], u0.params["cov"]
-    g0 = float(np.asarray(fitness.g(np.zeros((1, n)))).reshape(-1)[0])  # g(0)
 
     def moments(t):
         V = S0 + a * t
-        kernel_mean = b * t - (a @ c) * t * t / 2.0  # sigma C2^T = sigma sigma^T grad g
+        kernel_mean = b * t - (a @ c) * t * t / 2.0
         return GaussianMoments(m0 + kernel_mean + t * (V @ c), V)
 
     def u(t, x):
@@ -250,7 +172,7 @@ def linear_engine(model: DiffusionModel, fitness: FitnessFunction,
         cac = float(c @ a @ c)
         cm = float(c @ m0)
         cSc = float(c @ S0 @ c)
-        return float(np.exp(t * g0 + cb * t * t / 2.0 + cac * t ** 3 / 6.0
+        return float(np.exp(-t * alpha + cb * t * t / 2.0 + cac * t ** 3 / 6.0
                             + t * cm + t * t * cSc / 2.0))
 
     mT = moments(horizon)
@@ -382,9 +304,9 @@ def solve_linear_v(H, a, B, b, delta) -> np.ndarray:
 def affine_form(model: DiffusionModel, fitness: FitnessFunction):
     """(model, alpha, delta, G) for fitness -(alpha + delta^T x + x^T G x),
     with an arithmetic-BM or OU model restated as an affine-kind model."""
-    st = fitness.structure if getattr(fitness, "structure", None) else None
-    if not st or st.get("kind") != "affine-quadratic":
-        raise RejectedCondition("fitness must carry affine-quadratic structure")
+    form = fitness.declared_form()
+    if form is None:
+        raise RejectedCondition("fitness has no declared affine-quadratic form")
     if model.kind == "arithmetic-bm":
         model = DiffusionModel(domain=model.domain, kind="affine",
                                params={"b": model.params["b"],
@@ -398,8 +320,7 @@ def affine_form(model: DiffusionModel, fitness: FitnessFunction):
                                        "sigma": [[kp["sigma"]]]})
     if model.kind != "affine":
         raise RejectedCondition("affine engine needs an affine-kind model")
-    return (model, float(st["alpha"]), np.atleast_1d(np.asarray(st["delta"], float)),
-            np.atleast_2d(np.asarray(st["G"], float)))
+    return (model, *form)
 
 
 def affine_eigenpair(model: DiffusionModel, alpha: float, delta: np.ndarray,
@@ -679,15 +600,34 @@ def tilted_engine(model: DiffusionModel, fitness: FitnessFunction,
 # residual probes
 
 
-def eigenpair_residual(model: DiffusionModel, fitness, pair: Eigenpair,
-                       points: np.ndarray, fd_step: float = 1e-4) -> float:
+def _fd_hessian(f, x, h):
+    n = x.size
+    H = np.empty((n, n))
+    f0 = f(x)
+    steps = [h * (1.0 + abs(x[i])) for i in range(n)]
+    for i in range(n):
+        ei = np.zeros(n)
+        ei[i] = steps[i]
+        H[i, i] = (f(x + ei) - 2 * f0 + f(x - ei)) / steps[i] ** 2
+        for j in range(i + 1, n):
+            ej = np.zeros(n)
+            ej[j] = steps[j]
+            H[i, j] = H[j, i] = (f(x + ei + ej) - f(x + ei - ej)
+                                 - f(x - ei + ej) + f(x - ei - ej)) \
+                / (4 * steps[i] * steps[j])
+    return H
+
+
+def eigenpair_residual(model: DiffusionModel, fitness: FitnessFunction,
+                       pair: Eigenpair, points: np.ndarray,
+                       fd_step: float = 1e-4) -> float:
     """Relative residual max |(A + g) phi + lam phi| / max |phi| on probes.
 
     Uses analytic derivatives when the eigenpair carries them, aligned grid
     differences for grid-backed pairs, otherwise central differences with
     step fd_step * (1 + |x|).
     """
-    g = fitness.g if isinstance(fitness, FitnessFunction) else fitness
+    g = fitness.g
     if model.dim != 1:
         pts = np.atleast_2d(points)
         res = []

@@ -8,7 +8,6 @@ absolute unless the name says otherwise.
 TOL = {
     # model / law checks
     "law_normalization": 1e-8,          # grid densities integrate to 1 +- this
-    "constant_condition_rel": 1e-8,     # |Ag - C1| <= tol * (1 + |C1|)
     # linear algebra kernels
     "matrix_exp_residual": 1e-10,
     "covariance_symmetry": 1e-12,
@@ -32,7 +31,6 @@ TOL = {
     "lp_duality_gap_rel": 1e-7,         # (U - value) / U of a HiGHS solve
     # PDE oracle
     "pde_mass_leak": 1e-4,
-    "pde_step_normalization": 1e-9,
 }
 
 # Default Euler steps per unit of time (overridable per scenario).

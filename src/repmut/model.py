@@ -33,40 +33,27 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Open domain the state lives in: full space, half line or a box."""
+    """Open domain the state lives in: full space or half line."""
 
-    kind: str  # "full-space" | "half-line" | "box"
+    kind: str  # "full-space" | "half-line"
     dim: int = 1
-    bounds: Optional[tuple] = None  # ((lo, hi), ...) for boxes
 
     def __post_init__(self):
-        if self.kind not in ("full-space", "half-line", "box"):
+        if self.kind not in ("full-space", "half-line"):
             raise ModelError(f"unknown domain kind {self.kind!r}")
         if self.dim < 1:
             raise ModelError("dimension must be positive")
         if self.kind == "half-line" and self.dim != 1:
             raise ModelError("half-line domain requires dim == 1")
-        if self.kind == "box":
-            if self.bounds is None or len(self.bounds) != self.dim:
-                raise ModelError("box domain needs one (lo, hi) pair per axis")
-            for lo, hi in self.bounds:
-                if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-                    raise ModelError("box bounds must be finite and ordered")
 
     def contains(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
         if self.kind == "full-space":
             return np.isfinite(x).all(axis=1)
-        if self.kind == "half-line":
-            return np.isfinite(x).all(axis=1) & (x[:, 0] > 0.0)
-        lo = np.array([b[0] for b in self.bounds])
-        hi = np.array([b[1] for b in self.bounds])
-        return np.isfinite(x).all(axis=1) & ((x > lo) & (x < hi)).all(axis=1)
+        return np.isfinite(x).all(axis=1) & (x[:, 0] > 0.0)
 
     def probe_box(self):
-        """Finite box for probe sampling: the box, [1e-3, 10] on the half-line, else [-10, 10]^dim."""
-        if self.kind == "box":
-            return np.array([b[0] for b in self.bounds]), np.array([b[1] for b in self.bounds])
+        """Finite box for probe sampling: [1e-3, 10] on the half-line, else [-10, 10]^dim."""
         if self.kind == "half-line":
             return np.array([1e-3]), np.array([10.0])
         return np.full(self.dim, -10.0), np.full(self.dim, 10.0)
@@ -210,7 +197,7 @@ class FitnessFunction:
     g: Callable[[np.ndarray], np.ndarray]
     g_max: float
     bound_region: Optional[tuple] = None  # (lo, hi) arrays for probing
-    structure: Optional[dict] = None      # engine hints, e.g. quadratic coefficients
+    structure: Optional[dict] = None      # declared form; read through declared_form
 
     def __post_init__(self):
         if not np.isfinite(self.g_max):
@@ -218,6 +205,16 @@ class FitnessFunction:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.g(x)
+
+    def declared_form(self) -> Optional[tuple]:
+        """(alpha, delta, G) of a fitness declared affine-quadratic,
+        g(x) = -(alpha + delta^T x + x^T G x), as a float, a vector and a
+        matrix; None when no such form is declared."""
+        st = self.structure
+        if not st or st.get("kind") != "affine-quadratic":
+            return None
+        return (float(st["alpha"]), np.atleast_1d(np.asarray(st["delta"], float)),
+                np.atleast_2d(np.asarray(st["G"], float)))
 
 
 def check_fitness_bound(fitness: FitnessFunction, domain: DomainSpec,

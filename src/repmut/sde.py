@@ -98,8 +98,8 @@ def _shifted_fitness(fitness: FitnessFunction, x: np.ndarray) -> np.ndarray:
 
 def _is_affine(fitness: Optional[FitnessFunction]) -> bool:
     """Fitness declared affine-quadratic with G == 0, i.e. affine in x."""
-    st = getattr(fitness, "structure", None) or {}
-    return st.get("kind") == "affine-quadratic" and not np.any(st.get("G", 1.0))
+    form = fitness.declared_form() if fitness is not None else None
+    return form is not None and not form[2].any()
 
 
 def _drift_of(model_or_tilt, t: float, x: np.ndarray) -> np.ndarray:

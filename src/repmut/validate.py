@@ -140,9 +140,8 @@ def _check_shift_invariance():
     sc = linear_bm_scenario()
     base = linear_engine(sc.model, sc.fitness, sc.initial_law)
     c = 5.0
-    shifted_fit = FitnessFunction(g=lambda x: np.asarray(x, float) + c,
-                                  g_max=sc.fitness.g_max + c,
-                                  bound_region=sc.fitness.bound_region)
+    shifted_fit = affine_quadratic_fitness(-c, [-1.0], [[0.0]], g_max=sc.fitness.g_max + c,
+                                           bound_region=sc.fitness.bound_region)
     other = linear_engine(sc.model, shifted_fit, sc.initial_law)
     x = np.linspace(-4, 6, 257)
     du = np.abs(base.u(0.7, x) - other.u(0.7, x)).max()

@@ -168,19 +168,31 @@ class TestSolveCommand:
     def test_missing_config_is_config_error(self):
         assert main(["solve"]) == EXIT_CONFIG
 
+    def write_2d_cfg(self, tmp_path):
+        # declared G = 0, so the linear engine would accept the model
+        return write_cfg(tmp_path, scenario=None, engines=["linear"],
+                         model={"kind": "arithmetic-bm", "b": [0.1, -0.2],
+                                "sigma": [[1.0, 0.0], [0.0, 1.0]], "n": 2},
+                         fitness={"kind": "affine-quadratic", "alpha": 0.0,
+                                  "delta": [1.0, 0.5], "G": [[0.0, 0.0], [0.0, 0.0]],
+                                  "g_max": 50.0},
+                         initial={"kind": "gaussian", "mean": [0.0, 0.0],
+                                  "cov": [[1.0, 0.0], [0.0, 1.0]]})[0]
+
     def test_two_dimensional_model_is_config_error(self, tmp_path, capsys):
-        path, _ = write_cfg(tmp_path, scenario=None, engines=["linear"],
-                            model={"kind": "arithmetic-bm", "b": [0.1, -0.2],
-                                   "sigma": [[1.0, 0.0], [0.0, 1.0]], "n": 2},
-                            fitness={"kind": "affine-quadratic", "alpha": 0.0,
-                                     "delta": [1.0, 0.5], "G": [[0.0, 0.0], [0.0, 0.0]],
-                                     "g_max": 50.0},
-                            initial={"kind": "gaussian", "mean": [0.0, 0.0],
-                                     "cov": [[1.0, 0.0], [0.0, 1.0]]})
+        path = self.write_2d_cfg(tmp_path)
         out = tmp_path / "o"
         assert main(["solve", "--config", path, "--out", str(out)]) == EXIT_CONFIG
         assert "1-D densities" in capsys.readouterr().err
         assert not out.exists()  # raised before any engine ran
+
+    def test_two_dimensional_chaos_is_config_error(self, tmp_path, capsys):
+        # the reference grid and the BL binning are 1-D
+        path = self.write_2d_cfg(tmp_path)
+        out = tmp_path / "o"
+        assert main(["chaos", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert "1-D measures" in capsys.readouterr().err
+        assert not out.exists()  # raised before the manifest and any engine
 
     def test_outputs_get_the_mode_open_gives(self, tmp_path):
         path, _ = write_cfg(tmp_path, engines=["linear", "pde"])

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from repmut.closed_form import (HorizonError, RejectedCondition, RiccatiError,
-                                affine_engine, detect_constant_condition,
-                                eigenpair_residual, linear_engine, riccati_residual,
+                                affine_engine, eigenpair_residual, linear_engine, riccati_residual,
                                 solve_linear_v, solve_riccati, tilted_engine)
 from repmut.model import DiffusionModel, DomainSpec, FitnessFunction, InitialLaw
 from repmut.numerics import GridDensity
@@ -18,28 +17,6 @@ def affine_model(b, B, sigma) -> DiffusionModel:
     b = np.atleast_1d(np.asarray(b, float))
     return DiffusionModel(domain=DomainSpec("full-space", b.size), kind="affine",
                           params={"b": b, "B": B, "sigma": sigma})
-
-
-class TestConstantCondition:
-    def test_bm_linear_recovers_constants(self):
-        # constant model, g = C2 sigma^{-1} x: A g = C2 sigma^{-1} b
-        m = bm_model(b=0.5, sigma=2.0)
-        fit = FitnessFunction(g=lambda x: 1.5 * np.asarray(x, float), g_max=10.0)
-        cond = detect_constant_condition(m, fit)
-        # grad g = 1.5, C2 = 1.5 * 2 = 3, C1 = 1.5 * 0.5 = 0.75
-        assert cond.C2[0] == pytest.approx(3.0, abs=1e-7)
-        assert cond.C1 == pytest.approx(0.75, abs=1e-7)
-
-    def test_ou_linear_rejected(self):
-        m = ou_model(1.0, 0.0, 1.0)
-        fit = FitnessFunction(g=lambda x: -np.asarray(x, float), g_max=4.0)
-        with pytest.raises(RejectedCondition, match="not constant"):
-            detect_constant_condition(m, fit)
-
-    def test_zero_fitness(self, zero_fitness):
-        cond = detect_constant_condition(bm_model(1.0, 1.0), zero_fitness)
-        assert cond.C1 == pytest.approx(0.0, abs=1e-9)
-        assert np.abs(cond.C2).max() == pytest.approx(0.0, abs=1e-9)
 
 
 class TestLinearEngine:
@@ -117,8 +94,9 @@ class TestLinearEngine:
         shifted = sol.mass_factor(1.0, shifted=True)
         assert shifted == pytest.approx(sol.mass(1.0) * np.exp(-sc.fitness.g_max), rel=1e-12)
 
-    def test_zero_fitness_mass_one(self, zero_fitness, std_normal_law):
-        sol = linear_engine(bm_model(0.0, np.sqrt(2.0)), zero_fitness, std_normal_law)
+    def test_zero_fitness_mass_one(self, std_normal_law):
+        zero = affine_quadratic_fitness(0.0, [0.0], [[0.0]], g_max=0.0)
+        sol = linear_engine(bm_model(0.0, np.sqrt(2.0)), zero, std_normal_law)
         assert sol.mass(0.7) == pytest.approx(1.0, abs=1e-12)
 
     def test_grid_density_initial_matches_gaussian_path(self):
@@ -138,14 +116,26 @@ class TestLinearEngine:
         sc = linear_bm_scenario()
         base = linear_engine(sc.model, sc.fitness, sc.initial_law)
         c = 5.0
-        fit5 = FitnessFunction(g=lambda x: np.asarray(x, float) + c,
-                               g_max=sc.fitness.g_max + c,
-                               bound_region=sc.fitness.bound_region)
+        fit5 = affine_quadratic_fitness(-c, [-1.0], [[0.0]], g_max=sc.fitness.g_max + c,
+                                        bound_region=sc.fitness.bound_region)
         other = linear_engine(sc.model, fit5, sc.initial_law)
         x = np.linspace(-5, 7, 601)
         t = 0.9
         assert np.abs(base.u(t, x) - other.u(t, x)).max() <= 1e-12
         assert other.mass(t) == pytest.approx(base.mass(t) * np.exp(c * t), rel=1e-10)
+
+    def test_undeclared_fitness_rejected_by_both_closed_forms(self):
+        # g(x) = x is linear, but the closed forms read only a declared form
+        sc = linear_bm_scenario()
+        bare = FitnessFunction(g=lambda x: np.asarray(x, float), g_max=sc.fitness.g_max)
+        for engine in (linear_engine, affine_engine):
+            with pytest.raises(RejectedCondition, match="declared affine-quadratic form"):
+                engine(sc.model, bare, sc.initial_law)
+
+    def test_quadratic_fitness_rejected(self):
+        sc = linear_bm_scenario()
+        with pytest.raises(RejectedCondition, match="G = 0"):
+            linear_engine(sc.model, quadratic_decay_fitness(), sc.initial_law)
 
 
 class TestRiccati:

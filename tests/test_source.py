@@ -49,6 +49,24 @@ def unused_exports(package: Path) -> list[str]:
     return [name for name in exports if name not in named]
 
 
+def structure_readers(package: Path) -> list[str]:
+    """Places in the package's modules other than ``model.py`` that read a
+    ``structure`` attribute, directly or through ``getattr``: the declared
+    fitness form has one reader, ``FitnessFunction.declared_form``."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            direct = isinstance(node, ast.Attribute) and node.attr == "structure"
+            by_name = (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+                       and len(node.args) > 1
+                       and getattr(node.args[1], "value", None) == "structure")
+            if direct or by_name:
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
 def test_every_private_helper_is_referenced():
     # public functions and classes too, not only the ``_name`` helpers
     assert unreferenced_definitions(PACKAGE) == []
@@ -79,6 +97,20 @@ def test_guard_sees_an_export_only_tests_call(tmp_path):
         "def looped(x):\n    return looped(x - 1) if x else 0\n")
     (tmp_path / "b.py").write_text("from . import a\n\n\ndef run():\n    return a.used()\n")
     assert unused_exports(tmp_path) == ["alone", "looped", "run"]
+
+
+def test_only_the_model_reads_the_declared_fitness_structure():
+    assert structure_readers(PACKAGE) == []
+
+
+def test_guard_sees_a_structure_read(tmp_path):
+    (tmp_path / "model.py").write_text(
+        "class Fitness:\n    def form(self):\n        return self.structure\n")
+    (tmp_path / "a.py").write_text("def f(fit):\n    return fit.structure['G']\n")
+    (tmp_path / "b.py").write_text("def f(fit):\n    return getattr(fit, 'structure', None)\n")
+    (tmp_path / "c.py").write_text(
+        "from .model import Fitness\n\nFIT = Fitness(structure={'kind': 'x'})\n")
+    assert structure_readers(tmp_path) == ["a.py:2", "b.py:2"]
 
 
 def test_cli_import_does_not_load_scipy_stats():
