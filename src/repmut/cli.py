@@ -153,6 +153,11 @@ def build_scenario(cfg: dict) -> Scenario:
         initial = _build_initial(cfg["initial"])
     except (ModelError, KeyError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    form = fitness.declared_form()
+    if form is not None and (form[1].size, *form[2].shape) != (model.dim,) * 3:
+        raise ConfigError(f"fitness {cfg['fitness'].get('kind')!r} has delta of size "
+                          f"{form[1].size} and G of shape {form[2].shape}; the model "
+                          f"has dimension {model.dim}")
     engines = tuple(cfg.get("engines") or ("pde", "particle"))
     return Scenario("custom", model, fitness, initial, float(cfg["horizon"]),
                     engines)
@@ -409,14 +414,16 @@ def cmd_chaos(cfg: dict, out: str, seed, threads: int) -> int:
         raise ConfigError("chaos study needs at least 3 particle counts")
     reps = int(cfg["particles"]["reps"])
     q = float(cfg["particles"]["q"])
-    manifest = _new_manifest(cfg, seed)
-    os.makedirs(out, exist_ok=True)
-    manifest.write(os.path.join(out, "manifest.json"))
-
     try:
         reference = linear_engine(sc.model, sc.fitness, sc.initial_law, sc.horizon)
     except RejectedCondition:
-        reference = affine_engine(sc.model, sc.fitness, sc.initial_law, sc.horizon)
+        try:
+            reference = affine_engine(sc.model, sc.fitness, sc.initial_law, sc.horizon)
+        except RejectedCondition as exc:
+            raise ConfigError(f"chaos needs a closed-form reference: {exc}") from exc
+    manifest = _new_manifest(cfg, seed)
+    os.makedirs(out, exist_ok=True)
+    manifest.write(os.path.join(out, "manifest.json"))
 
     rows = []
     values = []

@@ -14,7 +14,7 @@ import numpy as np
 from .constants import DEFAULT_CHECKPOINTS
 from .model import DiffusionModel, FitnessFunction, InitialLaw, sample_initial
 from .numerics import stored_index
-from .report import atomic_open
+from .report import E18_SLOT, atomic_open, format_e18
 from .sde import PathBundle, TimeGrid, simulate
 
 
@@ -41,21 +41,27 @@ class WeightedParticleEnsemble:
         return self.positions.shape[0]
 
     def to_csv(self, path):
-        """Rows (particle, t, x0.., logw), particle-major, in np.savetxt's
-        "%.18e" (each particle index and time formatted once), written
-        CSV_CHUNK_ROWS rows at a time to a temporary file that replaces ``path``."""
+        """Rows (particle, t, x0.., logw), particle-major, byte for byte as
+        np.savetxt's "%.18e" writes them, to a temporary file that replaces
+        ``path``.  Every number's text comes from ``format_e18`` (each particle
+        index and time once per call), and each CSV_CHUNK_ROWS rows are laid
+        out as one byte matrix of fixed-width slots whose NUL bytes are
+        dropped on writing."""
         n, s, d = self.positions.shape
-        index_text = np.array(["%.18e" % i for i in range(n)], dtype=object)
-        time_text = np.array(["%.18e" % t for t in self.times.tolist()], dtype=object)
-        line = "%s,%s" + ",%.18e" * (d + 1) + "\n"
+        index_text, time_text = format_e18(np.arange(n)), format_e18(self.times)
+        positions, logw = self.positions.reshape(n * s, d), self.logw.reshape(n * s, 1)
         with atomic_open(path) as fh:
             fh.write("particle,t," + ",".join(f"x{k}" for k in range(d)) + ",logw\n")
             for lo in range(0, n * s, CSV_CHUNK_ROWS):
-                i, j = np.divmod(np.arange(lo, min(lo + CSV_CHUNK_ROWS, n * s)), s)
-                chunk = np.empty((len(i), d + 3), dtype=object)
-                chunk[:, 0], chunk[:, 1] = index_text[i], time_text[j]
-                chunk[:, 2:-1], chunk[:, -1] = self.positions[i, j], self.logw[i, j]
-                fh.write(line * len(i) % tuple(chunk.ravel().tolist()))
+                hi = min(lo + CSV_CHUNK_ROWS, n * s)
+                i, j = np.divmod(np.arange(lo, hi), s)
+                rows = np.empty((hi - lo, d + 3, E18_SLOT), np.uint8)
+                rows[:, 0], rows[:, 1] = index_text[i], time_text[j]
+                values = np.hstack([positions[lo:hi], logw[lo:hi]])
+                rows[:, 2:] = format_e18(values).reshape(hi - lo, d + 1, E18_SLOT)
+                rows[:, :, -1] = ord(",")
+                rows[:, -1, -1] = ord("\n")
+                fh.write(rows.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 @dataclass(frozen=True)

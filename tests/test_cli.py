@@ -194,6 +194,40 @@ class TestSolveCommand:
         assert "1-D measures" in capsys.readouterr().err
         assert not out.exists()  # raised before the manifest and any engine
 
+    def test_chaos_without_closed_form_is_config_error(self, tmp_path, capsys):
+        # the CIR fitness declares no affine-quadratic form, so neither
+        # closed form can serve as the chaos reference
+        path, _ = write_cfg(tmp_path, scenario="cir-linear", engines=None)
+        out = tmp_path / "o"
+        assert main(["chaos", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert ("chaos needs a closed-form reference: fitness has no declared "
+                "affine-quadratic form") in capsys.readouterr().err
+        assert not out.exists()  # raised before the manifest
+
+    @pytest.mark.parametrize("n, fitness, initial, message", [
+        (2, {"kind": "linear"}, {"kind": "gaussian", "mean": [0, 0], "cov": [[1, 0], [0, 1]]},
+         "'linear' has delta of size 1 and G of shape (1, 1); the model has dimension 2"),
+        (1, {"kind": "affine-quadratic", "alpha": 0.0, "delta": [1.0],
+             "G": [[1.0, 0.0], [0.0, 1.0]], "g_max": 5.0},
+         {"kind": "gaussian", "mean": [0], "cov": [[1]]},
+         "has delta of size 1 and G of shape (2, 2); the model has dimension 1")])
+    def test_fitness_of_another_dimension_is_config_error(self, tmp_path, capsys, n,
+                                                          fitness, initial, message):
+        path, _ = write_cfg(tmp_path, scenario=None, engines=None,
+                            model={"kind": "arithmetic-bm", "n": n},
+                            fitness=fitness, initial=initial)
+        out = tmp_path / "o"
+        assert main(["particles", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_two_dimensional_particles(self, tmp_path):
+        path = self.write_2d_cfg(tmp_path)
+        out = tmp_path / "o"
+        assert main(["particles", "--config", path, "--out", str(out)]) == EXIT_OK
+        header = (out / "ensemble.csv").read_text().splitlines()[0]
+        assert header == "particle,t,x0,x1,logw"
+
     def test_outputs_get_the_mode_open_gives(self, tmp_path):
         path, _ = write_cfg(tmp_path, engines=["linear", "pde"])
         out = tmp_path / "o"

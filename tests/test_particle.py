@@ -235,6 +235,6 @@ class TestEnsembleCsv:
         ens = WeightedParticleEnsemble(times=np.array([0.0, 1.0]),
                                        positions=np.zeros((5, 2, 1)), logw=logw,
                                        shift=0.0, seed=0)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):  # the float conversion of the last chunk
             ens.to_csv(tmp_path / "ensemble.csv")
         assert list(tmp_path.iterdir()) == []
