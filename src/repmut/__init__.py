@@ -13,4 +13,4 @@ from .particle import (EmpiricalMeasure, WeightedParticleEnsemble, mass_estimate
 from .metric import CompactifiedMeasure, bl_distance, dqt_estimate, dstar, STAR
 from .pde import PdeScheme, solve_rm_pde
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -24,7 +24,7 @@ from .closed_form import (EngineError, RejectedCondition, Solution, _no_mass,
                           checkpoint_density_u, linear_engine, tilted_engine)
 from .constants import TOL, DEFAULT_CHECKPOINTS, DEFAULT_STEPS_PER_UNIT
 from .metric import MetricError, dqt_estimate
-from .model import InitialLaw, ModelError
+from .model import InitialLaw, ModelError, _check_law_domain
 from .numerics import GridDensity, NumericsError, kde, stored_index
 from .particle import mass_estimate, mass_estimate_se, normalized_measure, run_particles
 from .pde import PdeError, PdeScheme, _build_grid, solve_rm_pde
@@ -158,6 +158,13 @@ def build_scenario(cfg: dict) -> Scenario:
         raise ConfigError(f"fitness {cfg['fitness'].get('kind')!r} has delta of size "
                           f"{form[1].size} and G of shape {form[2].shape}; the model "
                           f"has dimension {model.dim}")
+    if initial.dim != model.dim:
+        raise ConfigError(f"initial law {initial.kind!r} has dimension {initial.dim}; "
+                          f"the model has dimension {model.dim}")
+    try:
+        _check_law_domain(initial, model.domain)
+    except ModelError as exc:
+        raise ConfigError(str(exc)) from exc
     engines = tuple(cfg.get("engines") or ("pde", "particle"))
     return Scenario("custom", model, fitness, initial, float(cfg["horizon"]),
                     engines)
@@ -368,7 +375,12 @@ def cmd_solve(cfg: dict, out: str, seed, threads: int) -> int:
 
     ref_grid = next(iter(solutions.values())).grid
     x_text, t_text = csv_text(ref_grid), csv_text(times)  # shared by every table
+    tables = {}  # engine -> the text of its density table
     for engine, sol in solutions.items():
+        path = os.path.join(out, f"density_{engine}.csv")
+        if sol.meta.get("same_as") in tables:  # another engine's solution: its bytes
+            atomic_write_text(path, tables[sol.meta["same_as"]])
+            continue
         blocks = [np.empty((0, 3), dtype=object)]
         for t, t_s in zip(times, t_text):
             try:
@@ -376,7 +388,7 @@ def cmd_solve(cfg: dict, out: str, seed, threads: int) -> int:
             except (EngineError, KeyError):
                 continue
             blocks.append(np.array([[t_s] * len(u), x_text, u], dtype=object).T)
-        write_csv(os.path.join(out, f"density_{engine}.csv"), "t,x,u", np.concatenate(blocks))
+        tables[engine] = write_csv(path, "t,x,u", np.concatenate(blocks))
 
     if "pde" in solutions:
         solutions["pde"].meta["trajectory"].summary_json(

@@ -13,11 +13,12 @@ learn the fitness only from its declared affine-quadratic form
   expectation into a Gaussian transition density.  Its degenerate case
   B = 0, G = 0 (arithmetic BM with linear fitness) has no such
   eigenfunction and is the linear engine's case, so it returns
-  ``linear_engine``'s solution.
+  ``linear_engine``'s solution, marked ``meta["same_as"] = "linear"``.
 * ``tilted_engine`` -- any model with a supplied positive eigenpair whose
   residual on that model is small (``affine_eigenpair`` for affine models,
   ``spectral.cir_eigenpair`` for CIR); the eigen-tilted SDE is simulated
-  and the density recovered by weighted KDE.
+  (exactly for CIR at lam_max, where it is a CIR process) and the density
+  recovered by KDE.
 
 All five engines (these three, the particle system and the PDE oracle in
 ``cli``) return the same ``Solution``: a density evaluator u(t, x), an
@@ -28,7 +29,7 @@ the closed forms, which evaluate at any t).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -65,7 +66,9 @@ class Eigenpair:
     ``log_phi`` and ``grad_log_phi`` are the numerically robust primitives;
     ``phi``/``dphi`` satisfy the plain contract.  ``d2phi`` (optional,
     analytic) sharpens the residual probe.  Grid-backed eigenfunctions
-    carry their grid and tabulated values for grid-aligned probing.
+    carry their grid and tabulated values for grid-aligned probing.  A pure
+    exponential phi = e^{c x} (1-D) records its slope c in ``log_slope``, so
+    that the tilted engine can read the tilted drift off the data.
     """
 
     lam: float
@@ -78,6 +81,7 @@ class Eigenpair:
     fd_step: Optional[float] = None
     grid: Optional[np.ndarray] = None
     phi_grid: Optional[np.ndarray] = None
+    log_slope: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -373,7 +377,8 @@ def affine_engine(model: DiffusionModel, fitness: FitnessFunction,
     B = 0, G = 0 (constant-coefficient model with linear fitness) admits no
     exponential-quadratic eigenfunction: that case is the linear engine's,
     and the engine returns ``linear_engine`` on the model restated as
-    arithmetic BM with the same b and sigma.
+    arithmetic BM with the same b and sigma, with ``meta["same_as"]``
+    "linear" so that a caller holding both can use one for the other.
     """
     model, alpha, delta, G = affine_form(model, fitness)
     b, B, sig = model.params["b"], model.params["B"], model.params["sigma"]
@@ -383,7 +388,8 @@ def affine_engine(model: DiffusionModel, fitness: FitnessFunction,
     if not G.any() and not B.any():
         bm = DiffusionModel(domain=model.domain, kind="arithmetic-bm",
                             params={"b": b, "sigma": sig})
-        return linear_engine(bm, fitness, u0, horizon, grid_size)
+        sol = linear_engine(bm, fitness, u0, horizon, grid_size)
+        return replace(sol, meta={**sol.meta, "same_as": "linear"})
     pair, H, v = affine_eigenpair(model, alpha, delta, G)
     Gamma = B - 2 * a @ H
     beta = b - a @ v
@@ -550,6 +556,13 @@ def tilted_engine(model: DiffusionModel, fitness: FitnessFunction,
     the phi-reweighted initial law, estimate the terminal density by KDE
     and undo the tilt pointwise.
 
+    For CIR with an exponential pair phi = e^{c x} (``log_slope`` c, the
+    CIR pair at lam_max) the tilted drift a + (b + sigma^2 c) x is a CIR
+    drift again, so the engine simulates the CIR model (a, b + sigma^2 c,
+    sigma); ``sde.simulate`` draws it exactly at the stored nodes when
+    4a/sigma^2 is an integer.  Any other pair adds the drift
+    sigma sigma^T grad log phi to the model (``tilted_extra_drift``).
+
     The density is available at the stored checkpoint times.  The mass
     factor is not produced here; use the particle system's estimator.
     A pair whose residual on the model exceeds
@@ -565,7 +578,12 @@ def tilted_engine(model: DiffusionModel, fitness: FitnessFunction,
     x0 = sample_initial(law, n_paths, seed, domain=model.domain)
     grid_t = TimeGrid.per_unit(horizon, steps_per_unit)
     store = grid_t.checkpoint_indices(checkpoints)
-    tilt = tilted_extra_drift(model, pair)
+    if model.kind == "cir" and pair.log_slope is not None:
+        p = model.params
+        tilt = DiffusionModel(domain=model.domain, kind="cir", params={
+            **p, "b": p["b"] + p["sigma"] ** 2 * pair.log_slope})
+    else:
+        tilt = tilted_extra_drift(model, pair)
     bundle = simulate(tilt, x0, grid_t, seed, store=store, threads=threads)
 
     cache: dict = {}
@@ -593,7 +611,7 @@ def tilted_engine(model: DiffusionModel, fitness: FitnessFunction,
     u = checkpoint_density_u(u0, density_at, model.domain.kind == "half-line")
     return Solution(engine="tilted-mc", horizon=horizon, shift=fitness.g_max, u=u,
                     mass=_no_mass, grid=density_at(horizon).x, times=bundle.times,
-                    meta={"eigenpair": pair, "n_paths": n_paths})
+                    meta={"eigenpair": pair, "n_paths": n_paths, "scheme": bundle.scheme})
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,10 @@ def atomic_write_text(path, text: str):
         fh.write(text)
 
 
-def write_csv(path, header: str, rows):
+def write_csv(path, header: str, rows) -> str:
     """Write ``rows`` (equal-length rows or a 2-D array) under ``header``, by one
-    ``%`` per table: text as it is, integers as digits, other numbers "%.17g"."""
+    ``%`` per table: text as it is, integers as digits, other numbers "%.17g";
+    returns the text written."""
     table = np.array(rows, dtype=object)  # a copy: a column of mixed kinds becomes text
     specs = []
     for col in table.T if table.ndim == 2 else ():  # ragged rows fail in the % below
@@ -53,7 +54,9 @@ def write_csv(path, header: str, rows):
             col[:], kinds = csv_text(col), {"%s"}
         specs.append(kinds.pop())
     line = ",".join(specs) + "\n"
-    atomic_write_text(path, header + "\n" + line * len(table) % tuple(table.ravel().tolist()))
+    text = header + "\n" + line * len(table) % tuple(table.ravel().tolist())
+    atomic_write_text(path, text)
+    return text
 
 
 def csv_text(values) -> list:

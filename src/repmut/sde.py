@@ -11,6 +11,15 @@ store only sparse time checkpoints.  For arithmetic BM and OU driven by one
 Brownian motion with affine fitness, (X_{t+h}, int_t^{t+h} X ds) is jointly
 Gaussian, so the "exact-gaussian-joint" scheme draws it exactly, one step
 per stored interval, and the weights carry no discretization error.
+
+Unweighted CIR paths whose dimension d = 4a/sigma^2 is an integer (up to
+``CHI2_MAX_DOF``) take the "exact-noncentral-chi2" scheme instead of full
+truncation: the transition over a stored interval of length h is
+X' = s chi'^2_d(lam), s = sigma^2 (1 - e^{-gamma h}) / (4 gamma),
+lam = x e^{-gamma h} / s, gamma = -b (Cox, Ingersoll & Ross 1985;
+Glasserman 2003, sec. 3.4), and for integer d the noncentral chi-square
+is (Z_1 + sqrt(lam))^2 + Z_2^2 + ... + Z_d^2.  The eigen-tilted CIR
+process at lambda_max is such a model (``closed_form.tilted_engine``).
 """
 
 from __future__ import annotations
@@ -27,6 +36,11 @@ from .model import DiffusionModel, FitnessFunction
 
 class SimulationError(RuntimeError):
     pass
+
+
+# largest integer CIR dimension 4a/sigma^2 drawn exactly: d normals per path
+# and stored interval; larger d keeps full truncation
+CHI2_MAX_DOF = 16
 
 
 @dataclass(frozen=True)
@@ -102,6 +116,14 @@ def _is_affine(fitness: Optional[FitnessFunction]) -> bool:
     return form is not None and not form[2].any()
 
 
+def _chi2_dof(model: DiffusionModel) -> int:
+    """d = 4a/sigma^2 of a CIR model when it is an integer in [1, CHI2_MAX_DOF]
+    up to rounding (a = 0.64, sigma = 0.8 gives 3.9999999999999996), else 0."""
+    d = 4.0 * model.params["a"] / model.params["sigma"] ** 2
+    k = np.rint(d)
+    return int(k) if 1 <= k <= CHI2_MAX_DOF and abs(d - k) <= 1e-12 * k else 0
+
+
 def _drift_of(model_or_tilt, t: float, x: np.ndarray) -> np.ndarray:
     if isinstance(model_or_tilt, TiltedDrift):
         return model_or_tilt.base.drift(x) + model_or_tilt.extra(t, x)
@@ -120,6 +142,9 @@ def simulate(model_or_tilt, initial: np.ndarray, grid: TimeGrid, seed: int,
     0..N-1; passing a permutation permutes the realized paths.  Under the
     joint scheme only the stored nodes are visited: stored interval j takes
     one ``rng.normal_pair`` at counter step j, and ``fine_steps`` is S - 1.
+    The exact CIR scheme visits only the stored nodes too: stored interval j
+    takes the d normals of ``rng.normals(seed, ids, j, d)``, summed by
+    ``rng.noncentral_chi2``.
     """
     base = model_or_tilt.base if isinstance(model_or_tilt, TiltedDrift) else model_or_tilt
     tilted = isinstance(model_or_tilt, TiltedDrift)
@@ -140,7 +165,10 @@ def simulate(model_or_tilt, initial: np.ndarray, grid: TimeGrid, seed: int,
     if np.any(np.diff(store_idx) <= 0):
         raise SimulationError("stored node indices must be strictly increasing")
 
-    if base.kind == "cir":
+    chi2_dof = _chi2_dof(base) if base.kind == "cir" and not tilted and fitness is None else 0
+    if chi2_dof:
+        scheme = "exact-noncentral-chi2"
+    elif base.kind == "cir":
         scheme = "cir-full-truncation"
     elif base.kind in ("arithmetic-bm", "ou") and not tilted:
         scheme = ("exact-gaussian-joint" if base.m == 1 and _is_affine(fitness)
@@ -151,7 +179,11 @@ def simulate(model_or_tilt, initial: np.ndarray, grid: TimeGrid, seed: int,
     nodes = grid.nodes
     times = nodes[store_idx]
     n_dim, m_dim = base.dim, base.m
-    positions = np.empty((n_part, len(store_idx), n_dim))
+    # the chi2 scheme writes one stored node of all its paths at a time: rows
+    # of an (S, N) array, which positions views as (N, S, 1)
+    rows = np.empty((len(store_idx), n_part)) if chi2_dof else None
+    positions = (rows.T[:, :, None] if chi2_dof
+                 else np.empty((n_part, len(store_idx), n_dim)))
     logw = np.empty((n_part, len(store_idx))) if fitness is not None else None
 
     def check_finite(x, k):
@@ -173,6 +205,14 @@ def simulate(model_or_tilt, initial: np.ndarray, grid: TimeGrid, seed: int,
             acc = acc + h * _shifted_fitness(fitness, integral / h)
             positions[sl, j + 1] = x
             logw[sl, j + 1] = acc
+
+    def run_chi2_chunk(sl: slice):
+        x = rows[0, sl] = x0[sl, 0]
+        cid = ids[sl]
+        for j in range(len(store_idx) - 1):
+            x = _chi2_step(base, x, seed, cid, j, chi2_dof, times[j + 1] - times[j])
+            check_finite(x, store_idx[j + 1])
+            rows[j + 1, sl] = x
 
     def run_chunk(sl: slice):
         x = x0[sl].copy()
@@ -227,8 +267,8 @@ def simulate(model_or_tilt, initial: np.ndarray, grid: TimeGrid, seed: int,
                     logw[sl, out_col] = acc
                 out_col += 1
 
-    joint = scheme == "exact-gaussian-joint"
-    runner = run_joint_chunk if joint else run_chunk
+    joint = scheme in ("exact-gaussian-joint", "exact-noncentral-chi2")
+    runner = run_chi2_chunk if chi2_dof else run_joint_chunk if joint else run_chunk
     if threads <= 1 or n_part < 2048:
         runner(slice(0, n_part))
     else:
@@ -254,6 +294,16 @@ def _exact_step(model: DiffusionModel, x, z, dt, sqdt):
     decay = np.exp(-kappa * dt)
     sd = sig * np.sqrt((1.0 - decay * decay) / (2.0 * kappa))
     return theta + (x - theta) * decay + sd * z[:, :1]
+
+
+def _chi2_step(model: DiffusionModel, x, seed, ids, j, d, h):
+    """Exact CIR draw X_{t+h} = s chi'^2_d(lam) given X_t = x, d = 4a/sigma^2,
+    from the normals of counter step j (Glasserman 2003, sec. 3.4)."""
+    gamma, sig = -model.params["b"], model.params["sigma"]
+    # s = sigma^2 (1 - e^{-gamma h}) / (4 gamma), and sigma^2 h / 4 at gamma = 0
+    s = sig * sig * (-np.expm1(-gamma * h) / gamma if gamma else h) / 4.0
+    root_lam = np.sqrt(np.maximum(x, 0.0) * (np.exp(-gamma * h) / s))
+    return s * rng.noncentral_chi2(seed, ids, j, d, root_lam)
 
 
 def _joint_step(model: DiffusionModel, x, z1, z2, h):

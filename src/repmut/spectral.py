@@ -2,7 +2,10 @@
 
 Two concrete sources: Kummer confluent-hypergeometric eigenfunctions for
 the CIR model, and finite-difference ground states of the Schrodinger
-operator for polynomial confining fitness.
+operator for polynomial confining fitness.  At the CIR pair's largest
+eigenvalue the Kummer factor is 1 and the pair is the closed exponential
+e^{c x}; its slope makes the tilted process a CIR process again, which
+``closed_form.tilted_engine`` samples exactly.
 """
 
 from __future__ import annotations
@@ -68,11 +71,14 @@ def kummer_M_prime(a: float, b: float, z):
 
 def cir_eigenpair(a: float, b: float, sigma: float,
                   lam: Optional[float] = None) -> Eigenpair:
-    """Positive eigenfunction exp(((kappa-gamma)/sigma^2) x) M(alpha, beta, z x)
-    of the CIR generator plus linear decay fitness g(x) = -x.
+    """Positive eigenfunction exp(c x) M(alpha, beta, q x), c = (kappa - gamma)
+    / sigma^2, of the CIR generator plus linear decay fitness g(x) = -x.
 
     ``lam`` defaults to the largest eigenvalue whose eigenfunction stays
-    positive, lam_max = a (sqrt(b^2 + 2 sigma^2) + b) / sigma^2.
+    positive, lam_max = a (sqrt(b^2 + 2 sigma^2) + b) / sigma^2.  There
+    alpha = 0 and M(0, beta, z) = 1, so the pair is the pure exponential
+    e^{c x} in closed form, with ``log_slope`` c and no series; below
+    lam_max the Kummer factor is summed.
     """
     if 2.0 * a < sigma * sigma:
         raise ModelError("Feller condition violated")
@@ -88,6 +94,15 @@ def cir_eigenpair(a: float, b: float, sigma: float,
     # alpha >= 0 for lam <= lam_max keeps the Kummer factor positive on the
     # half line (decided by the eigen-residual probe)
     alpha = (lam_max - lam) / gamma
+    if alpha == 0.0:
+        def exp_phi(x):
+            return np.exp(c * np.asarray(x, float))
+
+        return Eigenpair(lam=float(lam), phi=exp_phi, source="kummer",
+                         dphi=lambda x: exp_phi(x) * c,
+                         log_phi=lambda x: c * np.asarray(x, float),
+                         grad_log_phi=lambda x: np.full(np.shape(x), c),
+                         d2phi=lambda x: exp_phi(x) * (c * c), log_slope=float(c))
     beta = 2.0 * a / sigma ** 2
     q = 2.0 * gamma / sigma ** 2
 

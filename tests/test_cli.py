@@ -221,6 +221,57 @@ class TestSolveCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_law_of_another_dimension_is_config_error(self, tmp_path, capsys):
+        path, _ = write_cfg(tmp_path, scenario=None, engines=None,
+                            model={"kind": "ou", "kappa": 1.0, "sigma": 1.0},
+                            fitness={"kind": "quadratic-decay"},
+                            initial={"kind": "gaussian", "mean": [0.0, 0.0],
+                                     "cov": [[1.0, 0.0], [0.0, 1.0]]})
+        out = tmp_path / "o"
+        assert main(["particles", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert ("initial law 'gaussian' has dimension 2; the model has dimension 1"
+                in capsys.readouterr().err)
+        assert not out.exists()  # raised before the manifest
+
+    @pytest.mark.parametrize("command", ["particles", "solve"])
+    def test_law_outside_the_domain_is_config_error(self, tmp_path, capsys, command):
+        path, _ = write_cfg(tmp_path, scenario=None, engines=["pde", "particle"],
+                            model={"kind": "cir", "a": 1.0, "b": -1.0, "sigma": 1.0},
+                            fitness={"kind": "linear", "slope": -1.0, "g_max": 0.0},
+                            initial={"kind": "gaussian", "mean": [1.0], "cov": [[0.1]]})
+        out = tmp_path / "o"
+        assert main([command, "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert ("gaussian law puts mass outside the half-line domain"
+                in capsys.readouterr().err)
+        assert not out.exists()  # raised before the manifest
+
+    def test_delegated_affine_table_is_the_linear_one(self, tmp_path, monkeypatch):
+        # B = 0, G = 0: the affine engine returns the linear engine's solution,
+        # and its table is the linear table's text, not a second formatting
+        import dataclasses
+
+        import repmut.cli as cli
+        path, _ = write_cfg(tmp_path, engines=["linear", "affine"], horizon=0.1)
+        affine, formatted = cli.affine_engine, []
+
+        def wrapped_affine(*args):  # as a timing wrapper replaces u and mass
+            sol = affine(*args)
+            return dataclasses.replace(sol, u=lambda t, x: sol.u(t, x),
+                                       mass=lambda t: sol.mass(t))
+
+        def recording_write_csv(path, header, rows):
+            formatted.append(os.path.basename(path))
+            return write_csv(path, header, rows)
+
+        monkeypatch.setattr(cli, "affine_engine", wrapped_affine)
+        monkeypatch.setattr(cli, "write_csv", recording_write_csv)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", path, "--out", str(out)]) == EXIT_OK
+        linear = (out / "density_linear.csv").read_bytes()
+        assert (out / "density_affine.csv").read_bytes() == linear
+        assert linear.count(b"\n") == 1 + 5 * 2048
+        assert "density_linear.csv" in formatted and "density_affine.csv" not in formatted
+
     def test_two_dimensional_particles(self, tmp_path):
         path = self.write_2d_cfg(tmp_path)
         out = tmp_path / "o"

@@ -7,6 +7,9 @@ from repmut.scenarios import bm_model, cir_model, linear_fitness, ou_model
 from repmut.sde import SimulationError, TimeGrid, TiltedDrift, simulate
 
 
+CIR_FIT = FitnessFunction(g=lambda x: -np.asarray(x, float), g_max=0.0)
+
+
 def accumulate_log_weight(bundle, fitness):
     """Trapezoid of the shifted fitness along a 1D bundle stored on its full
     integration grid; (N, S) array, the oracle for the fused weights."""
@@ -189,9 +192,70 @@ class TestCir:
 
     def test_recorded_states_nonnegative(self):
         m = cir_model(0.5, -1.0, 1.0)  # Feller boundary: 2a = sigma^2
-        b = simulate(m, np.full((2000, 1), 0.05), TimeGrid(0, 1.0, 200), 3)
+        # weighted paths keep full truncation; unweighted ones would be exact
+        b = simulate(m, np.full((2000, 1), 0.05), TimeGrid(0, 1.0, 200), 3, fitness=CIR_FIT)
         assert b.positions.min() >= 0.0
         assert b.scheme == "cir-full-truncation"
+
+
+def cir_moments(a, b, sigma, x, t):
+    """Mean and variance of X_t for the CIR model dX = (a + bX) dt + sigma sqrt(X) dW
+    from X_0 = x, gamma = -b > 0."""
+    g = -b
+    e = np.exp(-g * t)
+    mean = x * e + (a / g) * (1.0 - e)
+    var = x * sigma ** 2 * (e - e * e) / g + a * sigma ** 2 * (1.0 - e) ** 2 / (2.0 * g * g)
+    return mean, var
+
+
+class TestCirExact:
+    # 4 * 0.64 / 0.8**2 is 3.9999999999999996 in floating point
+    @pytest.mark.parametrize("a,sigma,x0", [(0.64, 0.8, 0.7), (0.125, 0.5, 0.05)],
+                             ids=["d=4", "d=2-feller"])
+    def test_moments_match_closed_forms(self, a, sigma, x0):
+        m = cir_model(a, -1.3, sigma)
+        n = 200_000
+        grid = TimeGrid(0, 0.6, 240)
+        b = simulate(m, np.full((n, 1), x0), grid, 17, store=grid.checkpoint_indices(4))
+        assert (b.scheme, b.fine_steps) == ("exact-noncentral-chi2", 3)
+        for j, t in enumerate(b.times[1:], start=1):
+            xt = b.positions[:, j, 0]
+            mean, var = cir_moments(a, -1.3, sigma, x0, t)
+            assert xt.min() >= 0.0
+            assert abs(xt.mean() - mean) <= 5 * np.sqrt(var / n)
+            m4 = ((xt - mean) ** 4).mean()
+            assert abs(((xt - mean) ** 2).mean() - var) <= 5 * np.sqrt((m4 - var * var) / n)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_chi2_sum_is_the_normals_sum(self, d):
+        ids = np.arange(5000, dtype=np.uint64)
+        r = np.linspace(0.0, 4.0, ids.size)
+        z = rng.normals(11, ids, 3, d)
+        direct = (z[:, 0] + r) ** 2 + (z[:, 1:] ** 2).sum(axis=1)
+        got = rng.noncentral_chi2(11, ids, 3, d, r)
+        assert np.abs(got - direct).max() <= 1e-12 * max(1.0, direct.max())
+
+    def test_thread_count_and_prefix_invariance(self):
+        m = cir_model(1.0, -1.0, 1.0)
+        grid = TimeGrid(0, 0.5, 200)
+        store = grid.checkpoint_indices(5)
+        x0 = np.linspace(0.01, 3.0, 4096)[:, None]
+        b1 = simulate(m, x0, grid, 9, store=store, threads=1)
+        b8 = simulate(m, x0, grid, 9, store=store, threads=8)
+        assert b1.scheme == "exact-noncentral-chi2"
+        assert (b1.positions == b8.positions).all()
+        small = simulate(m, x0[:1000], grid, 9, store=store)
+        assert (small.positions == b1.positions[:1000]).all()
+
+    def test_other_cir_cases_keep_full_truncation(self):
+        grid = TimeGrid(0, 0.5, 20)
+        cases = [(cir_model(0.6, -1.0, 1.0), None),     # d = 2.4
+                 (cir_model(5.0, -1.0, 1.0), None),     # d = 20 > CHI2_MAX_DOF
+                 (cir_model(1.0, -1.0, 1.0), CIR_FIT),  # weighted paths
+                 (TiltedDrift(cir_model(1.0, -1.0, 1.0), lambda t, x: np.zeros_like(x)), None)]
+        for model, fit in cases:
+            b = simulate(model, np.full((4, 1), 0.5), grid, 1, fitness=fit)
+            assert (b.scheme, b.fine_steps) == ("cir-full-truncation", 20)
 
 
 class TestLogWeight:

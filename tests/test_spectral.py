@@ -79,6 +79,48 @@ class TestCirEigenpair:
         drift = (a + b * x) + extra(0.0, x[:, None])[:, 0]
         assert np.abs(drift - (a - gamma * x)).max() < 1e-10
 
+    def test_lam_max_pair_is_exponential_without_series(self, monkeypatch):
+        import dataclasses
+
+        import repmut.spectral as spectral
+        from repmut.closed_form import tilted_engine
+        from repmut.scenarios import cir_linear_scenario
+
+        def no_series(*args):
+            raise AssertionError("Kummer series summed")
+
+        monkeypatch.setattr(spectral, "kummer_M", no_series)
+        sc = cir_linear_scenario()
+        p = sc.model.params
+        pair = cir_eigenpair(p["a"], p["b"], p["sigma"])
+        c = (1.0 - np.sqrt(3.0)) / 1.0
+        assert pair.log_slope == pytest.approx(c, abs=1e-15)
+        x = np.linspace(0.0, 8.0, 33)
+        assert np.array_equal(pair.log_phi(x), pair.log_slope * x)
+        assert np.array_equal(pair.grad_log_phi(x), np.full(x.shape, pair.log_slope))
+        assert np.abs(pair.d2phi(x) - c * c * np.exp(c * x)).max() < 1e-14
+        # a wrapped pair, as a tracer's dataclasses.replace makes it, keeps the
+        # slope and so the exact sampler
+        wrapped = dataclasses.replace(pair, **{f: (lambda fn: lambda x: fn(x))(getattr(pair, f))
+                                               for f in ("phi", "dphi", "log_phi",
+                                                         "grad_log_phi", "d2phi")})
+        sol = tilted_engine(sc.model, sc.fitness, wrapped, sc.initial_law, 0.1,
+                            n_paths=4000, seed=3, checkpoints=3)
+        assert sol.meta["scheme"] == "exact-noncentral-chi2"
+        assert np.trapezoid(sol.u(0.1, sol.grid), sol.grid) == pytest.approx(1.0, abs=1e-6)
+
+    def test_below_lam_max_pair_sums_the_series(self, monkeypatch):
+        import repmut.spectral as spectral
+        pair = cir_eigenpair(1.0, -1.0, 1.0, cir_lam_max(1.0, -1.0, 1.0) - 0.4)
+        assert pair.log_slope is None  # the tilted engine adds its drift per step
+
+        def no_series(*args):
+            raise AssertionError("Kummer series summed")
+
+        monkeypatch.setattr(spectral, "kummer_M", no_series)
+        with pytest.raises(AssertionError, match="series"):
+            pair.grad_log_phi(np.array([1.0]))
+
     def test_residual_at_lam_max(self):
         pair = cir_eigenpair(1.0, -1.0, 1.0, cir_lam_max(1.0, -1.0, 1.0))
         res = eigenpair_residual(cir_model(), CIR_FIT, pair, np.linspace(0.1, 5, 64))
