@@ -533,6 +533,27 @@ def _reweighted_initial(u0: InitialLaw, pair: Eigenpair, domain_kind: str) -> In
     return InitialLaw("grid-density", {"x": xg, "values": vals / total})
 
 
+def _check_cir_tilt_integrable(model: DiffusionModel, pair: Eigenpair,
+                               u0: InitialLaw) -> None:
+    """Below lam_max the CIR pair phi = e^{c x} M(alpha, beta, q x) grows like
+    e^{(kappa + gamma) x / sigma^2}.  A tabulated u0 whose profile times that
+    exponential still peaks at the last node of its grid has a tail too
+    heavy for phi: phi u0 is not integrable, and the reweighted law would
+    sit at the end of the grid.  Decided from the growth rate alone, before
+    any series is summed."""
+    if not (model.kind == "cir" and pair.source == "kummer" and pair.log_slope is None
+            and u0.kind == "grid-density"):
+        return
+    kappa, s2 = -model.params["b"], model.params["sigma"] ** 2
+    rate = (kappa + np.sqrt(kappa ** 2 + 2.0 * s2)) / s2
+    x, vals = u0.params["x"], u0.params["values"]
+    keep = vals > 0
+    if np.argmax(rate * x[keep] + np.log(vals[keep])) == keep.sum() - 1:
+        raise RejectedCondition(
+            f"phi u0 is not integrable: below lam_max phi grows like exp({rate:.4g} x), "
+            f"faster than u0 decays up to the end of its grid (x = {x[keep][-1]:g})")
+
+
 def checkpoint_density_u(u0: InitialLaw, density_at: Callable,
                          half_line: bool) -> Callable:
     """u(t, x) of a Monte Carlo engine: the initial density at t <= 0, else
@@ -566,10 +587,13 @@ def tilted_engine(model: DiffusionModel, fitness: FitnessFunction,
     The density is available at the stored checkpoint times.  The mass
     factor is not produced here; use the particle system's estimator.
     A pair whose residual on the model exceeds
-    ``TOL["eigenpair_residual_rel"]`` on 64 probe points is rejected.
+    ``TOL["eigenpair_residual_rel"]`` on 64 probe points is rejected, and so
+    is a CIR pair below lam_max against a tabulated u0 with too heavy a
+    tail (``_check_cir_tilt_integrable``).
     """
     if model.dim != 1:
         raise RejectedCondition("tilted engine densities are one-dimensional")
+    _check_cir_tilt_integrable(model, pair, u0)
     res = eigenpair_residual(model, fitness, pair, probe_points(model.domain, 64))
     if not res <= TOL["eigenpair_residual_rel"]:
         raise RejectedCondition(f"eigenpair residual {res:.2e} on the model's probe box "

@@ -31,6 +31,7 @@ TOL = {
     "lp_duality_gap_rel": 1e-7,         # (U - value) / U of a HiGHS solve
     # PDE oracle
     "pde_mass_leak": 1e-4,
+    "pde_time_l1": 1e-6,                # step-doubling L1 estimate per store interval
 }
 
 # Default Euler steps per unit of time (overridable per scenario).

@@ -21,10 +21,10 @@ from .model import FitnessFunction, InitialLaw, check_fitness_bound
 from .numerics import GridDensity, covariance_integral, kde, matrix_exp
 from .particle import (ensemble_from_bundle, mass_estimate, normalized_measure,
                        run_particles, tilted_measure)
-from .pde import PdeScheme, solve_rm_pde, weak_form_residual
-from .scenarios import (affine_quadratic_fitness, bm_model, cir_model, gamma_like_law,
-                        harmonic_scenario, linear_bm_scenario, linear_fitness, ou_model,
-                        quadratic_decay_fitness)
+from .pde import PdeScheme, _build_grid, _Strang, solve_rm_pde, weak_form_residual
+from .scenarios import (affine_quadratic_fitness, bm_model, cir_linear_scenario, cir_model,
+                        gamma_like_law, harmonic_scenario, linear_bm_scenario,
+                        linear_fitness, ou_model, quadratic_decay_fitness)
 from .sde import TimeGrid, simulate
 from .spectral import SchrodingerProblem, cir_eigenpair, kummer_M, schrodinger_ground_state
 
@@ -422,6 +422,38 @@ def _check_pde_positivity():
     return ok, f"clips {traj.negativity_clips}"
 
 
+def _check_pde_time_estimate():
+    """Each store interval's march lies within its step-doubling estimate
+    (L1) of a march 4x finer from the same start, and each stored density
+    within the sum of the estimates so far of the 4x finer march from t = 0.
+    The cases are the solve runs of the benchmark: linear-bm to T = 0.1 and
+    cir-linear to T = 0.015, stored at T/2 and T on the CLI's grids."""
+    worst, ceiling = 0.0, 0
+    for sc, T, half_width in ((linear_bm_scenario(), 0.1, 12.0),
+                              (cir_linear_scenario(), 0.015, 14.0)):
+        scheme = PdeScheme(half_width=half_width, nodes=2048)
+        x, dx, half_line = _build_grid(sc.model, scheme)
+        u0 = GridDensity(x, sc.initial_law.density(x)).normalize()
+        traj = solve_rm_pde(sc.model, sc.fitness, u0, T, scheme,
+                            store_times=np.linspace(0.0, T, 3))
+        strang = _Strang(sc.model, sc.fitness, x, dx, half_line)
+        ceiling += traj.ceiling_intervals
+        fine, budget = traj.densities[0], 0.0
+        for i, (n, est) in enumerate(zip(traj.meta["interval_steps"],
+                                         traj.meta["interval_estimates"])):
+            if est is None:
+                break
+            length = traj.times[i + 1] - traj.times[i]
+            local = strang.march(traj.densities[i], length, 4 * n)[0]
+            fine = strang.march(fine, length, 4 * n)[0]
+            budget += est
+            worst = max(worst,
+                        strang.wq @ np.abs(local - traj.densities[i + 1]) / est,
+                        strang.wq @ np.abs(fine - traj.densities[i + 1]) / budget)
+    return bool(worst <= 1.0 and ceiling == 0), \
+        f"worst gap / estimate {worst:.2f}, {ceiling} intervals at the ceiling"
+
+
 VALIDATORS = [
     ("model.fitness-bound-probe", _check_fitness_bound_probe),
     ("model.law-normalization", _check_law_normalization),
@@ -451,6 +483,7 @@ VALIDATORS = [
     ("metric.flow-upper-bound", _check_flow_upper_bound),
     ("pde.weak-form-order", _check_pde_weak_form),
     ("pde.positivity-audit", _check_pde_positivity),
+    ("pde.time-estimate", _check_pde_time_estimate),
 ]
 
 

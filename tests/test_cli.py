@@ -9,6 +9,7 @@ from repmut.cli import (EXIT_CONFIG, EXIT_OK, ConfigError, _build_eigenpair,
                         config_hash, load_config, main)
 from repmut.closed_form import EngineError, RejectedCondition, tilted_engine
 from repmut.model import InitialLaw
+from repmut.pde import DT_MULTIPLE
 from repmut.report import write_csv
 from repmut.scenarios import ou_model, quadratic_decay_fitness
 from repmut.spectral import SchrodingerProblem, schrodinger_ground_state
@@ -433,7 +434,13 @@ class TestSolutionContract:
         np.testing.assert_array_equal(columns["pde"], columns["tilted"])
         np.testing.assert_array_equal(columns["pde"], np.linspace(0.0, 0.015, 4))
         summary = json.loads((out / "pde_summary.json").read_text())
-        assert summary["dt"] <= 16 * summary["dt_bound"]
+        # dt is the largest accepted step of the plan the summary records,
+        # each interval in at most its ceiling count of steps
+        lengths = np.diff(columns["pde"])
+        counts = np.array(summary["interval_steps"])
+        assert summary["dt"] == (lengths / counts).max()
+        assert summary["steps"] == counts.sum()
+        assert (counts <= np.ceil(lengths / (DT_MULTIPLE * summary["dt_bound"]))).all()
         assert summary["negativity_clips"] == 0
 
     def test_every_table_shares_the_stored_times(self, tmp_path):

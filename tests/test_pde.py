@@ -5,7 +5,7 @@ import scipy.linalg
 from repmut.constants import TOL
 from repmut.model import FitnessFunction
 from repmut.numerics import GridDensity
-from repmut.pde import (DT_MULTIPLE, PdeError, PdeScheme, _build_grid, _march_plan,
+from repmut.pde import (DT_MULTIPLE, PdeError, PdeScheme, _build_grid, _Strang,
                         solve_rm_pde, weak_form_residual)
 from repmut.scenarios import (bm_model, cir_linear_scenario, cir_model,
                               harmonic_scenario, linear_bm_scenario)
@@ -158,8 +158,9 @@ class TestRefinement:
         assert 4.0 * 0.6 <= factor <= 4.0 * 1.4
 
     def test_step_policy(self):
-        # each store interval is split into ceil(len / (16 dt_bound)) equal
-        # steps, and the stored times are the requested ones bit for bit
+        # each store interval takes at most ceil(len / (16 dt_bound)) equal
+        # steps, and either met the time-error tolerance or took exactly that
+        # ceiling; the stored times are the requested ones bit for bit
         sc = cir_linear_scenario()
         scheme = PdeScheme(half_width=14.0, nodes=512)
         x, dx, _ = _build_grid(sc.model, scheme)
@@ -169,13 +170,20 @@ class TestRefinement:
         traj = solve_rm_pde(sc.model, sc.fitness, u0, 0.1, scheme, store_times=store)
         assert traj.times.tolist() == [0.0, 0.0005, 0.0123, 0.07, 0.1]
         lengths = np.diff(traj.times)
-        counts = np.ceil(lengths / (DT_MULTIPLE * dt_bound)).astype(int)
-        assert traj.steps == counts.sum() < np.ceil(0.1 / dt_bound)
+        ceilings = np.ceil(lengths / (DT_MULTIPLE * dt_bound)).astype(int)
+        counts = np.array(traj.meta["interval_steps"])
+        estimates = traj.meta["interval_estimates"]
+        assert (counts <= ceilings).all()
+        assert traj.steps == counts.sum() < ceilings.sum()
+        for n, ceiling, est in zip(counts, ceilings, estimates):
+            assert (est is None and n == ceiling) or est <= TOL["pde_time_l1"]
+        met = [e for e in estimates if e is not None]
+        assert traj.ceiling_intervals == len(estimates) - len(met)
+        assert traj.time_l1_estimate == max(met)
         assert traj.meta["dt_bound"] == dt_bound
-        assert traj.meta["dt"] == (lengths / counts).max() <= DT_MULTIPLE * dt_bound
-        plan = _march_plan(0.1, DT_MULTIPLE * dt_bound, store)
-        assert [n for _, n, _, _ in plan] == counts.tolist()
-        assert all(dt <= DT_MULTIPLE * dt_bound for _, _, dt, _ in plan)
+        # the largest accepted step, which may pass the ceiling's step
+        assert traj.meta["dt"] == (lengths / counts).max() > DT_MULTIPLE * dt_bound
+        assert (lengths / ceilings <= DT_MULTIPLE * dt_bound).all()
 
     def test_store_every_keeps_every_kth_step(self):
         sc = linear_bm_scenario()
@@ -185,7 +193,9 @@ class TestRefinement:
         n = int(np.ceil(0.5 / (DT_MULTIPLE * dx * dx / 4.0)))  # sigma^2 = 2
         assert n % 4 != 0
         traj = solve_rm_pde(sc.model, sc.fitness, u0, 0.5, scheme, store_every=4)
-        assert traj.steps == n  # marched to T, which is not a 4th step
+        # marched to T, which is not a 4th step, in at most the ceiling count
+        assert len(traj.meta["interval_steps"]) == n // 4 + 1
+        assert traj.steps <= n
         np.testing.assert_array_equal(traj.times, np.linspace(0.0, 0.5, n + 1)[::4])
 
     def test_unrequested_horizon_is_marched_but_not_stored(self):
@@ -229,12 +239,14 @@ class TestSummary:
         assert list(tmp_path.iterdir()) == []
 
 
-def reference_solve(model, fitness, u0, T, scheme, store_times, multiple=DT_MULTIPLE):
+def reference_solve(model, fitness, u0, T, scheme, store_times, multiple=DT_MULTIPLE,
+                    counts=None):
     """The solver as first written: per-node flux assembly, a banded solve
     that refactors at every step, trapezoid calls and two reaction half
     steps per Strang step.  It marches from stored time to stored time (and
-    on to T), each interval in equal steps of at most ``multiple`` times the
-    explicit bound.  Kept as the oracle of the factored solver."""
+    on to T), each interval in ``counts[i]`` equal steps, or by default in
+    equal steps of at most ``multiple`` times the explicit bound.  Kept as
+    the oracle of the factored solver."""
     if model.domain.kind == "half-line":
         dx = scheme.half_width / scheme.nodes
         x = (np.arange(scheme.nodes) + 0.5) * dx
@@ -268,8 +280,8 @@ def reference_solve(model, fitness, u0, T, scheme, store_times, multiple=DT_MULT
 
     stored = [t for t in sorted(set(np.clip(store_times, 0.0, T).tolist())) if t > 0]
     times, dens, clips, steps, start = [0.0], [u.copy()], 0, 0, 0.0
-    for stop in sorted(set(stored) | {T}):
-        n = int(np.ceil((stop - start) / dt_max))
+    for i, stop in enumerate(sorted(set(stored) | {T})):
+        n = int(np.ceil((stop - start) / dt_max)) if counts is None else counts[i]
         dt = (stop - start) / n
         half_react = np.exp(0.5 * dt * (gvals - gvals.max()))
         ab = np.zeros((3, M))
@@ -307,8 +319,9 @@ def _initial_on_grid(sc, half_width, box=False):
 
 
 class TestAgainstReference:
-    """The factored, fused solver reproduces the step-by-step one to
-    roundoff: same steps, store times and clip count."""
+    """The factored, fused solver reproduces the step-by-step one, marched
+    with the step counts the estimate chose, to roundoff: same steps, store
+    times and clip count."""
 
     @pytest.mark.parametrize("scenario,T,half_width", [
         (cir_linear_scenario, 0.015, 14.0),
@@ -321,7 +334,8 @@ class TestAgainstReference:
         store = np.linspace(0.0, T, 3)
         traj = solve_rm_pde(sc.model, sc.fitness, u0, T, scheme, store_times=store)
         times, dens, steps, clips = reference_solve(sc.model, sc.fitness, u0, T,
-                                                    scheme, store)
+                                                    scheme, store,
+                                                    counts=traj.meta["interval_steps"])
         assert traj.steps == steps
         assert traj.negativity_clips == clips
         np.testing.assert_array_equal(traj.times, times)
@@ -331,9 +345,9 @@ class TestAgainstReference:
 
 
 class TestStepAccuracy:
-    """At 16 times the explicit bound the solution stays within 1e-5 L1 of
-    the bound-step march at every stored time, also from a discontinuous
-    initial density."""
+    """With the step counts the estimate chooses, at most those of 16 times
+    the explicit bound, the solution stays within 1e-5 L1 of the bound-step
+    march at every stored time, also from a discontinuous initial density."""
 
     @pytest.mark.parametrize("scenario,T,half_width,box", [
         (linear_bm_scenario, 0.1, 12.0, False),
@@ -353,3 +367,59 @@ class TestStepAccuracy:
         assert traj.steps * 15 < steps
         l1 = np.trapezoid(np.abs(traj.densities - dens), traj.grid, axis=1)
         assert l1.max() <= 1e-5
+
+
+class TestTimeEstimate:
+    """The step-doubling estimate per store interval: it bounds the L1 gap
+    to a march 4x finer, it leaves a rough start at the ceiling, and it
+    leaves marches of at most 2 steps per interval as they were."""
+
+    def test_estimate_bounds_the_gap_to_a_finer_march(self):
+        from repmut.validate import VALIDATORS
+        ok, detail = dict(VALIDATORS)["pde.time-estimate"]()
+        assert ok, detail
+
+    def test_box_stops_at_the_ceiling(self):
+        sc = linear_bm_scenario()
+        scheme = PdeScheme(half_width=12.0, nodes=2048)
+        u0 = _initial_on_grid(sc, 12.0, box=True)
+        dx = _build_grid(sc.model, scheme)[1]
+        traj = solve_rm_pde(sc.model, sc.fitness, u0, 0.1, scheme,
+                            store_times=np.linspace(0.0, 0.1, 4))
+        ceiling = int(np.ceil((0.1 / 3) / (DT_MULTIPLE * dx * dx / 4.0)))  # sigma^2 = 2
+        assert traj.meta["interval_steps"] == [ceiling] * 3
+        assert traj.steps == 3 * ceiling == 183
+        assert traj.ceiling_intervals == 3 and traj.time_l1_estimate == 0.0
+        assert traj.meta["interval_estimates"] == [None] * 3
+        assert traj.trial_steps > 0 and traj.negativity_clips == 0
+
+    def test_store_every_step_marches_without_trials(self):
+        # every interval's ceiling is 1 step, so each is marched as one
+        # Strang step from the last, exactly as a fixed-step march does
+        sc = linear_bm_scenario()
+        scheme = PdeScheme(half_width=12.0, nodes=512)
+        x, dx, half_line = _build_grid(sc.model, scheme)
+        u0 = GridDensity(x, sc.initial_law.density(x))
+        traj = solve_rm_pde(sc.model, sc.fitness, u0, T=0.5, scheme=scheme, store_every=1)
+        assert traj.trial_steps == 0
+        assert traj.meta["interval_steps"] == [1] * (len(traj.times) - 1)
+        assert traj.ceiling_intervals == len(traj.times) - 1
+        strang = _Strang(sc.model, sc.fitness, x, dx, half_line)
+        u = traj.densities[0]
+        for i in range(1, len(traj.times)):
+            u = strang.march(u, traj.times[i] - traj.times[i - 1], 1)[0]
+            np.testing.assert_array_equal(traj.densities[i], u)
+
+    def test_cir_half_unit_march_is_short(self):
+        # acceptance 5's march: cir-linear to T = 0.5 on 2048 nodes, 33
+        # stored times; 18,720 steps at 16 times the bound
+        sc = cir_linear_scenario()
+        dx = 14.0 / 2048
+        xh = (np.arange(2048) + 0.5) * dx
+        u0 = GridDensity(xh, sc.initial_law.density(xh)).normalize()
+        traj = solve_rm_pde(sc.model, sc.fitness, u0, T=0.5,
+                            scheme=PdeScheme(half_width=14.0, nodes=2048))
+        assert traj.steps <= 2000
+        assert traj.ceiling_intervals == 0
+        assert traj.time_l1_estimate <= TOL["pde_time_l1"]
+        assert traj.negativity_clips == 0

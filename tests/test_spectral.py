@@ -121,6 +121,23 @@ class TestCirEigenpair:
         with pytest.raises(AssertionError, match="series"):
             pair.grad_log_phi(np.array([1.0]))
 
+    def test_below_lam_max_tilt_rejected_before_any_series(self, monkeypatch):
+        # phi grows like exp((1 + sqrt 3) x), faster than the gamma-like law's
+        # exp(-2 x) decays, so phi u0 is not integrable
+        import repmut.spectral as spectral
+        from repmut.closed_form import RejectedCondition, tilted_engine
+        from repmut.scenarios import cir_linear_scenario
+
+        def no_series(*args):
+            raise AssertionError("Kummer series summed")
+
+        sc = cir_linear_scenario(horizon=0.05)
+        pair = cir_eigenpair(1.0, -1.0, 1.0, cir_lam_max(1.0, -1.0, 1.0) - 0.4)
+        monkeypatch.setattr(spectral, "kummer_M", no_series)
+        with pytest.raises(RejectedCondition, match="not integrable"):
+            tilted_engine(sc.model, sc.fitness, pair, sc.initial_law, 0.05,
+                          n_paths=2000, seed=0)
+
     def test_residual_at_lam_max(self):
         pair = cir_eigenpair(1.0, -1.0, 1.0, cir_lam_max(1.0, -1.0, 1.0))
         res = eigenpair_residual(cir_model(), CIR_FIT, pair, np.linspace(0.1, 5, 64))
