@@ -426,13 +426,10 @@ def cmd_chaos(cfg: dict, out: str, seed, threads: int) -> int:
         raise ConfigError("chaos study needs at least 3 particle counts")
     reps = int(cfg["particles"]["reps"])
     q = float(cfg["particles"]["q"])
-    try:
-        reference = linear_engine(sc.model, sc.fitness, sc.initial_law, sc.horizon)
-    except RejectedCondition:
-        try:
-            reference = affine_engine(sc.model, sc.fitness, sc.initial_law, sc.horizon)
-        except RejectedCondition as exc:
-            raise ConfigError(f"chaos needs a closed-form reference: {exc}") from exc
+    try:  # on B = 0, G = 0 the affine engine returns the linear engine's solution
+        reference = affine_engine(sc.model, sc.fitness, sc.initial_law, sc.horizon)
+    except RejectedCondition as exc:
+        raise ConfigError(f"chaos needs a closed-form reference: {exc}") from exc
     manifest = _new_manifest(cfg, seed)
     os.makedirs(out, exist_ok=True)
     manifest.write(os.path.join(out, "manifest.json"))

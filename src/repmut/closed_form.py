@@ -494,15 +494,11 @@ def affine_engine(model: DiffusionModel, fitness: FitnessFunction,
 
 
 def tilted_extra_drift(model: DiffusionModel, pair: Eigenpair) -> TiltedDrift:
-    """Extra drift (sigma sigma^T) grad log phi of the eigen-tilted process."""
+    """Extra drift sigma^2 (log phi)' of the eigen-tilted process on the line."""
 
     def extra(t, x):
-        if model.dim == 1:
-            s = model.diffusion(x)[:, 0, 0]
-            return (s * s * pair.grad_log_phi(x[:, 0]))[:, None]
-        sig = model.diffusion(x)
-        a = np.einsum("pij,pkj->pik", sig, sig)
-        return np.einsum("pik,pk->pi", a, pair.grad_log_phi(x))
+        s = model.diffusion(x)[:, 0, 0]
+        return (s * s * pair.grad_log_phi(x[:, 0]))[:, None]
 
     return TiltedDrift(base=model, extra=extra)
 

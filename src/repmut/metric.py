@@ -1,7 +1,7 @@
-"""Metric machinery on the one-point compactification.
+"""Metric machinery on the one-point compactification of the line.
 
-Sub-probability measures are mapped to probability measures on the domain
-plus an added point (the "star") absorbing the mass deficit.  The
+Sub-probability measures on the line are mapped to probability measures on
+the line plus an added point (the "star") absorbing the mass deficit.  The
 bounded-Lipschitz (Fortet-Mourier) distance between two compactified
 measures is the LP
 
@@ -9,9 +9,9 @@ measures is the LP
     s.t.      |psi_k| <= s,   |psi_j - psi_k| <= l * d_star(x_j, x_k),
               s + l <= 1,
 
-solved exactly on a sparse, provably equivalent constraint set (for sorted
-1D supports the star metric is the geodesic metric of the chain-plus-hub
-graph, so adjacent and hub edges imply all pairwise Lipschitz constraints).
+solved exactly on a sparse, provably equivalent constraint set (on a sorted
+support the star metric is the geodesic metric of the chain-plus-hub graph,
+so adjacent and hub edges imply all pairwise Lipschitz constraints).
 Every LP runs on HiGHS through :class:`BLModel`, one model of the LP built
 from sparse triplets whose column costs change per solve.  A one-shot call
 solves on a new model, cold.  ``dqt_estimate`` holds one model per call: all
@@ -26,10 +26,10 @@ certificate passes the check and its relative duality gap is within
 ``TOL["lp_duality_gap_rel"]``; otherwise ``bl_distance`` raises ``LPError``
 (the CLI exits with status 3) rather than returning an unchecked value.
 
-Every certificate is checked against all pairwise constraints.  On a 1D
-support that check is an O(K) sweep of running extremes rather than a
-K x K matrix; a check of the graph's edges alone would not do, since on an
-infeasible certificate violations add up along paths.
+Every certificate is checked against all pairwise constraints, by an O(K)
+sweep of running extremes rather than a K x K matrix; a check of the
+graph's edges alone would not do, since on an infeasible certificate
+violations add up along paths.
 
 The time-sup estimator ``dqt_estimate`` bounds each checkpoint's distance
 from above by a feasible flow of the LP's dual (``bl_flow_bound``), solves
@@ -66,27 +66,17 @@ class LPError(MetricError):
 
 
 def _l(x, x0=0.0):
-    x = np.asarray(x, float)
-    if x.ndim <= 1:
-        return 1.0 / (1.0 + np.abs(x - x0))
-    return 1.0 / (1.0 + np.linalg.norm(x - x0, axis=-1))
+    return 1.0 / (1.0 + np.abs(np.asarray(x, float) - x0))
 
 
 def dstar(p, q, x0=0.0):
-    """Metric on the compactified domain; pass STAR for the added point."""
-    if isinstance(p, str) and p == STAR and isinstance(q, str) and q == STAR:
-        return 0.0
-    if isinstance(p, str) and p == STAR:
-        return _l(q, x0)
-    if isinstance(q, str) and q == STAR:
-        return _l(p, x0)
+    """Metric on the compactified line; pass STAR for the added point."""
+    on_star = [isinstance(z, str) and z == STAR for z in (p, q)]
+    if any(on_star):
+        return 0.0 if all(on_star) else _l(q if on_star[0] else p, x0)
     p = np.asarray(p, float)
     q = np.asarray(q, float)
-    if p.ndim <= 1 and q.ndim <= 1 and (p.ndim == 0 or p.shape == q.shape):
-        direct = np.abs(p - q) if p.ndim == 0 else np.linalg.norm(p - q)
-    else:
-        direct = np.abs(p - q)
-    return np.minimum(direct, _l(p, x0) + _l(q, x0))
+    return np.minimum(np.abs(p - q), _l(p, x0) + _l(q, x0))
 
 
 # ---------------------------------------------------------------------------
@@ -95,15 +85,17 @@ def dstar(p, q, x0=0.0):
 
 @dataclass(frozen=True)
 class CompactifiedMeasure:
-    """Atoms with masses plus the deficit mass on the star point."""
+    """Atoms on the line, given as (K,) or (K, 1) and stored as a (K, 1)
+    column, with masses plus the deficit mass on the star point."""
 
     atoms: np.ndarray
     masses: np.ndarray
 
     def __post_init__(self):
-        atoms = np.atleast_2d(np.asarray(self.atoms, float))
-        if atoms.shape[0] == 1 and atoms.shape[1] > 1 and np.asarray(self.masses).size > 1:
-            atoms = atoms.T
+        atoms = np.asarray(self.atoms, float)
+        atoms = atoms[:, None] if atoms.ndim == 1 else atoms
+        if atoms.shape[1:] != (1,):
+            raise MetricError(f"atoms of shape {atoms.shape}; the metric is 1D: (K,) or (K, 1)")
         masses = np.asarray(self.masses, float)
         if masses.ndim != 1 or len(masses) != len(atoms):
             raise MetricError(f"{masses.shape} masses for {len(atoms)} atoms; one per atom needed")
@@ -120,10 +112,6 @@ class CompactifiedMeasure:
     @property
     def star_mass(self) -> float:
         return max(1.0 - float(self.masses.sum()), 0.0)
-
-    @property
-    def dim(self) -> int:
-        return self.atoms.shape[1]
 
 
 def bin_measure(atoms: np.ndarray, masses: np.ndarray, edges: np.ndarray):
@@ -155,22 +143,18 @@ class BLResult:
 
 def _merged_support(mu: CompactifiedMeasure, nu: CompactifiedMeasure,
                     keep_zero: bool = False):
-    """The atoms of both measures in lexicographic order (ascending on a
-    line), coincident ones merged, with the mass differences mu - nu; atoms
-    whose difference is exactly zero are dropped unless ``keep_zero``."""
-    if mu.dim != nu.dim:
-        raise MetricError("dimension mismatch")
-    atoms = np.vstack([mu.atoms, nu.atoms])
+    """The atoms of both measures ascending on the line as a (K, 1) column,
+    coincident ones merged, with the mass differences mu - nu; atoms whose
+    difference is exactly zero are dropped unless ``keep_zero``."""
+    x = np.concatenate([mu.atoms[:, 0], nu.atoms[:, 0]])
     delta = np.concatenate([mu.masses, -nu.masses])
     # merge exactly coincident atoms (binned supports)
-    order = np.lexsort(atoms.T[::-1])
-    atoms, delta = atoms[order], delta[order]
-    keep_first = np.ones(len(atoms), bool)
-    if len(atoms) > 1:
-        same = (atoms[1:] == atoms[:-1]).all(axis=1)
-        keep_first[1:] = ~same
+    order = np.argsort(x, kind="stable")
+    x, delta = x[order], delta[order]
+    keep_first = np.ones(len(x), bool)
+    keep_first[1:] = x[1:] != x[:-1]
     grp = np.cumsum(keep_first) - 1
-    merged = atoms[keep_first]
+    merged = x[keep_first, None]
     dsum = np.bincount(grp, weights=delta, minlength=len(merged))
     if keep_zero:
         return merged, dsum
@@ -231,8 +215,8 @@ def bl_distance(mu: CompactifiedMeasure, nu: CompactifiedMeasure,
 
 def bl_flow_bound(mu: CompactifiedMeasure, nu: CompactifiedMeasure,
                   x0: float = 0.0) -> float:
-    """Upper bound on ``bl_distance(mu, nu).value`` on a 1D support, by weak
-    duality from one feasible flow of the LP's dual.
+    """Upper bound on ``bl_distance(mu, nu).value`` by weak duality from one
+    feasible flow of the LP's dual.
 
     The dual sends the difference Delta = mu - nu (star included) along the
     chain-plus-hub graph at cost sum |f_e| w_e, or leaks it at cost |r|
@@ -243,8 +227,6 @@ def bl_flow_bound(mu: CompactifiedMeasure, nu: CompactifiedMeasure,
     best blend bounds the value by W R / (W + R).
     """
     atoms, delta = _merged_support(mu, nu)
-    if atoms.shape[1] != 1:
-        raise MetricError("the flow bound needs a 1D support")
     leak = float(np.abs(delta).sum() + abs(delta.sum()))
     if leak <= 0:
         return 0.0
@@ -288,18 +270,11 @@ def _lp_constraints(edges, weights, K):
 
 def _support_lp(atoms: np.ndarray, x0: float):
     """The LP's constraint triplets (:func:`_lp_constraints`) on a merged
-    support: the chain plus hub graph on a sorted line, every pair plus hub
-    in higher dimension."""
+    support, sorted on the line by :func:`_merged_support`: the chain of
+    adjacent atoms plus a hub edge from every atom to the star."""
     K = len(atoms)
-    one_d = atoms.shape[1] == 1
-    lvals = _l(atoms[:, 0] if one_d else atoms, x0)
-    if one_d:  # the chain needs sorted atoms, which _merged_support gives
-        edges, weights = _edges_1d(atoms[:, 0], lvals)
-    else:
-        ii, jj = np.triu_indices(K, 1)
-        dd = np.linalg.norm(atoms[ii] - atoms[jj], axis=1)
-        weights = np.minimum(dd, lvals[ii] + lvals[jj])
-        edges = np.stack([ii, jj], axis=1)
+    lvals = _l(atoms[:, 0], x0)
+    edges, weights = _edges_1d(atoms[:, 0], lvals)
     # hub edges to the star node (index K)
     hub = np.stack([np.arange(K), np.full(K, K)], axis=1)
     return _lp_constraints(np.vstack([edges, hub]), np.concatenate([weights, lvals]), K)
@@ -331,7 +306,8 @@ class BLModel:
         self.nv = len(atoms) + 1  # psi (free, star last), then s, l >= 0
         n = self.nv + 2
         # the CSC arrays (data, indices, indptr): entries by column, then row
-        order = np.lexsort((rows, cols))
+        # (the triplets come in ascending rows, which a stable sort keeps)
+        order = np.argsort(cols, kind="stable")
         self._cols = cols[order]
         data, index = vals[order], rows[order]
         indptr = np.zeros(n + 1, np.int64)
@@ -383,37 +359,32 @@ class BLModel:
 def check_certificate(result: BLResult, x0: float = 0.0) -> float:
     """Max constraint violation of the certificate over all pairs.
 
-    On a 1D support the pairwise maximum is swept in O(K)
-    (:func:`_pair_violation_sweep`); in higher dimension every pair is formed.
+    The pairwise maximum over the atoms on the line is swept in O(K)
+    (:func:`_pair_violation_sweep`), the star's pairs are formed directly.
     """
     psi = result.psi
     K = len(result.atoms)
     viol = max(np.abs(psi).max() - result.s, 0.0)
     viol = max(viol, result.s + result.lip - 1.0)
     if K:
-        one_d = result.atoms.shape[1] == 1
-        pts = result.atoms[:, 0] if one_d else result.atoms
-        lv = _l(pts, x0)
-        pair = _pair_violation_sweep if one_d else _pair_violation_dense
-        viol = max(viol, pair(pts, psi[:K], result.lip, lv))
+        x = result.atoms[:, 0]
+        lv = _l(x, x0)
+        viol = max(viol, _pair_violation_sweep(x, psi[:K], result.lip, lv))
         vstar = np.abs(psi[:K] - psi[K]) - result.lip * lv
         viol = max(viol, float(vstar.max()))
     return float(viol)
 
 
-def _pair_violation_dense(pts, psi, lip, lv) -> float:
-    """max over all pairs i, j of |psi_i - psi_j| - lip d_star(x_i, x_j); O(K^2)."""
-    if pts.ndim == 1:
-        dd = np.abs(pts[:, None] - pts[None, :])
-    else:
-        dd = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-    dmat = np.minimum(dd, lv[:, None] + lv[None, :])
+def _pair_violation_dense(x, psi, lip, lv) -> float:
+    """max over all pairs i, j of |psi_i - psi_j| - lip d_star(x_i, x_j); O(K^2),
+    the oracle of :func:`_pair_violation_sweep`."""
+    dmat = np.minimum(np.abs(x[:, None] - x[None, :]), lv[:, None] + lv[None, :])
     lhs = np.abs(psi[:, None] - psi[None, :])
     return float((lhs - lip * dmat).max())
 
 
 def _pair_violation_sweep(x, psi, lip, lv) -> float:
-    """The maximum of :func:`_pair_violation_dense` on a 1D support in O(K).
+    """The maximum of :func:`_pair_violation_dense` in O(K).
 
     d_star is the smaller of |x_i - x_j| and l_i + l_j, so the maximum is
     the larger of two branches.  Chain: for x_i <= x_j the pair's excess is
