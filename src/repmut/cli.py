@@ -416,6 +416,17 @@ def cmd_solve(cfg: dict, out: str, seed, threads: int) -> int:
     return EXIT_OK
 
 
+def bootstrap_slopes(x: np.ndarray, y: np.ndarray, gen) -> np.ndarray:
+    """Least-squares slopes of y on x over 500 resampled index rows, drawn
+    at once (the same stream as one row per draw); rows whose x has no
+    spread, such as a row of one repeated index, are dropped."""
+    idx = gen.integers(0, len(x), (500, len(x)))
+    spread = (x[idx] != x[idx[:, :1]]).any(axis=1)
+    xs, ys = x[idx[spread]], y[idx[spread]]
+    xc = xs - xs.mean(axis=1, keepdims=True)
+    return (xc * (ys - ys.mean(axis=1, keepdims=True))).sum(axis=1) / (xc * xc).sum(axis=1)
+
+
 def cmd_chaos(cfg: dict, out: str, seed, threads: int) -> int:
     sc = build_scenario(cfg)
     if sc.model.dim != 1:
@@ -436,6 +447,7 @@ def cmd_chaos(cfg: dict, out: str, seed, threads: int) -> int:
 
     rows = []
     values = []
+    lp_models = {}  # one held BL model per checkpoint time, shared by the rungs
     for n in n_ladder:
         t0 = time.time()
         stage_seed = manifest.stage_seed(f"chaos/N={n}")
@@ -444,10 +456,11 @@ def cmd_chaos(cfg: dict, out: str, seed, threads: int) -> int:
                            checkpoints=int(cfg["metric"]["checkpoints"]),
                            ref_atoms=int(cfg["metric"]["ref_atoms"]),
                            steps_per_unit=int(cfg["steps_per_unit"]),
-                           threads=threads)
+                           threads=threads, lp_models=lp_models)
         manifest.wallclock[f"chaos/N={n}"] = time.time() - t0
-        manifest.counters[f"chaos/N={n}"] = {"lp_solved": res.lp_solved,
-                                             "lp_pruned": res.lp_pruned}
+        manifest.counters[f"chaos/N={n}"] = {
+            "lp_solved": res.lp_solved, "lp_pruned": res.lp_pruned, "lp_cold": res.lp_cold,
+            "lp_full_support": res.lp_full_support, "lp_atoms": res.lp_atoms}
         rows.append([n, res.value, res.ci_low, res.ci_high])
         values.append(res.value)
         flag = "" if res.reliable_ci else "  (CI unreliable: too few reps)"
@@ -459,13 +472,8 @@ def cmd_chaos(cfg: dict, out: str, seed, threads: int) -> int:
     logD = np.log(np.asarray(values))
     slope, intercept = np.polyfit(logN, logD, 1)
     gen = np.random.default_rng(rng.derive_seed(manifest.master_seed, "chaos-slope-boot"))
-    slopes = []
-    for _ in range(500):
-        idx = gen.integers(0, len(n_ladder), len(n_ladder))
-        if len(set(idx.tolist())) < 2:
-            continue
-        slopes.append(np.polyfit(logN[idx], logD[idx], 1)[0])
-    s_lo, s_hi = (np.percentile(slopes, [2.5, 97.5]) if slopes
+    slopes = bootstrap_slopes(logN, logD, gen)
+    s_lo, s_hi = (np.percentile(slopes, [2.5, 97.5]) if slopes.size
                   else (slope, slope))
     inversions = int(np.sum(np.diff(values) > 0))
     if inversions > 1:

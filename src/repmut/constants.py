@@ -29,6 +29,7 @@ TOL = {
     "bl_triangle_slack": 1e-9,
     "lp_certificate_feasibility": 1e-10,  # bl_distance's certificate gate
     "lp_duality_gap_rel": 1e-7,         # (U - value) / U of a HiGHS solve
+    "bl_tail_mass": 1e-12,              # reference mass dqt_estimate folds into the star
     # PDE oracle
     "pde_mass_leak": 1e-4,
     "pde_time_l1": 1e-6,                # step-doubling L1 estimate per store interval

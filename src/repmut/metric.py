@@ -13,11 +13,12 @@ solved exactly on a sparse, provably equivalent constraint set (on a sorted
 support the star metric is the geodesic metric of the chain-plus-hub graph,
 so adjacent and hub edges imply all pairwise Lipschitz constraints).
 Every LP runs on HiGHS through :class:`BLModel`, one model of the LP built
-from sparse triplets whose column costs change per solve.  A one-shot call
-solves on a new model, cold.  ``dqt_estimate`` holds one model per call: all
-its LPs live on the same reference midpoints when zero-difference atoms are
-kept, and each solve restarts from the basis of the model's first (cold)
-solve, so a value does not depend on the solves before it.
+from sparse triplets whose column costs change per solve.  All models solve
+on one process-wide HiGHS instance, created at the first solve, which loads
+the model afresh for every solve.  A one-shot call solves on a new model,
+cold.  A held model solves cold once, and each later solve restarts from the
+basis of that first solve, so a value does not depend on the solves before
+it, on this model or on any other.
 
 Each solve also returns a weak-duality upper bound from its row duals (the
 flow-and-leak dual, the flat-norm form of Piccoli & Rossi, ARMA 2014), so
@@ -35,6 +36,14 @@ The time-sup estimator ``dqt_estimate`` bounds each checkpoint's distance
 from above by a feasible flow of the LP's dual (``bl_flow_bound``), solves
 the LPs in descending order of that bound, and skips a checkpoint whose
 bound is already below the running sup, which leaves the sup unchanged.
+Its LPs live on per-checkpoint supports: the reference grid is much wider
+than the reference's mass, so at each checkpoint time the smallest
+reference cells, together holding at most ``TOL["bl_tail_mass"]``, are
+folded into the star.  Moving mass m to the star changes a BL value by at
+most m, since |psi_i - psi_star| <= 1 (the leak term of the flat norm), so
+a folded value is within that tolerance of the full one.  Each checkpoint
+time's LPs then solve on one held model over the kept midpoints; a pair
+whose empirical side has mass on a folded cell solves cold on the full grid.
 """
 
 from __future__ import annotations
@@ -124,6 +133,17 @@ def bin_measure(atoms: np.ndarray, masses: np.ndarray, edges: np.ndarray):
     hist, _ = np.histogram(pos, bins=edges, weights=masses)
     mids = 0.5 * (edges[1:] + edges[:-1])
     return mids, hist
+
+
+def fold_tail(masses: np.ndarray) -> np.ndarray:
+    """Mask of the cells kept on the line: the smallest cells, taken in
+    ascending order of mass while their sum stays at most
+    ``TOL["bl_tail_mass"]``, go to the star; at least one cell stays."""
+    order = np.argsort(masses, kind="stable")
+    drop = np.searchsorted(np.cumsum(masses[order]), TOL["bl_tail_mass"], side="right")
+    keep = np.ones(len(masses), bool)
+    keep[order[:min(drop, len(masses) - 1)]] = False
+    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -280,18 +300,40 @@ def _support_lp(atoms: np.ndarray, x0: float):
     return _lp_constraints(np.vstack([edges, hub]), np.concatenate([weights, lvals]), K)
 
 
-class BLModel:
-    """The BL LP on one merged support as a HiGHS model whose column costs
-    change from solve to solve (scipy's private ``_highspy`` binding); every
-    ``bl_distance`` solve runs on one, held or new.
+# HiGHS options of every solve: no log, presolve off (it slows a small LP),
+# feasibility tolerances 1e-10; the simplex strategy is set per solve
+_HIGHS_OPTIONS = (("output_flag", False), ("presolve", "off"),
+                  ("primal_feasibility_tolerance", 1e-10), ("dual_feasibility_tolerance", 1e-10))
+_highs = None  # the process-wide HiGHS instance; _instance creates it
 
-    The constraint matrix goes to HiGHS as CSC arrays (``csc``) built with
-    numpy.  Feasibility tolerances are 1e-10, and presolve is off, which
-    makes a small LP faster.  The first solve is cold, by dual simplex, and
-    its optimal basis becomes the anchor.  Every later solve clears the
-    solver and runs primal simplex from the anchor, which stays primal
-    feasible as only the costs change; so its result depends on its instance
-    and the anchor only, not on the solves in between.
+
+def _instance():
+    global _highs
+    if _highs is None:
+        _highs = highs_core._Highs()
+        for key, value in _HIGHS_OPTIONS:
+            _highs.setOptionValue(key, value)
+    return _highs
+
+
+class BLModel:
+    """The BL LP on one merged support, solved by HiGHS through scipy's
+    private ``_highspy`` binding; every ``bl_distance`` solve runs on one,
+    held or new.
+
+    A model keeps only its LP, as CSC arrays (``csc``) built with numpy and
+    the row bounds ``rhs``, and its anchor basis.  Every solve loads the LP
+    with that solve's costs into the one process-wide HiGHS instance
+    (``passModel`` replaces whatever it held), so a model costs no HiGHS
+    memory of its own.  A fresh load on every solve, not only when the
+    instance holds another model, is what makes a result independent of
+    the solves before it: a run leaves state in the instance that changes
+    the next run on the same model in its last bits.  The first solve is
+    cold, by dual simplex, and its optimal basis becomes the anchor.  Every
+    later solve runs primal simplex from the anchor, which stays primal
+    feasible as only the costs change; so its result depends on the anchor
+    only.  The shared instance makes solves unsafe from concurrent threads;
+    every caller in the package solves from one thread.
 
     Besides the primal optimum, a solve returns the weak-duality bound
     U = y'b + |(A'y - c)_psi|_1 + sum_{s, l} max(c - A'y, 0) from the row
@@ -309,47 +351,40 @@ class BLModel:
         # (the triplets come in ascending rows, which a stable sort keeps)
         order = np.argsort(cols, kind="stable")
         self._cols = cols[order]
-        data, index = vals[order], rows[order]
         indptr = np.zeros(n + 1, np.int64)
         np.cumsum(np.bincount(self._cols, minlength=n), out=indptr[1:])
-        self.csc = (data, index, indptr)
+        self.csc = (vals[order], rows[order], indptr)
         self.rhs = rhs
-        inf = highs_core.kHighsInf
-        lower = np.zeros(n)
-        lower[:self.nv] = -inf
-        self._highs = highs_core._Highs()
-        for key, value in (("output_flag", False), ("simplex_strategy", 1), ("presolve", "off"),
-                           ("primal_feasibility_tolerance", 1e-10),
-                           ("dual_feasibility_tolerance", 1e-10)):
-            self._highs.setOptionValue(key, value)
-        # the model from arrays: sizes, column-wise format, minimize, offset 0,
-        # costs, column and row bounds, the CSC arrays, every column continuous
-        self._highs.passModel(n, len(rhs), len(data), int(highs_core.MatrixFormat.kColwise),
-                              int(highs_core.ObjSense.kMinimize), 0.0, np.zeros(n), lower,
-                              np.full(n, inf), np.full(len(rhs), -inf), rhs, indptr, index, data,
-                              np.zeros(n, np.int32))
-        self._psi_cols = np.arange(self.nv, dtype=np.int32)
-        self._anchor = None
+        self.anchor = None
 
     def solve(self, obj):
         """max obj'psi over the LP; returns (psi, s, l, value, U)."""
-        h, nv = self._highs, self.nv
-        h.changeColsCost(nv, self._psi_cols, -obj)  # HiGHS minimizes
-        if self._anchor is not None:
-            h.clearSolver()
-            h.setBasis(self._anchor)
+        h, nv = _instance(), self.nv
+        data, index, indptr = self.csc
+        n, inf = nv + 2, highs_core.kHighsInf
+        cost = np.zeros(n)
+        cost[:nv] = -obj  # HiGHS minimizes
+        lower = np.zeros(n)
+        lower[:nv] = -inf
+        # the model from arrays: sizes, column-wise format, minimize, offset 0,
+        # costs, column and row bounds, the CSC arrays, every column continuous
+        h.passModel(n, len(self.rhs), len(data), int(highs_core.MatrixFormat.kColwise),
+                    int(highs_core.ObjSense.kMinimize), 0.0, cost, lower, np.full(n, inf),
+                    np.full(len(self.rhs), -inf), self.rhs, indptr, index, data,
+                    np.zeros(n, np.int32))
+        h.setOptionValue("simplex_strategy", 1 if self.anchor is None else 4)  # dual, primal
+        if self.anchor is not None:
+            h.setBasis(self.anchor)
         h.run()
         status = h.getModelStatus()
         if status != highs_core.HighsModelStatus.kOptimal:
             raise LPError(f"HiGHS failed: {status}")
-        if self._anchor is None:
-            self._anchor = h.getBasis()
-            h.setOptionValue("simplex_strategy", 4)  # primal from the anchor on
+        if self.anchor is None:
+            self.anchor = h.getBasis()
         sol = h.getSolution()
         z = np.asarray(sol.col_value)
         y = np.maximum(-np.asarray(sol.row_dual), 0.0)
-        data, index, _ = self.csc
-        red = np.bincount(self._cols, data * y[index], nv + 2)  # A'y - c, c = 0 on s, l
+        red = np.bincount(self._cols, data * y[index], n)  # A'y - c, c = 0 on s, l
         red[:nv] -= obj
         upper = y @ self.rhs + np.abs(red[:nv]).sum() + np.maximum(-red[nv:], 0.0).sum()
         return (z[:nv], float(z[nv]), float(z[nv + 1]),
@@ -426,12 +461,16 @@ class DqtResult:
     extra_shift: np.ndarray  # (reps,); 0 where the fitness shift g_max sufficed
     lp_solved: int  # BL LPs solved over all replicates
     lp_pruned: int  # checkpoints skipped by their flow bound
+    lp_cold: int  # LPs solved cold: a held model's first, and every full-support one
+    lp_full_support: int  # LPs on all ref_atoms midpoints (empirical mass on a folded cell)
+    lp_atoms: int  # atoms summed over the LPs solved
 
 
 def dqt_estimate(model, fitness, initial_law, reference, *, T: float, N: int,
                  q: float = 2.0, reps: int = 20, seed: int = 0,
                  checkpoints: int = 32, ref_atoms: int = 512,
                  steps_per_unit: int = 400, threads: int = 1,
+                 lp_models: Optional[dict] = None,
                  _particle_runner=None) -> DqtResult:
     """Monte Carlo estimate of the q-norm of the sup-over-time BL distance
     between the tilted empirical measure and the tilted reference.
@@ -445,6 +484,15 @@ def dqt_estimate(model, fitness, initial_law, reference, *, T: float, N: int,
     set the sup, so ``sups`` is the same as with every LP solved.
     ``lp_solved`` and ``lp_pruned`` count the two cases.
 
+    At each checkpoint time, :func:`fold_tail` folds the reference's
+    smallest cells (at unit fitness shift) into the star, and the LPs run on
+    the held model of the kept midpoints in ``lp_models``, a table keyed by
+    the time and the kept midpoints; pass one table to calls on the same
+    reference grid and checkpoint times to share their models and anchors.
+    A value moves by at most ``TOL["bl_tail_mass"]`` from the full-support
+    one.  A pair whose binned empirical measure has mass on a folded cell
+    is solved cold on all ``ref_atoms`` midpoints instead.
+
     The fitness shift g_max need not bound g on the realized paths (linear
     fitness has no upper bound), so a tilted empirical mass can exceed one,
     outside the compactification.  That replicate's shift is then raised
@@ -457,15 +505,16 @@ def dqt_estimate(model, fitness, initial_law, reference, *, T: float, N: int,
     from .sde import TimeGrid
 
     runner = run_particles if _particle_runner is None else _particle_runner
+    lp_models = {} if lp_models is None else lp_models
     grid_t = TimeGrid.per_unit(T, steps_per_unit)
     lo, hi = reference.grid[0], reference.grid[-1]
     edges = np.linspace(lo, hi, ref_atoms + 1)
     mids = 0.5 * (edges[1:] + edges[:-1])
-    lp_model = BLModel(mids[:, None])  # every checkpoint's LP lives on mids
+    cells = {}  # checkpoint time -> (reference cell shares, mass factor, kept cells, held model)
     sups = np.empty(reps)
     extra = np.zeros(reps)
     times_used = None
-    lp_solved = lp_pruned = 0
+    lp_solved = lp_pruned = lp_cold = lp_full = lp_atoms = 0
     for r in range(reps):
         rep_seed = rng.derive_seed(seed, f"dqt-rep-{r}")
         ens = runner(model, fitness, initial_law, N, grid_t, rep_seed,
@@ -476,26 +525,44 @@ def dqt_estimate(model, fitness, initial_law, reference, *, T: float, N: int,
         extra[r] = max(0.0, float(np.max(log_mass / ens.times[later], initial=0.0)))
         pairs = []
         for t in ens.times:
+            if t not in cells:
+                cell = np.maximum(reference.u(t, mids), 0.0) * np.diff(edges)
+                total = cell.sum()
+                share = cell / total if total > 0 else cell
+                factor = reference.mass_factor(t, shifted=True)
+                keep = fold_tail(share * factor)
+                key = (float(t), mids[keep].tobytes())
+                if key not in lp_models:
+                    lp_models[key] = BLModel(mids[keep, None])
+                cells[t] = share, factor, keep, lp_models[key]
+            share, factor, keep, held = cells[t]
             scale = np.exp(-extra[r] * t)
             emp = tilted_measure(ens, t)
             ea, em = bin_measure(emp.atoms, emp.masses * scale, edges)
-            emp_c = CompactifiedMeasure(ea[:, None], em)
-            h_ref = reference.mass_factor(t, shifted=True) * scale
-            uvals = np.maximum(reference.u(t, mids), 0.0)
-            cell = uvals * np.diff(edges)
-            total = cell.sum()
-            ref_m = cell / total * h_ref if total > 0 else cell
-            ref_c = CompactifiedMeasure(mids[:, None], ref_m)
-            pairs.append((emp_c, ref_c))
+            ref_m = share * (factor * scale)
+            if em[~keep].any():  # solved on all midpoints, cold
+                pairs.append((CompactifiedMeasure(ea[:, None], em),
+                              CompactifiedMeasure(mids[:, None], ref_m), None))
+            else:
+                pairs.append((CompactifiedMeasure(held.atoms, em[keep]),
+                              CompactifiedMeasure(held.atoms, ref_m[keep]), held))
         # largest bound first; a checkpoint whose bound stays below the best
         # value so far (with a margin for roundoff) cannot set the sup
-        bounds = np.array([bl_flow_bound(e, c) for e, c in pairs])
+        bounds = np.array([bl_flow_bound(e, c) for e, c, _ in pairs])
         best = 0.0
         for i in np.argsort(-bounds, kind="stable"):
             if bounds[i] <= best * (1.0 - PRUNE_MARGIN):
                 lp_pruned += 1
                 continue
-            best = max(best, bl_distance(*pairs[i], model=lp_model).value)
+            emp_c, ref_c, lp_model = pairs[i]
+            if lp_model is None:
+                lp_model = BLModel(mids[:, None])
+                lp_full += 1
+            cold = lp_model.anchor is None
+            res = bl_distance(emp_c, ref_c, model=lp_model)
+            lp_cold += cold and lp_model.anchor is not None  # a zero difference solves nothing
+            lp_atoms += len(res.atoms)
+            best = max(best, res.value)
             lp_solved += 1
         sups[r] = best
     value = float(np.mean(sups ** q) ** (1.0 / q))
@@ -511,4 +578,5 @@ def dqt_estimate(model, fitness, initial_law, reference, *, T: float, N: int,
     return DqtResult(value=value, ci_low=float(ci_low), ci_high=float(ci_high),
                      sups=sups, checkpoint_times=times_used, n_particles=N,
                      q=q, reliable_ci=reliable, extra_shift=extra,
-                     lp_solved=lp_solved, lp_pruned=lp_pruned)
+                     lp_solved=lp_solved, lp_pruned=lp_pruned, lp_cold=lp_cold,
+                     lp_full_support=lp_full, lp_atoms=lp_atoms)

@@ -137,7 +137,8 @@ def simulate(model_or_tilt, initial: np.ndarray, grid: TimeGrid, seed: int,
              threads: int = 1) -> PathBundle:
     """Simulates N paths; returns positions (and weights) at stored nodes.
 
-    ``store`` is an index array into the fine grid nodes (defaults to all
+    ``initial`` holds one point per row, (N, d), or is a flat (N,) vector on
+    a 1-D model; any other shape raises ``SimulationError``.  ``store`` is an index array into the fine grid nodes (defaults to all
     nodes).  ``particle_ids`` are the RNG stream keys, defaulting to
     0..N-1; passing a permutation permutes the realized paths.  Under the
     joint scheme only the stored nodes are visited: stored interval j takes
@@ -148,12 +149,12 @@ def simulate(model_or_tilt, initial: np.ndarray, grid: TimeGrid, seed: int,
     """
     base = model_or_tilt.base if isinstance(model_or_tilt, TiltedDrift) else model_or_tilt
     tilted = isinstance(model_or_tilt, TiltedDrift)
-    x0 = np.atleast_2d(np.asarray(initial, float))
-    if x0.shape[1] != base.dim:
-        if x0.shape[0] == base.dim and x0.shape[1] != base.dim:
-            x0 = x0.T
-        else:
-            raise SimulationError("initial points shape mismatch")
+    x0 = np.asarray(initial, float)
+    if x0.ndim == 1 and base.dim == 1:
+        x0 = x0[:, None]
+    if x0.ndim != 2 or x0.shape[1] != base.dim:
+        raise SimulationError(f"initial points of shape {x0.shape}; need (N, {base.dim})"
+                              + (" or (N,)" if base.dim == 1 else ""))
     n_part = x0.shape[0]
     ids = (np.arange(n_part, dtype=np.uint64) if particle_ids is None
            else np.asarray(particle_ids, dtype=np.uint64))

@@ -475,6 +475,42 @@ class TestChaosCommand:
         assert set(counters) == {"chaos/N=50", "chaos/N=100", "chaos/N=200"}
         for c in counters.values():
             assert c["lp_solved"] >= 3 and c["lp_solved"] + c["lp_pruned"] == 3 * 5
+            assert 0 <= c["lp_full_support"] <= c["lp_cold"] <= c["lp_solved"]
+            assert c["lp_atoms"] <= 128 * c["lp_solved"]
+        # the rungs share one held model per checkpoint time: each solves cold
+        # once per run, besides the full-support fallbacks
+        held_cold = sum(c["lp_cold"] - c["lp_full_support"] for c in counters.values())
+        assert 1 <= held_cold <= 5
+
+    @staticmethod
+    def loop_slopes(x, y, gen):
+        """The slope bootstrap as one polyfit per draw."""
+        slopes = []
+        for _ in range(500):
+            idx = gen.integers(0, len(x), len(x))
+            if len(set(idx.tolist())) < 2:
+                continue
+            slopes.append(np.polyfit(x[idx], y[idx], 1)[0])
+        return np.array(slopes)
+
+    def test_bootstrap_rows_are_the_per_draw_stream(self):
+        for n in (3, 4, 5):
+            for seed in (1, 2, 3):
+                rows = np.random.default_rng(seed).integers(0, n, (500, n))
+                gen = np.random.default_rng(seed)
+                assert np.array_equal(rows, [gen.integers(0, n, n) for _ in range(500)])
+
+    def test_bootstrap_slope_interval_matches_polyfit_loop(self):
+        from repmut.cli import bootstrap_slopes
+        for n in (3, 4, 5):
+            x = np.log(250.0 * 2.0 ** np.arange(n))
+            y = -0.5 * x + np.random.default_rng(n).normal(0.0, 0.2, n)
+            new = bootstrap_slopes(x, y, np.random.default_rng(10 + n))
+            old = self.loop_slopes(x, y, np.random.default_rng(10 + n))
+            assert new.shape == old.shape
+            lo_hi_new = np.percentile(new, [2.5, 97.5])
+            lo_hi_old = np.percentile(old, [2.5, 97.5])
+            assert np.allclose(lo_hi_new, lo_hi_old, rtol=1e-12, atol=0.0)
 
     def test_fewer_than_three_ns_is_config_error(self, tmp_path):
         path, _ = write_cfg(tmp_path, particles={"N": [50, 100], "reps": 2,

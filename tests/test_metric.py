@@ -359,10 +359,10 @@ def dqt_pairs(ens, reference, edges):
     return pairs
 
 
-def unpruned_sups(ensembles, reference, ref_atoms):
-    """dqt_estimate's time-sup with every checkpoint's LP solved, as before
-    the flow-bound pruning.  The LPs run on one held model whose anchor is,
-    as in dqt_estimate, the cold solve of replicate 0's largest-bound LP."""
+def full_support_sups(ensembles, reference, ref_atoms):
+    """dqt_estimate's time-sup with every checkpoint's LP solved on all
+    midpoints, as before the flow-bound pruning and the tail fold, on one
+    held model anchored at the cold solve of replicate 0's largest-bound LP."""
     edges = np.linspace(reference.grid[0], reference.grid[-1], ref_atoms + 1)
     model = metric_mod.BLModel(0.5 * (edges[1:] + edges[:-1])[:, None])
     reps = [dqt_pairs(ens, reference, edges) for ens in ensembles]
@@ -374,6 +374,55 @@ def unpruned_sups(ensembles, reference, ref_atoms):
                 values[r, i] = bl_distance(*pair, model=model).value
     return np.array([max(values[r, i] for i in range(len(pairs)))
                      for r, pairs in enumerate(reps)])
+
+
+def folded_pairs(ens, reference, edges):
+    """dqt_estimate's LP pairs of one replicate with their held-model keys:
+    each checkpoint's pair restricted to the cells that fold_tail keeps at
+    unit shift, or on all midpoints with key None where the empirical side
+    has mass on a folded cell."""
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    out = []
+    for t, (emp, ref) in zip(ens.times, dqt_pairs(ens, reference, edges)):
+        cell = np.maximum(reference.u(t, mids), 0.0) * np.diff(edges)
+        keep = metric_mod.fold_tail(cell / cell.sum() * reference.mass_factor(t, shifted=True))
+        if emp.masses[~keep].any():
+            out.append((emp, ref, None))
+            continue
+        kept = mids[keep, None]
+        out.append((CompactifiedMeasure(kept, emp.masses[keep]),
+                    CompactifiedMeasure(kept, ref.masses[keep]), (float(t), kept.tobytes())))
+    return out
+
+
+def unpruned_sups(ensembles, reference, ref_atoms):
+    """dqt_estimate's time-sup with every checkpoint's LP solved, as before
+    the flow-bound pruning, on the same folded supports.  Each checkpoint's
+    held model takes its anchor, as in dqt_estimate, from the first LP that
+    dqt_estimate solves on it: an LP whose bound would be pruned waits until
+    its model is anchored (its value cannot set the sup in any case)."""
+    edges = np.linspace(reference.grid[0], reference.grid[-1], ref_atoms + 1)
+    models, waiting, sups = {}, [], []
+    for r, ens in enumerate(ensembles):
+        pairs = folded_pairs(ens, reference, edges)
+        bounds = np.array([metric_mod.bl_flow_bound(mu, nu) for mu, nu, _ in pairs])
+        best = 0.0
+        for i in np.argsort(-bounds, kind="stable"):
+            mu, nu, key = pairs[i]
+            if key is None:
+                model = metric_mod.BLModel(mu.atoms)
+            elif key not in models:
+                model = models[key] = metric_mod.BLModel(mu.atoms)
+            else:
+                model = models[key]
+            if model.anchor is None and bounds[i] <= best * (1.0 - metric_mod.PRUNE_MARGIN):
+                waiting.append((r, mu, nu, model))
+                continue
+            best = max(best, bl_distance(mu, nu, model=model).value)
+        sups.append(best)
+    for r, mu, nu, model in waiting:
+        sups[r] = max(sups[r], bl_distance(mu, nu, model=model).value)
+    return np.array(sups)
 
 
 class TestLpBuild:
@@ -398,7 +447,7 @@ class TestLpBuild:
                 assert np.array_equal(new, getattr(A_old, attr))
             val, upper = model.solve(obj)[3:]
             assert val == pytest.approx(linprog_value(obj, A_old, rhs_old), rel=1e-9, abs=0.0)
-            y = np.maximum(-np.asarray(model._highs.getSolution().row_dual), 0.0)
+            y = np.maximum(-np.asarray(metric_mod._highs.getSolution().row_dual), 0.0)
             red = A_old.T @ y
             red[:k + 1] -= obj
             assert upper == (y @ rhs_old + np.abs(red[:k + 1]).sum()
@@ -507,33 +556,96 @@ def test_sweep_and_flow_bound_validators():
         assert ok, detail
 
 
+def recorded(store):
+    """run_particles, keeping each ensemble in ``store``."""
+    from repmut.particle import run_particles
+
+    def runner(*args, **kwargs):
+        ens = run_particles(*args, **kwargs)
+        store.append(ens)
+        return ens
+    return runner
+
+
+@pytest.fixture(scope="module")
+def acceptance8_runs():
+    """dqt_estimate at acceptance 8's settings for N = 250 (32 checkpoints,
+    512 atoms), 2 replicates at seeds 81-83: (result, ensembles, reference)."""
+    from repmut.closed_form import linear_engine
+    from repmut.scenarios import linear_bm_scenario
+    sc = linear_bm_scenario()
+    ref = linear_engine(sc.model, sc.fitness, sc.initial_law)
+    runs = []
+    for seed in (81, 82, 83):
+        store = []
+        res = dqt_estimate(sc.model, sc.fitness, sc.initial_law, ref, T=1.0, N=250,
+                           reps=2, seed=seed, checkpoints=32, ref_atoms=512,
+                           steps_per_unit=400, _particle_runner=recorded(store))
+        runs.append((res, store, ref))
+    return runs
+
+
 class TestPrunedSup:
-    @staticmethod
-    def recorded(store):
-        from repmut.particle import run_particles
-
-        def runner(*args, **kwargs):
-            ens = run_particles(*args, **kwargs)
-            store.append(ens)
-            return ens
-        return runner
-
-    def test_sups_match_unpruned_loop(self):
-        # acceptance 8 settings for N = 250: 32 checkpoints, 512 atoms
-        from repmut.closed_form import linear_engine
-        from repmut.scenarios import linear_bm_scenario
-        sc = linear_bm_scenario()
-        ref = linear_engine(sc.model, sc.fitness, sc.initial_law)
+    def test_sups_match_unpruned_loop(self, acceptance8_runs):
         pruned = 0
-        for seed in (81, 82, 83):
-            store = []
-            res = dqt_estimate(sc.model, sc.fitness, sc.initial_law, ref, T=1.0, N=250,
-                               reps=2, seed=seed, checkpoints=32, ref_atoms=512,
-                               steps_per_unit=400, _particle_runner=self.recorded(store))
+        for res, store, ref in acceptance8_runs:
             assert np.array_equal(res.sups, unpruned_sups(store, ref, 512))
             assert res.lp_solved + res.lp_pruned == 2 * 32
             pruned += res.lp_pruned
         assert pruned > 0
+
+
+class TestTailFold:
+    def test_sups_within_the_fold_bound_of_full_support(self, acceptance8_runs):
+        tol = metric_mod.TOL["bl_tail_mass"]
+        for res, store, ref in acceptance8_runs:
+            full = full_support_sups(store, ref, 512)
+            assert np.all(np.abs(res.sups - full) <= tol + 1e-9 * full)
+            # the folds shrink the LPs: fewer atoms than 512 per LP on average
+            assert res.lp_atoms < 512 * res.lp_solved and res.lp_full_support == 0
+
+    def test_fold_keeps_the_largest_cells(self):
+        masses = np.array([3e-13, 0.5, 2e-13, 0.0, 6e-13, 0.5])
+        # ascending: 0, 2e-13, 3e-13 sum to 5e-13; adding 6e-13 would pass 1e-12
+        assert metric_mod.fold_tail(masses).tolist() == [False, True, False, False, True, True]
+        assert metric_mod.fold_tail(np.zeros(4)).sum() == 1
+
+    def test_empirical_mass_on_a_folded_cell_solves_on_all_midpoints(self, monkeypatch):
+        # particle 0 sits in the reference grid's first cell at every time,
+        # far in the reference's folded tail
+        from repmut.closed_form import linear_engine
+        from repmut.particle import run_particles
+        from repmut.scenarios import linear_bm_scenario
+        sc = linear_bm_scenario()
+        ref = linear_engine(sc.model, sc.fitness, sc.initial_law)
+
+        def tail_runner(*args, **kwargs):
+            ens = run_particles(*args, **kwargs)
+            ens.positions[0] = ref.grid[0] + 1e-3
+            return ens
+
+        seen = []
+        real = metric_mod.bl_distance
+
+        def spy(mu, nu, x0=0.0, *, model=None):
+            result = real(mu, nu, x0, model=model)
+            seen.append((mu, nu, result))
+            return result
+
+        monkeypatch.setattr(metric_mod, "bl_distance", spy)
+        kwargs = dict(T=1.0, N=250, reps=1, seed=84, checkpoints=3, ref_atoms=512)
+        res = dqt_estimate(sc.model, sc.fitness, sc.initial_law, ref,
+                           _particle_runner=tail_runner, **kwargs)
+        assert res.lp_solved == len(seen) > 0
+        assert res.lp_full_support == res.lp_cold == res.lp_solved
+        assert res.lp_atoms == 512 * res.lp_solved
+        for mu, nu, result in seen:
+            cold = real(mu, nu, model=metric_mod.BLModel(mu.atoms))
+            assert len(result.atoms) == 512
+            assert result.value == cold.value and result.psi.tobytes() == cold.psi.tobytes()
+        # without the tail particle every LP runs folded
+        plain = dqt_estimate(sc.model, sc.fitness, sc.initial_law, ref, **kwargs)
+        assert plain.lp_full_support == 0 and plain.lp_atoms < 512 * plain.lp_solved
 
 
 def scaled_primal(solve, factor):
@@ -582,8 +694,8 @@ class TestDualityGap:
 class TestHeldModel:
     @staticmethod
     def captured_pairs(monkeypatch, reps):
-        """The (mu, nu) pairs that dqt_estimate hands to bl_distance at
-        acceptance 8's settings for N = 250 on linear-bm."""
+        """The (mu, nu, model) triples that dqt_estimate hands to bl_distance
+        at acceptance 8's settings for N = 250 on linear-bm."""
         from repmut.closed_form import linear_engine
         from repmut.scenarios import linear_bm_scenario
         sc = linear_bm_scenario()
@@ -592,7 +704,7 @@ class TestHeldModel:
         real = metric_mod.bl_distance
 
         def spy(mu, nu, x0=0.0, *, model=None):
-            seen.append((mu, nu))
+            seen.append((mu, nu, model))
             return real(mu, nu, x0, model=model)
 
         with monkeypatch.context() as m:
@@ -602,20 +714,35 @@ class TestHeldModel:
         return seen
 
     def test_values_match_linprog_oracle(self, monkeypatch):
-        pairs = self.captured_pairs(monkeypatch, reps=2)
-        assert len(pairs) >= 10
-        mids = pairs[0][1].atoms
-        model = metric_mod.BLModel(mids)
-        A = scipy.sparse.csc_array(model.csc, shape=(len(model.rhs), model.nv + 2))
-        for mu, nu in pairs:
+        triples = self.captured_pairs(monkeypatch, reps=2)
+        assert len(triples) >= 10
+        models = {}  # a new held model per support, solved in dqt_estimate's order
+        for mu, nu, held in triples:
+            key = held.atoms.tobytes()
+            if key not in models:
+                models[key] = metric_mod.BLModel(held.atoms)
+            model = models[key]
+            A = scipy.sparse.csc_array(model.csc, shape=(len(model.rhs), model.nv + 2))
             r = bl_distance(mu, nu, model=model)
-            assert r.solver == "highs" and len(r.atoms) == 512
+            assert r.solver == "highs" and np.array_equal(r.atoms, held.atoms)
             oracle = linprog_value(r.meta["delta"] / np.abs(r.meta["delta"]).sum(), A, model.rhs)
             assert r.value == pytest.approx(oracle * np.abs(r.meta["delta"]).sum(),
                                             rel=1e-9, abs=0.0)
+        # the checkpoints' folded supports: one per time, all below 512 atoms
+        assert len(models) > 1 and all(len(m.atoms) < 512 for m in models.values())
 
-    def test_result_does_not_depend_on_the_solve_sequence(self, monkeypatch):
-        pairs = self.captured_pairs(monkeypatch, reps=1)[:6]
+    def test_result_does_not_depend_on_the_solve_sequence(self):
+        # the first 6 checkpoints' pairs of one replicate on all 512 midpoints
+        from repmut.closed_form import linear_engine
+        from repmut.scenarios import linear_bm_scenario
+        sc = linear_bm_scenario()
+        ref = linear_engine(sc.model, sc.fitness, sc.initial_law)
+        store = []
+        dqt_estimate(sc.model, sc.fitness, sc.initial_law, ref, T=1.0, N=250, reps=1,
+                     seed=81, checkpoints=32, ref_atoms=512, steps_per_unit=400,
+                     _particle_runner=recorded(store))
+        edges = np.linspace(ref.grid[0], ref.grid[-1], 513)
+        pairs = dqt_pairs(store[0], ref, edges)[:6]
         mids = pairs[0][1].atoms
         results = []
         for order in ([0, 1, 2, 3, 4, 5], [0, 4, 2, 5], [0, 3, 1, 5]):
@@ -630,6 +757,27 @@ class TestHeldModel:
             assert (r.s, r.lip, r.solver) == (first.s, first.lip, first.solver)
             assert (r.meta["dual_bound"], r.meta["gap_rel"]) == \
                 (first.meta["dual_bound"], first.meta["gap_rel"])
+
+    def test_interleaved_models_match_models_solved_alone(self):
+        # all models share one HiGHS instance; switching between them, or a
+        # one-shot solve in between, changes no bit of a held model's result
+        gen = np.random.default_rng(50)
+        supports = [np.sort(gen.uniform(-6, 6, k))[:, None] for k in (512, 200)]
+        pairs = [[(CompactifiedMeasure(x, gen.dirichlet(np.ones(len(x))) * 0.9),
+                   CompactifiedMeasure(x, gen.dirichlet(np.ones(len(x))) * 0.7))
+                  for _ in range(4)] for x in supports]
+        alone = []
+        for x, ps in zip(supports, pairs):
+            model = metric_mod.BLModel(x)
+            alone.append([bl_distance(*p, model=model) for p in ps])
+        models = [metric_mod.BLModel(x) for x in supports]
+        for j in range(4):
+            for m in (1, 0) if j % 2 else (0, 1):
+                r = bl_distance(*pairs[m][j], model=models[m])
+                a = alone[m][j]
+                assert r.value == a.value and r.psi.tobytes() == a.psi.tobytes()
+                assert r.meta["dual_bound"] == a.meta["dual_bound"]
+            bl_distance(*TestSolveRoutes.pair(30, 51 + j))
 
     def test_zero_difference_atoms_are_kept_and_checked(self):
         x = np.linspace(-3.0, 3.0, 60)[:, None]
@@ -661,10 +809,14 @@ class TestHeldModel:
                 return getattr(self._real, name)
 
         monkeypatch.setattr(metric_mod.highs_core, "_Highs", Guarded)
+        monkeypatch.setattr(metric_mod, "_highs", None)  # the shared instance, made anew
         x = np.linspace(-3.0, 3.0, 60)[:, None]
         gen = np.random.default_rng(49)
         model = metric_mod.BLModel(x)
         for _ in range(2):
             mu = CompactifiedMeasure(x, gen.dirichlet(np.ones(60)) * 0.9)
             bl_distance(mu, CompactifiedMeasure(x, np.full(60, 1 / 70)), model=model)
-        assert used == allowed
+        assert isinstance(metric_mod._highs, Guarded)
+        # passModel sets the costs and resets the solver at every solve, so
+        # the declared changeColsCost and clearSolver are no longer called
+        assert used == allowed - {"changeColsCost", "clearSolver"}

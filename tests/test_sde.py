@@ -144,6 +144,21 @@ class TestSimulate:
         b8 = simulate(m, x0, grid, 9, threads=8)
         assert (b1.positions == b8.positions).all()
 
+    def test_initial_points_one_per_row(self):
+        # a (d, N) block is not read as N points, and at N = d not as rows
+        # either way: only (N, d), or (N,) on a 1-D model, is accepted
+        grid = TimeGrid(0, 0.5, 10)
+        for shape in ((2, 3), (3,), (2, 2, 1)):
+            with pytest.raises(SimulationError, match="initial points of shape"):
+                simulate(bm_model(n=2), np.zeros(shape), grid, 1)
+        with pytest.raises(SimulationError, match=r"need \(N, 1\) or \(N,\)"):
+            simulate(bm_model(), np.zeros((1, 3)), grid, 1)
+        x0 = np.linspace(-1.0, 1.0, 5)
+        flat = simulate(bm_model(0.3, 1.0), x0, grid, 2)
+        column = simulate(bm_model(0.3, 1.0), x0[:, None], grid, 2)
+        assert flat.positions.tobytes() == column.positions.tobytes()
+        assert simulate(bm_model(n=2), np.zeros((3, 2)), grid, 1).positions.shape == (3, 11, 2)
+
     def test_removing_particles_leaves_prefix(self):
         m = bm_model(0.0, 1.0)
         grid = TimeGrid(0, 0.5, 50)
