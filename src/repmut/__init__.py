@@ -7,7 +7,7 @@ from .numerics import GaussianMoments, GridDensity, covariance_integral, kde, ma
 from .closed_form import (Eigenpair, Solution, affine_engine, eigenpair_residual,
                           linear_engine, solve_linear_v, solve_riccati,
                           tilted_engine)
-from .spectral import SchrodingerProblem, cir_eigenpair, kummer_M, schrodinger_ground_state
+from .spectral import SchrodingerProblem, cir_eigenpair, schrodinger_ground_state
 from .particle import (EmpiricalMeasure, WeightedParticleEnsemble, mass_estimate,
                        normalized_measure, run_particles, tilted_measure)
 from .metric import CompactifiedMeasure, bl_distance, dqt_estimate, dstar, STAR

@@ -26,7 +26,8 @@ from .constants import TOL, DEFAULT_CHECKPOINTS, DEFAULT_STEPS_PER_UNIT
 from .metric import MetricError, dqt_estimate
 from .model import InitialLaw, ModelError, _check_law_domain
 from .numerics import GridDensity, NumericsError, kde, stored_index
-from .particle import mass_estimate, mass_estimate_se, normalized_measure, run_particles
+from .particle import (ParticleError, mass_estimate, mass_estimate_se, normalized_measure,
+                       run_particles)
 from .pde import PdeError, PdeScheme, _build_grid, solve_rm_pde
 from .report import atomic_write_text, csv_text, loglog_svg, write_csv
 from .scenarios import (CANONICAL, Scenario, affine_quadratic_fitness, bm_model,
@@ -331,12 +332,16 @@ def _particle_solution(sc: Scenario, cfg: dict, seed: int,
 
 def _write_masses(path: str, times, analytic, particle) -> None:
     """masses.csv: the analytic h_t (NaN without an analytic solution) and the
-    particle estimate with its standard error (exact at t = 0 without one)."""
+    particle estimate with its standard error (exact at t = 0 without one).
+    A particle estimate that is not finite is a numeric failure."""
     rows = []
     for t in times:
         h = analytic.mass(t) if analytic is not None else float("nan")
         if particle is not None:
             h_mc = particle.mass(t)
+            if not np.isfinite(h_mc):
+                raise ParticleError(f"particle mass factor h_t_mc = {h_mc} at t = {t:g}; "
+                                    f"lower the shift g_max = {particle.shift:g}")
             se = mass_estimate_se(particle.meta["ensemble"], t) * np.exp(particle.shift * t)
         else:
             h_mc, se = (1.0, 0.0) if t == 0 else (float("nan"),) * 2
@@ -574,7 +579,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (EngineError, SimulationError, PdeError, MetricError, NumericsError,
-            SpectralError, RejectedCondition) as exc:
+            SpectralError, ParticleError, RejectedCondition) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -17,8 +17,8 @@ learn the fitness only from its declared affine-quadratic form
 * ``tilted_engine`` -- any model with a supplied positive eigenpair whose
   residual on that model is small (``affine_eigenpair`` for affine models,
   ``spectral.cir_eigenpair`` for CIR); the eigen-tilted SDE is simulated
-  (exactly for CIR at lam_max, where it is a CIR process) and the density
-  recovered by KDE.
+  (exactly for CIR, whose principal pair tilts it to a CIR process) and the
+  density recovered by KDE.
 
 All five engines (these three, the particle system and the PDE oracle in
 ``cli``) return the same ``Solution``: a density evaluator u(t, x), an
@@ -64,11 +64,12 @@ class Eigenpair:
     """Positive eigenfunction with (A + g) phi = -lam phi.
 
     ``log_phi`` and ``grad_log_phi`` are the numerically robust primitives;
-    ``phi``/``dphi`` satisfy the plain contract.  ``d2phi`` (optional,
-    analytic) sharpens the residual probe.  Grid-backed eigenfunctions
-    carry their grid and tabulated values for grid-aligned probing.  A pure
-    exponential phi = e^{c x} (1-D) records its slope c in ``log_slope``, so
-    that the tilted engine can read the tilted drift off the data.
+    ``phi``/``dphi`` satisfy the plain contract.  ``d2phi`` (analytic; the
+    Hessian in d > 1, where the residual probe requires it) sharpens the
+    residual probe.  Grid-backed eigenfunctions carry their grid and
+    tabulated values for grid-aligned probing.  A pure exponential
+    phi = e^{c x} (1-D) records its slope c in ``log_slope``, so that the
+    tilted engine can read the tilted drift off the data.
     """
 
     lam: float
@@ -529,27 +530,6 @@ def _reweighted_initial(u0: InitialLaw, pair: Eigenpair, domain_kind: str) -> In
     return InitialLaw("grid-density", {"x": xg, "values": vals / total})
 
 
-def _check_cir_tilt_integrable(model: DiffusionModel, pair: Eigenpair,
-                               u0: InitialLaw) -> None:
-    """Below lam_max the CIR pair phi = e^{c x} M(alpha, beta, q x) grows like
-    e^{(kappa + gamma) x / sigma^2}.  A tabulated u0 whose profile times that
-    exponential still peaks at the last node of its grid has a tail too
-    heavy for phi: phi u0 is not integrable, and the reweighted law would
-    sit at the end of the grid.  Decided from the growth rate alone, before
-    any series is summed."""
-    if not (model.kind == "cir" and pair.source == "kummer" and pair.log_slope is None
-            and u0.kind == "grid-density"):
-        return
-    kappa, s2 = -model.params["b"], model.params["sigma"] ** 2
-    rate = (kappa + np.sqrt(kappa ** 2 + 2.0 * s2)) / s2
-    x, vals = u0.params["x"], u0.params["values"]
-    keep = vals > 0
-    if np.argmax(rate * x[keep] + np.log(vals[keep])) == keep.sum() - 1:
-        raise RejectedCondition(
-            f"phi u0 is not integrable: below lam_max phi grows like exp({rate:.4g} x), "
-            f"faster than u0 decays up to the end of its grid (x = {x[keep][-1]:g})")
-
-
 def checkpoint_density_u(u0: InitialLaw, density_at: Callable,
                          half_line: bool) -> Callable:
     """u(t, x) of a Monte Carlo engine: the initial density at t <= 0, else
@@ -573,23 +553,20 @@ def tilted_engine(model: DiffusionModel, fitness: FitnessFunction,
     the phi-reweighted initial law, estimate the terminal density by KDE
     and undo the tilt pointwise.
 
-    For CIR with an exponential pair phi = e^{c x} (``log_slope`` c, the
-    CIR pair at lam_max) the tilted drift a + (b + sigma^2 c) x is a CIR
-    drift again, so the engine simulates the CIR model (a, b + sigma^2 c,
-    sigma); ``sde.simulate`` draws it exactly at the stored nodes when
-    4a/sigma^2 is an integer.  Any other pair adds the drift
+    For CIR with an exponential pair phi = e^{c x} (``log_slope`` c, as
+    from ``spectral.cir_eigenpair``) the tilted drift a + (b + sigma^2 c) x
+    is a CIR drift again, so the engine simulates the CIR model
+    (a, b + sigma^2 c, sigma); ``sde.simulate`` draws it exactly at the
+    stored nodes when 4a/sigma^2 is an integer.  Any other pair adds the drift
     sigma sigma^T grad log phi to the model (``tilted_extra_drift``).
 
     The density is available at the stored checkpoint times.  The mass
     factor is not produced here; use the particle system's estimator.
     A pair whose residual on the model exceeds
-    ``TOL["eigenpair_residual_rel"]`` on 64 probe points is rejected, and so
-    is a CIR pair below lam_max against a tabulated u0 with too heavy a
-    tail (``_check_cir_tilt_integrable``).
+    ``TOL["eigenpair_residual_rel"]`` on 64 probe points is rejected.
     """
     if model.dim != 1:
         raise RejectedCondition("tilted engine densities are one-dimensional")
-    _check_cir_tilt_integrable(model, pair, u0)
     res = eigenpair_residual(model, fitness, pair, probe_points(model.domain, 64))
     if not res <= TOL["eigenpair_residual_rel"]:
         raise RejectedCondition(f"eigenpair residual {res:.2e} on the model's probe box "
@@ -638,44 +615,26 @@ def tilted_engine(model: DiffusionModel, fitness: FitnessFunction,
 # residual probes
 
 
-def _fd_hessian(f, x, h):
-    n = x.size
-    H = np.empty((n, n))
-    f0 = f(x)
-    steps = [h * (1.0 + abs(x[i])) for i in range(n)]
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = steps[i]
-        H[i, i] = (f(x + ei) - 2 * f0 + f(x - ei)) / steps[i] ** 2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = steps[j]
-            H[i, j] = H[j, i] = (f(x + ei + ej) - f(x + ei - ej)
-                                 - f(x - ei + ej) + f(x - ei - ej)) \
-                / (4 * steps[i] * steps[j])
-    return H
-
-
 def eigenpair_residual(model: DiffusionModel, fitness: FitnessFunction,
                        pair: Eigenpair, points: np.ndarray,
                        fd_step: float = 1e-4) -> float:
     """Relative residual max |(A + g) phi + lam phi| / max |phi| on probes.
 
-    Uses analytic derivatives when the eigenpair carries them, aligned grid
-    differences for grid-backed pairs, otherwise central differences with
-    step fd_step * (1 + |x|).
+    Uses analytic derivatives when the eigenpair carries them (in d > 1 it
+    must), aligned grid differences for grid-backed pairs, otherwise central
+    differences with step fd_step * (1 + |x|).
     """
     g = fitness.g
     if model.dim != 1:
+        if pair.d2phi is None:
+            raise EngineError(f"a {model.dim}-D eigenpair needs d2phi for its residual "
+                              f"(source {pair.source!r})")
         pts = np.atleast_2d(points)
         res = []
         for x in pts:
             ph = float(np.asarray(pair.phi(x[None, :])).reshape(-1)[0])
             dp = np.asarray(pair.dphi(x[None, :])).reshape(-1)
-            d2 = np.asarray(pair.d2phi(x[None, :])).reshape(len(x), len(x)) \
-                if pair.d2phi is not None else _fd_hessian(
-                    lambda xx: float(np.asarray(pair.phi(xx[None, :])).reshape(-1)[0]),
-                    x, fd_step)
+            d2 = np.asarray(pair.d2phi(x[None, :])).reshape(len(x), len(x))
             sig = model.diffusion(x[None, :])[0]
             b = model.drift(x[None, :])[0]
             gval = float(np.asarray(g(x[None, :])).reshape(-1)[0])

@@ -37,10 +37,12 @@ def linear_fitness(slope=1.0, g_max=2.0, bound_lo=-10.0) -> FitnessFunction:
 
     Linear fitness has no global upper bound, so g_max is a scenario
     constant and the bound probe runs on the region where the scenario
-    actually lives.
+    actually lives.  Slope 0 is pure mutation (g = 0), probed on
+    [bound_lo, -bound_lo].
     """
     slope = float(slope)
-    lo, hi = (bound_lo, g_max / slope) if slope > 0 else (g_max / slope, -bound_lo)
+    edge = g_max / slope if slope else bound_lo
+    lo, hi = (bound_lo, edge) if slope > 0 else (edge, -bound_lo)
     return FitnessFunction(
         g=lambda x: slope * np.asarray(x, float),
         g_max=float(g_max),

@@ -1,17 +1,16 @@
 """Eigenpairs for the martingale-extraction engine.
 
-Two concrete sources: Kummer confluent-hypergeometric eigenfunctions for
-the CIR model, and finite-difference ground states of the Schrodinger
-operator for polynomial confining fitness.  At the CIR pair's largest
-eigenvalue the Kummer factor is 1 and the pair is the closed exponential
-e^{c x}; its slope makes the tilted process a CIR process again, which
-``closed_form.tilted_engine`` samples exactly.
+Two concrete sources: the principal eigenpair of the CIR model with linear
+decay fitness, the closed exponential e^{c x} at the largest eigenvalue,
+whose slope makes the tilted process a CIR process again (sampled exactly
+by ``closed_form.tilted_engine``); and finite-difference ground states of
+the Schrodinger operator for polynomial confining fitness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -34,106 +33,29 @@ class EnlargeGridError(SpectralError):
 
 
 # ---------------------------------------------------------------------------
-# Kummer confluent hypergeometric function
+# CIR eigenpair
 
 
-def kummer_M(a: float, b: float, z) -> np.ndarray | float:
-    """Confluent hypergeometric M(a, b, z) by power series.
-
-    Term-ratio stopping at relative 1e-14; intended for |z| <= 50 where the
-    series is well conditioned in float64.
-    """
-    if b <= 0 and float(b).is_integer():
-        raise SpectralError(f"parameter pole: b = {b}")
-    z_arr = np.asarray(z, dtype=float)
-    if np.any(np.abs(z_arr) > 50.0):
-        raise SpectralError("kummer_M series restricted to |z| <= 50")
-    total = np.ones_like(z_arr)
-    term = np.ones_like(z_arr)
-    for k in range(1000):
-        term = term * ((a + k) / (b + k)) * z_arr / (k + 1.0)
-        total = total + term
-        if np.all(np.abs(term) <= 1e-14 * np.maximum(np.abs(total), 1e-300)):
-            break
-    else:
-        raise SpectralError("kummer_M series did not converge in 1000 terms")
-    return total if isinstance(z, np.ndarray) else float(total)
-
-
-def kummer_M_prime(a: float, b: float, z):
-    """d/dz M(a, b, z) = (a/b) M(a+1, b+1, z)."""
-    return (a / b) * kummer_M(a + 1.0, b + 1.0, z)
-
-
-# ---------------------------------------------------------------------------
-# CIR eigenpairs
-
-
-def cir_eigenpair(a: float, b: float, sigma: float,
-                  lam: Optional[float] = None) -> Eigenpair:
-    """Positive eigenfunction exp(c x) M(alpha, beta, q x), c = (kappa - gamma)
-    / sigma^2, of the CIR generator plus linear decay fitness g(x) = -x.
-
-    ``lam`` defaults to the largest eigenvalue whose eigenfunction stays
-    positive, lam_max = a (sqrt(b^2 + 2 sigma^2) + b) / sigma^2.  There
-    alpha = 0 and M(0, beta, z) = 1, so the pair is the pure exponential
-    e^{c x} in closed form, with ``log_slope`` c and no series; below
-    lam_max the Kummer factor is summed.
-    """
+def cir_eigenpair(a: float, b: float, sigma: float) -> Eigenpair:
+    """Principal eigenpair of the CIR generator plus linear decay fitness
+    g(x) = -x: the Kummer eigenfunction e^{c x} M(alpha, beta, q x) at the
+    largest eigenvalue lam_max = a (gamma - kappa) / sigma^2, where alpha = 0
+    and M = 1, so phi = e^{c x} with c = (kappa - gamma) / sigma^2, kappa = -b,
+    gamma = sqrt(kappa^2 + 2 sigma^2).  Only this pair tilts to a recurrent
+    process, a CIR process again (``log_slope`` c)."""
     if 2.0 * a < sigma * sigma:
         raise ModelError("Feller condition violated")
-    lam_max = a * (np.sqrt(b ** 2 + 2 * sigma ** 2) + b) / sigma ** 2
-    if lam is None:
-        lam = lam_max
-    if lam > lam_max + 1e-12:
-        raise SpectralError(
-            f"lambda = {lam:g} exceeds the admissible maximum {lam_max:g}")
-    kappa = -b
-    gamma = np.sqrt(kappa ** 2 + 2.0 * sigma ** 2)
+    kappa, gamma = -b, np.sqrt(b ** 2 + 2.0 * sigma ** 2)
     c = (kappa - gamma) / sigma ** 2
-    # alpha >= 0 for lam <= lam_max keeps the Kummer factor positive on the
-    # half line (decided by the eigen-residual probe)
-    alpha = (lam_max - lam) / gamma
-    if alpha == 0.0:
-        def exp_phi(x):
-            return np.exp(c * np.asarray(x, float))
 
-        return Eigenpair(lam=float(lam), phi=exp_phi, source="kummer",
-                         dphi=lambda x: exp_phi(x) * c,
-                         log_phi=lambda x: c * np.asarray(x, float),
-                         grad_log_phi=lambda x: np.full(np.shape(x), c),
-                         d2phi=lambda x: exp_phi(x) * (c * c), log_slope=float(c))
-    beta = 2.0 * a / sigma ** 2
-    q = 2.0 * gamma / sigma ** 2
+    def exp_phi(x):
+        return np.exp(c * np.asarray(x, float))
 
-    def phi(x):
-        x = np.asarray(x, float)
-        return np.exp(c * x) * kummer_M(alpha, beta, q * x)
-
-    def log_phi(x):
-        x = np.asarray(x, float)
-        return c * x + np.log(kummer_M(alpha, beta, q * x))
-
-    def grad_log_phi(x):
-        x = np.asarray(x, float)
-        K = kummer_M(alpha, beta, q * x)
-        return c + q * kummer_M_prime(alpha, beta, q * x) / K
-
-    def dphi(x):
-        x = np.asarray(x, float)
-        return np.exp(c * x) * (c * kummer_M(alpha, beta, q * x)
-                                + q * kummer_M_prime(alpha, beta, q * x))
-
-    def d2phi(x):
-        x = np.asarray(x, float)
-        K = kummer_M(alpha, beta, q * x)
-        K1 = kummer_M_prime(alpha, beta, q * x)
-        K2 = (alpha / beta) * ((alpha + 1.0) / (beta + 1.0)) \
-            * kummer_M(alpha + 2.0, beta + 2.0, q * x)
-        return np.exp(c * x) * (c * c * K + 2.0 * c * q * K1 + q * q * K2)
-
-    return Eigenpair(lam=float(lam), phi=phi, dphi=dphi, source="kummer",
-                     log_phi=log_phi, grad_log_phi=grad_log_phi, d2phi=d2phi)
+    return Eigenpair(lam=float(a * (gamma - kappa) / sigma ** 2), source="kummer",
+                     phi=exp_phi, dphi=lambda x: exp_phi(x) * c,
+                     log_phi=lambda x: c * np.asarray(x, float),
+                     grad_log_phi=lambda x: np.full(np.shape(x), c),
+                     d2phi=lambda x: exp_phi(x) * (c * c), log_slope=float(c))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .scenarios import (affine_quadratic_fitness, bm_model, cir_linear_scenario,
                         gamma_like_law, harmonic_scenario, linear_bm_scenario,
                         linear_fitness, ou_model, quadratic_decay_fitness)
 from .sde import TimeGrid, simulate
-from .spectral import SchrodingerProblem, cir_eigenpair, kummer_M, schrodinger_ground_state
+from .spectral import SchrodingerProblem, cir_eigenpair, schrodinger_ground_state
 
 
 def _check_fitness_bound_probe():
@@ -191,24 +191,10 @@ def _check_affine_mass_branches():
     return worst <= TOL["affine_mass_branches_rel"], f"worst relative gap {worst:.2e}"
 
 
-def _check_kummer_recurrence():
-    gen = np.random.default_rng(6)
-    worst = 0.0
-    for _ in range(50):
-        a = gen.uniform(-3, 3)
-        b = gen.uniform(0.5, 5)
-        z = gen.uniform(0, 12)
-        lhs = kummer_M(a, b, z)
-        rhs = kummer_M(a - 1, b, z) + (z / b) * kummer_M(a, b + 1, z)
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1.0))
-    return worst <= 1e-10, f"worst recurrence gap {worst:.2e}"
-
-
 def _check_eigen_residuals():
     fit = FitnessFunction(g=lambda x: -np.asarray(x, float), g_max=0.0)
     m = cir_model(1.0, -1.0, 1.0)
-    lam0 = 1.0 * (np.sqrt(1 + 2) - 1)
-    pair = cir_eigenpair(1.0, -1.0, 1.0, lam0)
+    pair = cir_eigenpair(1.0, -1.0, 1.0)
     r1 = eigenpair_residual(m, fit, pair, np.linspace(0.1, 5, 64))
     sc = harmonic_scenario()
     gs = schrodinger_ground_state(SchrodingerProblem(
@@ -469,7 +455,6 @@ VALIDATORS = [
     ("closed_form.riccati-stabilizing", _check_riccati),
     ("closed_form.density-normalization", _check_density_normalization),
     ("closed_form.affine-mass-branches", _check_affine_mass_branches),
-    ("spectral.kummer-recurrence", _check_kummer_recurrence),
     ("spectral.eigenpair-residuals", _check_eigen_residuals),
     ("spectral.schrodinger-order", _check_schrodinger_order),
     ("particle.measure-identity", _check_measure_identity),

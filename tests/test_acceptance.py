@@ -141,8 +141,7 @@ def test_criterion_5_cir_scenario():
     t0 = time.time()
     sc = cir_linear_scenario()
     p = sc.model.params
-    lam0 = p["a"] * (np.sqrt(p["b"] ** 2 + 2 * p["sigma"] ** 2) + p["b"]) / p["sigma"] ** 2
-    pair = cir_eigenpair(p["a"], p["b"], p["sigma"], lam0)
+    pair = cir_eigenpair(p["a"], p["b"], p["sigma"])
     res = eigenpair_residual(sc.model, sc.fitness, pair, np.linspace(0.1, 5, 64))
     mc = tilted_engine(sc.model, sc.fitness, pair, sc.initial_law, 0.5,
                        n_paths=100_000, seed=51)
@@ -205,10 +204,11 @@ def test_criterion_8_chaos_rate():
     ref = linear_engine(sc.model, sc.fitness, sc.initial_law)
     ladder = [250, 500, 1000, 2000, 4000]
     values = []
+    lp_models = {}  # one held BL model per checkpoint time, shared by the rungs as in chaos
     for n in ladder:
         res = dqt_estimate(sc.model, sc.fitness, sc.initial_law, ref, T=1.0,
                            N=n, q=2.0, reps=20, seed=81, checkpoints=32,
-                           ref_atoms=512, steps_per_unit=400)
+                           ref_atoms=512, steps_per_unit=400, lp_models=lp_models)
         values.append(res.value)
     slope = np.polyfit(np.log(ladder), np.log(values), 1)[0]
     elapsed = time.time() - t0

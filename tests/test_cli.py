@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from repmut.cli import (EXIT_CONFIG, EXIT_OK, ConfigError, _build_eigenpair,
+from repmut.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, ConfigError, _build_eigenpair,
                         build_scenario, build_solution, canonical_json,
                         config_hash, load_config, main)
 from repmut.closed_form import EngineError, RejectedCondition, tilted_engine
@@ -245,6 +245,35 @@ class TestSolveCommand:
         assert ("gaussian law puts mass outside the half-line domain"
                 in capsys.readouterr().err)
         assert not out.exists()  # raised before the manifest
+
+    @pytest.mark.parametrize("model, fitness, initial, message", [
+        # exp(-g_max t) underflows every particle weight to 0
+        ({"kind": "cir", "a": 1.0, "b": -1.0, "sigma": 1.0},
+         {"kind": "linear", "slope": -1.0, "g_max": 1e308}, {"kind": "gamma-like"},
+         "all weights underflowed"),
+        # the unshifted mass factor is 0 * exp(g_max t) = 0 * inf
+        ({"kind": "arithmetic-bm"}, {"kind": "linear", "g_max": 1e308},
+         {"kind": "gaussian", "mean": [0.0], "cov": [[1.0]]}, "h_t_mc = nan")])
+    def test_overflowing_shift_is_numeric_failure(self, tmp_path, capsys, model, fitness,
+                                                  initial, message):
+        path, _ = write_cfg(tmp_path, scenario=None, engines=["particle"], horizon=0.02,
+                            model=model, fitness=fitness, initial=initial)
+        assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
+        assert message in capsys.readouterr().err
+
+    def test_zero_slope_is_pure_mutation(self, tmp_path):
+        path, _ = write_cfg(tmp_path, scenario=None, engines=["linear", "particle"],
+                            horizon=0.05, metric={"checkpoints": 3, "ref_atoms": 64},
+                            model={"kind": "arithmetic-bm", "sigma": np.sqrt(2.0)},
+                            fitness={"kind": "linear", "slope": 0},
+                            initial={"kind": "gaussian", "mean": [0.0], "cov": [[1.0]]})
+        for command in ("solve", "chaos"):
+            out = tmp_path / command
+            assert main([command, "--config", path, "--out", str(out)]) == EXIT_OK
+            assert json.loads((out / "manifest.json").read_text())["status"] == "complete"
+        masses = np.loadtxt(tmp_path / "solve" / "masses.csv", delimiter=",", skiprows=1)
+        assert (masses[:, 1] == 1.0).all()
+        assert np.abs(masses[:, 2] - 1.0).max() < 1e-12
 
     def test_delegated_affine_table_is_the_linear_one(self, tmp_path, monkeypatch):
         # B = 0, G = 0: the affine engine returns the linear engine's solution,

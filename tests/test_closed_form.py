@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repmut.closed_form import (HorizonError, RejectedCondition, RiccatiError,
+from repmut.closed_form import (EngineError, HorizonError, RejectedCondition, RiccatiError,
                                 affine_engine, eigenpair_residual, linear_engine, riccati_residual,
                                 solve_linear_v, solve_riccati, tilted_engine)
 from repmut.model import DiffusionModel, DomainSpec, FitnessFunction, InitialLaw
@@ -257,6 +257,16 @@ class TestAffineEngine:
         pts = gen.uniform(-2, 2, (64, 2))
         res = eigenpair_residual(m, fit, pair, pts)
         assert res <= 1e-6
+
+    def test_eigenpair_residual_n2_needs_d2phi(self):
+        import dataclasses
+        m = affine_model([0.0, 0.0], -np.eye(2), np.eye(2))
+        fit = affine_quadratic_fitness(0.0, [0.3, -0.2], np.eye(2), g_max=10.0)
+        sol = affine_engine(m, fit, InitialLaw("gaussian",
+                                               {"mean": [0.0, 0.0], "cov": np.eye(2) * 0.5}))
+        pair = dataclasses.replace(sol.meta["eigenpair"], d2phi=None)
+        with pytest.raises(EngineError, match="d2phi"):
+            eigenpair_residual(m, fit, pair, np.zeros((4, 2)))
 
     def test_gaussian_posterior_vs_quadrature_n1(self):
         # full pipeline check at n=1 with G > 0 (nonzero H)
