@@ -9,6 +9,7 @@ and SVG files written atomically.  Exit codes: 0 ok, 2 config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -29,7 +30,8 @@ from .numerics import GridDensity, NumericsError, kde, stored_index
 from .particle import (ParticleError, mass_estimate, mass_estimate_se, normalized_measure,
                        run_particles)
 from .pde import PdeError, PdeScheme, _build_grid, solve_rm_pde
-from .report import atomic_write_text, csv_text, loglog_svg, write_csv
+from .report import (atomic_open, atomic_write_text, density_prefix, loglog_svg,
+                     write_csv)
 from .scenarios import (CANONICAL, Scenario, affine_quadratic_fitness, bm_model,
                         cir_model, gamma_like_law, linear_fitness, ou_model,
                         quadratic_decay_fitness)
@@ -124,6 +126,10 @@ def load_config(path: str) -> dict:
         val = cfg[section][sub] if sub else cfg[section]
         if not accepts(val):
             raise ConfigError(f"{key} must be {rule}, not {val!r}")
+    custom = [key for key in ("model", "fitness", "initial") if cfg[key] is not None]
+    if cfg["scenario"] and custom:
+        raise ConfigError(f"scenario {cfg['scenario']!r} sets the model, fitness and "
+                          f"initial law; drop it or the {', '.join(custom)} section(s)")
     return cfg
 
 
@@ -227,6 +233,21 @@ class RunManifest:
 
     def write(self, path: str):
         atomic_write_text(path, self.to_json())
+
+    @contextlib.contextmanager
+    def running(self, out: str):
+        """Write the manifest into ``out`` as the block starts and again as it
+        ends: with the status the block set, or "failed: ..." if it raised."""
+        os.makedirs(out, exist_ok=True)
+        path = os.path.join(out, "manifest.json")
+        self.write(path)
+        try:
+            yield
+        except Exception as exc:
+            self.status = f"failed: {exc}"
+            raise
+        finally:
+            self.write(path)
 
 
 def _new_manifest(cfg: dict, seed) -> RunManifest:
@@ -359,65 +380,68 @@ def cmd_solve(cfg: dict, out: str, seed, threads: int) -> int:
         raise ConfigError(f"solve exports 1-D densities; the model has dimension "
                           f"{sc.model.dim}")
     manifest = _new_manifest(cfg, seed)
-    os.makedirs(out, exist_ok=True)
-    manifest.write(os.path.join(out, "manifest.json"))
-    times = _checkpoint_times(sc, cfg)
-    solutions = {}
-    failures = {}
-    for engine in sc.engines:
-        t0 = time.time()
-        stage_seed = manifest.stage_seed(f"solve/{engine}")
-        try:
-            solutions[engine] = build_solution(engine, sc, cfg, stage_seed, threads)
-        except (RejectedCondition, EngineError, SpectralError) as exc:
-            failures[engine] = str(exc)
-            print(f"[solve] engine {engine}: skipped ({exc})")
-        manifest.wallclock[f"solve/{engine}"] = time.time() - t0
-
-    if not solutions:
-        print("[solve] no engine produced a solution")
-        return EXIT_NUMERIC
-
-    ref_grid = next(iter(solutions.values())).grid
-    x_text, t_text = csv_text(ref_grid), csv_text(times)  # shared by every table
-    tables = {}  # engine -> the text of its density table
-    for engine, sol in solutions.items():
-        path = os.path.join(out, f"density_{engine}.csv")
-        if sol.meta.get("same_as") in tables:  # another engine's solution: its bytes
-            atomic_write_text(path, tables[sol.meta["same_as"]])
-            continue
-        blocks = [np.empty((0, 3), dtype=object)]
-        for t, t_s in zip(times, t_text):
+    with manifest.running(out):
+        times = _checkpoint_times(sc, cfg)
+        solutions = {}
+        failures = {}
+        for engine in sc.engines:
+            t0 = time.time()
+            stage_seed = manifest.stage_seed(f"solve/{engine}")
             try:
-                u = np.maximum(sol.u(t, ref_grid), 0.0)
-            except (EngineError, KeyError):
+                solutions[engine] = build_solution(engine, sc, cfg, stage_seed, threads)
+            except (RejectedCondition, EngineError, SpectralError) as exc:
+                failures[engine] = str(exc)
+                print(f"[solve] engine {engine}: skipped ({exc})")
+            manifest.wallclock[f"solve/{engine}"] = time.time() - t0
+
+        if not solutions:
+            raise EngineError("no engine produced a solution")
+
+        ref_grid = next(iter(solutions.values())).grid
+        prefix = density_prefix(times, ref_grid)  # shared by every table; u is per table
+        reused = {sol.meta.get("same_as") for sol in solutions.values()}
+        tables = {}  # engine -> the bytes of its density table, where another reuses it
+        for engine, sol in solutions.items():
+            path = os.path.join(out, f"density_{engine}.csv")
+            if sol.meta.get("same_as") in tables:  # another engine's solution: its bytes
+                with atomic_open(path) as fh:
+                    fh.write(tables[sol.meta["same_as"]])
                 continue
-            blocks.append(np.array([[t_s] * len(u), x_text, u], dtype=object).T)
-        tables[engine] = write_csv(path, "t,x,u", np.concatenate(blocks))
+            u, kept = [np.empty(0)], np.zeros(len(times), bool)
+            for j, t in enumerate(times):
+                try:
+                    u.append(np.maximum(sol.u(t, ref_grid), 0.0))
+                except (EngineError, KeyError):
+                    continue
+                kept[j] = True
+            data = write_csv(path, "t,x,u", np.concatenate(u)[:, None],
+                             prefix=prefix if kept.all()
+                             else prefix[np.repeat(kept, len(ref_grid))])
+            if engine in reused:
+                tables[engine] = data
 
-    if "pde" in solutions:
-        solutions["pde"].meta["trajectory"].summary_json(
-            os.path.join(out, "pde_summary.json"))
+        if "pde" in solutions:
+            solutions["pde"].meta["trajectory"].summary_json(
+                os.path.join(out, "pde_summary.json"))
 
-    names = sorted(solutions)
-    l1_rows = []
-    t_end = sc.horizon
-    at_end = {}  # each engine's density at T, evaluated once
-    for name in names if len(names) > 1 else ():
-        dens = np.maximum(solutions[name].u(t_end, ref_grid), 0.0)
-        at_end[name] = dens / np.trapezoid(dens, ref_grid)
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            l1_rows.append([a, b, np.trapezoid(np.abs(at_end[a] - at_end[b]), ref_grid)])
-            print(f"[solve] L1({a}, {b}) at t={t_end:g}: {l1_rows[-1][2]:.4f}")
-    write_csv(os.path.join(out, "l1_table.csv"), "engine_a,engine_b,l1", l1_rows)
+        names = sorted(solutions)
+        l1_rows = []
+        t_end = sc.horizon
+        at_end = {}  # each engine's density at T, evaluated once
+        for name in names if len(names) > 1 else ():
+            dens = np.maximum(solutions[name].u(t_end, ref_grid), 0.0)
+            at_end[name] = dens / np.trapezoid(dens, ref_grid)
+        for i, a in enumerate(names):
+            for b in names[i + 1:]:
+                l1_rows.append([a, b, np.trapezoid(np.abs(at_end[a] - at_end[b]), ref_grid)])
+                print(f"[solve] L1({a}, {b}) at t={t_end:g}: {l1_rows[-1][2]:.4f}")
+        write_csv(os.path.join(out, "l1_table.csv"), "engine_a,engine_b,l1", l1_rows)
 
-    analytic = next((solutions[e] for e in ("linear", "affine") if e in solutions), None)
-    particle = solutions.get("particle")
-    _write_masses(os.path.join(out, "masses.csv"), times, analytic, particle)
+        analytic = next((solutions[e] for e in ("linear", "affine") if e in solutions), None)
+        particle = solutions.get("particle")
+        _write_masses(os.path.join(out, "masses.csv"), times, analytic, particle)
 
-    manifest.status = "failed-engines: " + ",".join(failures) if failures else "complete"
-    manifest.write(os.path.join(out, "manifest.json"))
+        manifest.status = "failed-engines: " + ",".join(failures) if failures else "complete"
     return EXIT_OK
 
 
@@ -447,73 +471,69 @@ def cmd_chaos(cfg: dict, out: str, seed, threads: int) -> int:
     except RejectedCondition as exc:
         raise ConfigError(f"chaos needs a closed-form reference: {exc}") from exc
     manifest = _new_manifest(cfg, seed)
-    os.makedirs(out, exist_ok=True)
-    manifest.write(os.path.join(out, "manifest.json"))
+    with manifest.running(out):
+        rows = []
+        values = []
+        lp_models = {}  # one held BL model per checkpoint time, shared by the rungs
+        for n in n_ladder:
+            t0 = time.time()
+            stage_seed = manifest.stage_seed(f"chaos/N={n}")
+            res = dqt_estimate(sc.model, sc.fitness, sc.initial_law, reference,
+                               T=sc.horizon, N=n, q=q, reps=reps, seed=stage_seed,
+                               checkpoints=int(cfg["metric"]["checkpoints"]),
+                               ref_atoms=int(cfg["metric"]["ref_atoms"]),
+                               steps_per_unit=int(cfg["steps_per_unit"]),
+                               threads=threads, lp_models=lp_models)
+            manifest.wallclock[f"chaos/N={n}"] = time.time() - t0
+            manifest.counters[f"chaos/N={n}"] = {
+                "lp_solved": res.lp_solved, "lp_pruned": res.lp_pruned,
+                "lp_cold": res.lp_cold, "lp_full_support": res.lp_full_support,
+                "lp_atoms": res.lp_atoms}
+            rows.append([n, res.value, res.ci_low, res.ci_high])
+            values.append(res.value)
+            flag = "" if res.reliable_ci else "  (CI unreliable: too few reps)"
+            print(f"[chaos] N={n}: D={res.value:.6f} CI=({res.ci_low:.6f}, "
+                  f"{res.ci_high:.6f}){flag}")
+        write_csv(os.path.join(out, "rates.csv"), "N,D,ci_lo,ci_hi", rows)
 
-    rows = []
-    values = []
-    lp_models = {}  # one held BL model per checkpoint time, shared by the rungs
-    for n in n_ladder:
-        t0 = time.time()
-        stage_seed = manifest.stage_seed(f"chaos/N={n}")
-        res = dqt_estimate(sc.model, sc.fitness, sc.initial_law, reference,
-                           T=sc.horizon, N=n, q=q, reps=reps, seed=stage_seed,
-                           checkpoints=int(cfg["metric"]["checkpoints"]),
-                           ref_atoms=int(cfg["metric"]["ref_atoms"]),
-                           steps_per_unit=int(cfg["steps_per_unit"]),
-                           threads=threads, lp_models=lp_models)
-        manifest.wallclock[f"chaos/N={n}"] = time.time() - t0
-        manifest.counters[f"chaos/N={n}"] = {
-            "lp_solved": res.lp_solved, "lp_pruned": res.lp_pruned, "lp_cold": res.lp_cold,
-            "lp_full_support": res.lp_full_support, "lp_atoms": res.lp_atoms}
-        rows.append([n, res.value, res.ci_low, res.ci_high])
-        values.append(res.value)
-        flag = "" if res.reliable_ci else "  (CI unreliable: too few reps)"
-        print(f"[chaos] N={n}: D={res.value:.6f} CI=({res.ci_low:.6f}, "
-              f"{res.ci_high:.6f}){flag}")
-    write_csv(os.path.join(out, "rates.csv"), "N,D,ci_lo,ci_hi", rows)
-
-    logN = np.log(np.asarray(n_ladder, float))
-    logD = np.log(np.asarray(values))
-    slope, intercept = np.polyfit(logN, logD, 1)
-    gen = np.random.default_rng(rng.derive_seed(manifest.master_seed, "chaos-slope-boot"))
-    slopes = bootstrap_slopes(logN, logD, gen)
-    s_lo, s_hi = (np.percentile(slopes, [2.5, 97.5]) if slopes.size
-                  else (slope, slope))
-    inversions = int(np.sum(np.diff(values) > 0))
-    if inversions > 1:
-        print(f"[chaos] warning: {inversions} inversions in D(N)")
-    theory = -0.5 if q > sc.model.dim / 2 else -q / sc.model.dim
-    print(f"[chaos] fitted slope {slope:.3f} (bootstrap CI [{s_lo:.3f}, {s_hi:.3f}]); "
-          f"theoretical leading exponent {theory:g}")
-    loglog_svg(os.path.join(out, "rates.svg"),
-               n_ladder, values,
-               ci=[(r[2], r[3]) for r in rows],
-               fit=(slope, intercept / np.log(10.0)),  # axes are log10
-               annotation=f"fit slope {slope:.3f}; theory {theory:g}",
-               title=f"decay of D(N), scenario {sc.name}")
-    slope_rows = [[slope, s_lo, s_hi, theory, inversions]]
-    write_csv(os.path.join(out, "slope.csv"),
-              "slope,ci_lo,ci_hi,theory,inversions", slope_rows)
-    manifest.status = "complete"
-    manifest.write(os.path.join(out, "manifest.json"))
+        logN = np.log(np.asarray(n_ladder, float))
+        logD = np.log(np.asarray(values))
+        slope, intercept = np.polyfit(logN, logD, 1)
+        gen = np.random.default_rng(rng.derive_seed(manifest.master_seed, "chaos-slope-boot"))
+        slopes = bootstrap_slopes(logN, logD, gen)
+        s_lo, s_hi = (np.percentile(slopes, [2.5, 97.5]) if slopes.size
+                      else (slope, slope))
+        inversions = int(np.sum(np.diff(values) > 0))
+        if inversions > 1:
+            print(f"[chaos] warning: {inversions} inversions in D(N)")
+        theory = -0.5 if q > sc.model.dim / 2 else -q / sc.model.dim
+        print(f"[chaos] fitted slope {slope:.3f} (bootstrap CI [{s_lo:.3f}, {s_hi:.3f}]); "
+              f"theoretical leading exponent {theory:g}")
+        loglog_svg(os.path.join(out, "rates.svg"),
+                   n_ladder, values,
+                   ci=[(r[2], r[3]) for r in rows],
+                   fit=(slope, intercept / np.log(10.0)),  # axes are log10
+                   annotation=f"fit slope {slope:.3f}; theory {theory:g}",
+                   title=f"decay of D(N), scenario {sc.name}")
+        slope_rows = [[slope, s_lo, s_hi, theory, inversions]]
+        write_csv(os.path.join(out, "slope.csv"),
+                  "slope,ci_lo,ci_hi,theory,inversions", slope_rows)
+        manifest.status = "complete"
     return EXIT_OK
 
 
 def cmd_particles(cfg: dict, out: str, seed, threads: int) -> int:
     sc = build_scenario(cfg)
     manifest = _new_manifest(cfg, seed)
-    os.makedirs(out, exist_ok=True)
-    manifest.write(os.path.join(out, "manifest.json"))
-    stage_seed = manifest.stage_seed("particles")
-    t0 = time.time()
-    sol = _particle_solution(sc, cfg, stage_seed, threads)
-    manifest.wallclock["particles"] = time.time() - t0
-    ens = sol.meta["ensemble"]
-    ens.to_csv(os.path.join(out, "ensemble.csv"))
-    _write_masses(os.path.join(out, "masses.csv"), sol.times, None, sol)
-    manifest.status = "complete"
-    manifest.write(os.path.join(out, "manifest.json"))
+    with manifest.running(out):
+        stage_seed = manifest.stage_seed("particles")
+        t0 = time.time()
+        sol = _particle_solution(sc, cfg, stage_seed, threads)
+        manifest.wallclock["particles"] = time.time() - t0
+        ens = sol.meta["ensemble"]
+        ens.to_csv(os.path.join(out, "ensemble.csv"))
+        _write_masses(os.path.join(out, "masses.csv"), sol.times, None, sol)
+        manifest.status = "complete"
     print(f"[particles] wrote {ens.n_particles} particles x {len(sol.times)} checkpoints")
     return EXIT_OK
 

@@ -51,7 +51,7 @@ class WeightedParticleEnsemble:
         index_text, time_text = format_e18(np.arange(n)), format_e18(self.times)
         positions, logw = self.positions.reshape(n * s, d), self.logw.reshape(n * s, 1)
         with atomic_open(path) as fh:
-            fh.write("particle,t," + ",".join(f"x{k}" for k in range(d)) + ",logw\n")
+            fh.write(("particle,t," + ",".join(f"x{k}" for k in range(d)) + ",logw\n").encode())
             for lo in range(0, n * s, CSV_CHUNK_ROWS):
                 hi = min(lo + CSV_CHUNK_ROWS, n * s)
                 i, j = np.divmod(np.arange(lo, hi), s)
@@ -61,7 +61,7 @@ class WeightedParticleEnsemble:
                 rows[:, 2:] = format_e18(values).reshape(hi - lo, d + 1, E18_SLOT)
                 rows[:, :, -1] = ord(",")
                 rows[:, -1, -1] = ord("\n")
-                fh.write(rows.tobytes().translate(None, b"\0").decode("ascii"))
+                fh.write(rows.tobytes().translate(None, b"\0"))
 
 
 @dataclass(frozen=True)

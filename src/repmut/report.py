@@ -19,7 +19,7 @@ import numpy as np
 
 @contextlib.contextmanager
 def atomic_open(path):
-    """A text handle on a temporary file beside ``path``, which replaces
+    """A binary handle on a temporary file beside ``path``, which replaces
     ``path`` when the block ends, with the mode a plain ``open`` would give;
     if the block raises, ``path`` is left as it was and the temporary file
     is removed."""
@@ -29,7 +29,7 @@ def atomic_open(path):
     # mode 0o666 less the umask, as open() gives (mkstemp would give 0600)
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     finally:
@@ -39,29 +39,91 @@ def atomic_open(path):
 
 def atomic_write_text(path, text: str):
     with atomic_open(path) as fh:
-        fh.write(text)
+        fh.write(text.encode())
 
 
-def write_csv(path, header: str, rows) -> str:
-    """Write ``rows`` (equal-length rows or a 2-D array) under ``header``, by one
-    ``%`` per table: text as it is, integers as digits, other numbers "%.17g";
-    returns the text written."""
-    table = np.array(rows, dtype=object)  # a copy: a column of mixed kinds becomes text
-    specs = []
-    for col in table.T if table.ndim == 2 else ():  # ragged rows fail in the % below
-        kinds = {_spec(tp) for tp in set(map(type, col))}
-        if len(kinds) != 1:  # mixed, or no rows
-            col[:], kinds = csv_text(col), {"%s"}
-        specs.append(kinds.pop())
-    line = ",".join(specs) + "\n"
-    text = header + "\n" + line * len(table) % tuple(table.ravel().tolist())
-    atomic_write_text(path, text)
-    return text
+def write_csv(path, header: str, rows, prefix=None) -> bytes:
+    """Write ``rows`` (equal-length rows or a 2-D array) under ``header`` and
+    return the bytes written: text as it is, integers as digits, other
+    numbers as "%.17g" writes them.  ``prefix``, such as ``density_prefix``
+    gives, holds each row's leading fields, already encoded."""
+    data = header.encode() + b"\n" + _table(rows, prefix).tobytes().translate(None, b"\0")
+    with atomic_open(path) as fh:
+        fh.write(data)
+    return data
 
 
-def csv_text(values) -> list:
-    """Each value as ``write_csv`` writes it, to format a repeated one once."""
-    return [_spec(type(v)) % v for v in values]
+def _table(rows, prefix) -> np.ndarray:
+    """The rows as one matrix of bytes whose NULs are to be dropped: each
+    field NUL-padded in its own columns and ended by ",", each row by "\n".
+    A column of floats is encoded in place by ``format_g17``'s blocks."""
+    n, columns = _columns(rows)
+    fields = [] if prefix is None else [prefix]
+    fields += [_text_field(column) if isinstance(column, tuple) else column
+               for column in columns]
+    widths = [G17_SLOT if f.ndim == 1 else f.shape[1] for f in fields]
+    ends = np.cumsum([0] + widths)
+    table = np.empty((n, max(ends[-1], 1)), np.uint8)
+    for field, lo, hi in zip(fields, ends[:-1], ends[1:]):
+        if field.ndim == 1:
+            _encode(field, G17_SLOT, _g17_block, out=table[:, lo:hi])
+        else:
+            table[:, lo:hi] = field
+    table[:, ends[1:] - 1] = ord(",")
+    table[:, -1] = ord("\n")
+    return table
+
+
+def density_prefix(times, grid) -> np.ndarray:
+    """The "t,x" that leads each row of a density table, each time over the
+    whole grid, as ``write_csv``'s ``prefix``: each t and x encoded once."""
+    t, x = (f[:, _used_columns(f)] for f in (format_g17(times), format_g17(grid)))
+    rows = np.empty((len(t), len(x), t.shape[1] + x.shape[1]), np.uint8)
+    rows[:, :, :t.shape[1]] = t[:, None]
+    rows[:, :, t.shape[1]:] = x
+    rows[:, :, t.shape[1] - 1] = ord(",")
+    return rows.reshape(-1, rows.shape[2])
+
+
+def _used_columns(field) -> slice:
+    """A slice of ``field``'s columns from the first to the last that is not
+    all NUL, and the last column, which is free."""
+    lo, hi = 0, field.shape[1] - 1
+    while hi and not field[:, hi - 1].any():
+        hi -= 1
+    while lo < hi and not field[:, lo].any():
+        lo += 1
+    return slice(lo, hi + 1)
+
+
+# a table of fewer floats than this has them written by "%", which is then
+# faster than the vector route
+_VECTOR_MIN = 64
+
+
+def _columns(rows):
+    """The number of rows and their columns: a column of floats as a float64
+    array, any other as a tuple of its values."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
+        n, columns = len(rows), list(rows.T)
+    else:
+        rows = list(rows)
+        if len({len(row) for row in rows}) > 1:
+            raise TypeError("rows of unequal length")
+        n, columns = len(rows), [
+            np.array(column, np.float64)
+            if all(isinstance(v, (float, np.floating)) for v in column) else column
+            for column in zip(*rows)]
+    if n * sum(isinstance(c, np.ndarray) for c in columns) < _VECTOR_MIN:
+        columns = [tuple(c.tolist()) if isinstance(c, np.ndarray) else c for c in columns]
+    return n, columns
+
+
+def _text_field(column) -> np.ndarray:
+    texts = [(_spec(type(v)) % v).encode() for v in column]
+    width = max(map(len, texts), default=0) + 1
+    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts),
+                         np.uint8).reshape(len(texts), width)
 
 
 def _spec(tp) -> str:
@@ -69,21 +131,25 @@ def _spec(tp) -> str:
 
 
 # ---------------------------------------------------------------------------
-# "%.18e" text of float64 arrays
+# exact "%.18e" and "%.17g" text of float64 arrays
 
 # bytes per "%.18e" slot: NUL, sign, digit, ".", 18 digits, "e", sign,
 # 3 exponent digits, NUL; a NUL stands where the text has no character
 E18_SLOT = 28
+# bytes per "%.17g" slot: sign, "0.000", lead digit, ".", 16 digits,
+# "e", sign, 3 exponent digits, NULs; a NUL stands where the text has no
+# character
+G17_SLOT = 32
 
 
 def _words(*columns):
-    """uint32 words whose four bytes in memory are the given byte columns."""
+    """Unsigned words whose bytes in memory are the given byte columns."""
     b = np.stack(np.broadcast_arrays(*columns), axis=-1).astype(np.uint8)
-    return np.ascontiguousarray(b).view(np.uint32)[..., 0]
+    return np.ascontiguousarray(b).view(f"u{len(columns)}")[..., 0]
 
 
-# The slot is 7 words, each read from one table: [NUL, sign, digit, "."],
-# four words of 4 digits, [digit, digit, "e", exponent sign] and
+# The "%.18e" slot is 7 words, each read from one table: [NUL, sign, digit,
+# "."], four words of 4 digits, [digit, digit, "e", exponent sign] and
 # [exponent digits, NUL] (NUL first below 100).
 _n = np.arange(10_000)
 _HEAD = _words(0, _n[:20] // 10 * ord("-"), _n[:20] % 10 + ord("0"), ord("."))
@@ -93,11 +159,12 @@ _TAIL = _words(_n[:200] // 10 % 10 + ord("0"), _n[:200] % 10 + ord("0"), ord("e"
 _EXPONENT = _words(np.where(_n[:1000] < 100, 0, _n[:1000] // 100 + ord("0")),
                    _n[:1000] // 10 % 10 + ord("0"), _n[:1000] % 10 + ord("0"), 0)
 del _n
-# |x| in [_CERTIFIED_MIN, _CERTIFIED_MAX): 10**(18 - e) and its split cannot
-# overflow, and no split part is subnormal
+# |x| in [_CERTIFIED_MIN, _CERTIFIED_MAX): 10**(p - 1 - e) and its split
+# cannot overflow, and no split part is subnormal
 _CERTIFIED_MIN, _CERTIFIED_MAX = 1e-280, 1e280
-# a scaled fraction this close to a tie, or a product this close to 10**18,
-# goes to "%": the computed product is within 1e-12 of the exact one
+# a scaled fraction this close to a tie, or a product this close to
+# 10**(p - 1), goes to "%": the computed product is within 1e-12 of the
+# exact one
 _TIE_MARGIN = 1e-6
 # values per block: its temporaries stay in cache (a third faster than 16384)
 _BLOCK = 4096
@@ -107,42 +174,36 @@ def format_e18(values) -> np.ndarray:
     """The "%.18e" text of each float64 value, byte for byte as Python's ``%``
     writes it, as the rows of an (n, E18_SLOT) uint8 array: a row's text is
     its bytes with the NULs removed, and its last byte is always NUL, free
+    for a separator.  The 19 digits come from ``_rounded``; the values it
+    leaves to "%" are formatted one by one."""
+    return _encode(values, E18_SLOT, _e18_block)
+
+
+def format_g17(values) -> np.ndarray:
+    """The "%.17g" text of each float64 value, byte for byte as Python's ``%``
+    writes it, as the rows of an (n, G17_SLOT) uint8 array: a row's text is
+    its bytes with the NULs removed, and its last byte is always NUL, free
     for a separator.
 
-    Each value's 19 digits are D = round(|x| 10**(18 - e)) with
-    e = floor(log10|x|), from a Dekker product with 10**(18 - e) held as an
-    exact-to-2**-106 pair of doubles; e moves by one where D misses
-    [10**18, 10**19).  Non-finite values, |x| outside [1e-280, 1e280), and
-    products within _TIE_MARGIN of a rounding tie or of 10**18, or that
-    round to 10**19, are formatted one by one with ``%``; zeros are not."""
+    From ``_rounded``'s 17 digits and exponent e: fixed notation for e in
+    [-4, 16], else exponential with at least two exponent digits; trailing
+    zeros after the point, and a bare point, are dropped.  The values that
+    ``_rounded`` leaves to "%" are formatted one by one."""
+    return _encode(values, G17_SLOT, _g17_block)
+
+
+def _encode(values, slot, block, out=None) -> np.ndarray:
     x = np.asarray(values, dtype=np.float64).ravel()
-    out = np.empty((x.size, E18_SLOT), np.uint8)
+    if out is None:
+        out = np.empty((x.size, slot), np.uint8)
     for lo in range(0, x.size, _BLOCK):
-        _format_block(x[lo:lo + _BLOCK], out[lo:lo + _BLOCK])
+        block(x[lo:lo + _BLOCK], out[lo:lo + _BLOCK])
     return out
 
 
-def _format_block(x, out):
+def _e18_block(x, out):
     """format_e18 of a block of values, into its rows ``out``."""
-    a = np.abs(x)
-    zero = a == 0.0
-    vector = zero | ((a >= _CERTIFIED_MIN) & (a < _CERTIFIED_MAX))
-    a = np.where(vector & ~zero, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.int64)
-    d, frac, fits = _digits19(a, e)
-    step = _decade_miss(d, frac, fits)
-    moved = np.flatnonzero(step)
-    if moved.size:
-        e[moved] += step[moved]
-        d[moved], frac[moved], fits_m = _digits19(a[moved], e[moved])
-        vector[moved] &= _decade_miss(d[moved], frac[moved], fits_m) == 0
-    near = np.abs(frac)
-    # "%" takes a near tie, a product too near 10**18 to tell its decade, and
-    # one that rounds up to 10**19 (1.000...e(e+1))
-    vector &= zero | ((near < 0.5 - _TIE_MARGIN) & (d < 10**19)
-                      & ((near >= _TIE_MARGIN) | (d != 10**18)))
-    d[zero], e[zero] = 0, 0
-
+    d, e, vector = _rounded(x, 19)
     q = (d // 10**10).astype(np.int64)           # the lead digit and 8 digits
     r = (d - q.astype(np.uint64) * 10**10).astype(np.int64)   # 10 digits
     lead = q // 10**8
@@ -155,39 +216,158 @@ def _format_block(x, out):
     words[:, 4] = _DIGITS4[mid8 % 10_000]
     words[:, 5] = _TAIL[(e < 0) * 100 + r % 100]
     words[:, 6] = _EXPONENT[np.abs(e)]
+    _by_percent(x, vector, out, "%.18e")
 
+
+# The "%.17g" slot, a NUL where the text has no character: 8 bytes of
+# head, four words of 4 digits (their trailing zeros NUL where no digit
+# after them is nonzero) and 8 bytes of exponent ["e", sign, digits, NUL...]
+# (all NUL in fixed notation).  The head is the sign, the lead digit (byte 6)
+# and the point (byte 7), or where -4 <= e < 0, the sign, "0." and -e - 1
+# zeros, then the lead digit at byte 7.  NULs in a run cost the final NUL
+# removal less than NULs between characters.  Where 1 <= e <= 16 the point
+# goes after digit e: a template then gathers the sign, digits and point.
+_G_E = np.arange(-300, 301)   # every exponent _rounded returns, with margin
+_G_FIXED = (_G_E >= -4) & (_G_E <= 16)
+_G_ZEROS = np.where(_G_FIXED & (_G_E < 0), -_G_E, 0)  # "0." and _G_ZEROS - 1 zeros
+# at 5 * sign + _G_ZEROS: the head's text, ending just before the lead digit
+_G_HEAD = np.frombuffer(b"".join(
+    ((b"-" if sign else b"") + (b"0." + b"0" * (z - 1) if z else b"")).rjust(
+        7 if z else 6, b"\0").ljust(8, b"\0") for sign in (0, 1) for z in range(5)), np.uint64)
+# the point after the lead digit, also where a template moves it
+_G_POINT_AFTER_LEAD = ~_G_FIXED | (_G_E >= 0)
+_G_POINT_MOVES = _G_FIXED & (_G_E > 0)
+_n, _short = abs(_G_E), abs(_G_E) < 100  # two exponent digits, else three
+_G_EXPONENT = np.where(_G_FIXED, 0, _words(
+    ord("e"), np.where(_G_E < 0, ord("-"), ord("+")),
+    np.where(_short, _n // 10, _n // 100) + ord("0"),
+    np.where(_short, _n, _n // 10) % 10 + ord("0"),
+    np.where(_short, 0, _n % 10 + ord("0")), 0, 0, 0))
+# at 2 * digit + point: the lead digit at byte 6, then the point or NUL;
+# from 20 on, after a "0." head: the lead digit at byte 7
+_n = np.arange(40)
+_G_LEAD = _words(0, 0, 0, 0, 0, 0, np.where(_n < 20, _n // 2 % 10 + ord("0"), 0),
+                 np.where(_n < 20, _n % 2 * ord("."), _n // 2 % 10 + ord("0")))
+_n = np.arange(10_000)
+# _DIGITS4 and, from 10_000 on, the same digits with trailing zeros NUL
+_DIGITS4_TRIM = np.concatenate([_DIGITS4, _words(*(
+    np.where(_n % 10**(4 - j), _n // 10**(3 - j) % 10 + ord("0"), 0) for j in range(4)))])
+del _n, _short
+
+
+def _g17_move(e, k):
+    """Source bytes of a text with its point after digit e, of k digits:
+    sign (byte 5), lead digit (byte 6), digits from byte 8, the point at
+    byte 7."""
+    digits = [6] + list(range(8, 7 + k))
+    text = [5] + digits[:e + 1] + ([7] + digits[e + 1:] if k > e + 1 else [])
+    return text + [0] * (G17_SLOT - len(text))  # byte 0 is NUL in such a row
+
+
+_G_MOVES = np.array([_g17_move(e, k) for e in range(17) for k in range(18)], np.uint8)
+
+
+def _g17_block(x, out):
+    """format_g17 of a block of values, into its rows ``out``."""
+    d, e, vector = _rounded(x, 17)
+    d[~vector] = 0  # such a D may exceed 10**17; "%" writes the row
+    ei = e - _G_E[0]
+    lead, f = np.divmod(d.astype(np.int64), 10**16)
+    g1, f = np.divmod(f, 10**12)
+    g2, f = np.divmod(f, 10**8)
+    g3, g4 = np.divmod(f, 10**4)
+    # a group's trailing zeros go where the groups after it are 0, but
+    # digits before a moved point stay
+    trim4 = ~_G_POINT_MOVES[ei]
+    trim3 = trim4 & (g4 == 0)
+    trim2 = trim3 & (g3 == 0)
+    trim1 = trim2 & (g2 == 0)
+    point = _G_POINT_AFTER_LEAD[ei] & ~(trim1 & (g1 == 0))
+    zeros = _G_ZEROS[ei]
+    head = out.view(np.uint64)
+    head[:, 0] = _G_HEAD[np.signbit(x) * 5 + zeros]
+    head[:, 0] |= _G_LEAD[lead * 2 + point + (zeros > 0) * 20]
+    words = out.view(np.uint32)
+    words[:, 2] = _DIGITS4_TRIM[g1 + trim1 * 10_000]
+    words[:, 3] = _DIGITS4_TRIM[g2 + trim2 * 10_000]
+    words[:, 4] = _DIGITS4_TRIM[g3 + trim3 * 10_000]
+    words[:, 5] = _DIGITS4_TRIM[g4 + trim4 * 10_000]
+    head[:, 3] = _G_EXPONENT[ei]
+    moves = np.flatnonzero(~trim4)
+    if moves.size:
+        src = out[moves]
+        nonzero = src[:, 23:7:-1] != ord("0")  # digits 16 down to 1
+        last = np.where(nonzero.any(axis=1), 16 - nonzero.argmax(axis=1), 0)
+        k = np.maximum(last, e[moves]) + 1
+        index = _G_MOVES[e[moves] * 18 + k].astype(np.intp)
+        index += np.arange(0, src.size, G17_SLOT)[:, None]
+        out[moves] = src.ravel()[index]
+    _by_percent(x, vector, out, "%.17g")
+
+
+def _by_percent(x, vector, out, spec):
+    """Each value outside ``vector`` as ``spec % value``, into its row of
+    ``out``, NUL-padded."""
     slow = np.flatnonzero(~vector)
     if slow.size:
-        text = b"".join(("%.18e" % v).encode().ljust(E18_SLOT, b"\0")
-                        for v in x[slow].tolist())
-        out[slow] = np.frombuffer(text, np.uint8).reshape(-1, E18_SLOT)
+        width = out.shape[1]
+        text = b"".join((spec % v).encode().ljust(width, b"\0") for v in x[slow].tolist())
+        out[slow] = np.frombuffer(text, np.uint8).reshape(-1, width)
 
 
-def _digits19(a, e):
-    """For non-empty ``a``: D = round(a 10**(18 - e)) as uint64, the
-    product's distance above D, and whether the product is below 1.8e19
-    (where it is not, D is meaningless)."""
-    k = 18 - e
-    k0 = int(k.min())
-    used = np.flatnonzero(np.bincount(k - k0))
-    hi_tab, lo_tab = np.zeros((2, used[-1] + 1))
-    hi_tab[used], lo_tab[used] = _pow10_pairs((used + k0).tolist())
-    hi, lo = hi_tab[k - k0], lo_tab[k - k0]
-    p = a * hi
+def _rounded(x, p):
+    """|x| to p significant digits, for float64 ``x``: D as uint64 in
+    [10**(p-1), 10**p), its decimal exponent e (both 0 for a zero), and
+    where the vector path may write them.
+
+    D = round(|x| 10**(p - 1 - e)) with e = floor(log10|x|), from a Dekker
+    product with 10**(p - 1 - e) held as an exact-to-2**-106 pair of
+    doubles; e moves by one where D misses [10**(p-1), 10**p).  Non-finite
+    values, |x| outside [1e-280, 1e280), and products within _TIE_MARGIN of
+    a rounding tie or of 10**(p-1), or that round to 10**p, are left to
+    "%"; zeros are not."""
+    a = np.abs(x)
+    zero = a == 0.0
+    vector = zero | ((a >= _CERTIFIED_MIN) & (a < _CERTIFIED_MAX))
+    a = np.where(vector & ~zero, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    d, frac, fits = _digits(a, e, p)
+    step = _decade_miss(d, frac, fits, p)
+    moved = np.flatnonzero(step)
+    if moved.size:
+        e[moved] += step[moved]
+        d[moved], frac[moved], fits_m = _digits(a[moved], e[moved], p)
+        vector[moved] &= _decade_miss(d[moved], frac[moved], fits_m, p) == 0
+    near = np.abs(frac)
+    # "%" takes a near tie, a product too near 10**(p-1) to tell its decade,
+    # and one that rounds up to 10**p (1.000...e(e+1))
+    vector &= zero | ((near < 0.5 - _TIE_MARGIN) & (d < 10**p)
+                      & ((near >= _TIE_MARGIN) | (d != 10**(p - 1))))
+    d[zero], e[zero] = 0, 0
+    return d, e, vector
+
+
+def _digits(a, e, p):
+    """D = round(a 10**(p - 1 - e)) as uint64, the product's distance above
+    D, and whether the product is below 1.8e19 (where it is not, D is
+    meaningless)."""
+    k = p - 1 - e - _K_MIN
+    hi, lo = _POW10_HI[k], _POW10_LO[k]
+    prod = a * hi
     a1, a2 = _split(a)
     h1, h2 = _split(hi)
-    s = (((a1 * h1 - p) + a1 * h2 + a2 * h1) + a2 * h2) + a * lo  # p + s = a (hi + lo)
+    s = (((a1 * h1 - prod) + a1 * h2 + a2 * h1) + a2 * h2) + a * lo  # prod + s = a (hi + lo)
     n = np.rint(s)
-    fits = p < 1.8e19
-    d = np.where(fits, p, 0.0).astype(np.uint64) + n.astype(np.int64).view(np.uint64)
+    fits = prod < 1.8e19
+    d = np.where(fits, prod, 0.0).astype(np.uint64) + n.astype(np.int64).view(np.uint64)
     return d, s - n, fits
 
 
-def _decade_miss(d, frac, fits):
-    """-1 where the product was below 10**18 (e too high), +1 where it was at
-    least 10**19 (e too low), 0 where e was right."""
-    low = (d < 10**18) | ((d == 10**18) & (frac < 0))
-    high = ~fits | (d > 10**19) | ((d == 10**19) & (frac >= 0))
+def _decade_miss(d, frac, fits, p):
+    """-1 where the product was below 10**(p-1) (e too high), +1 where it
+    was at least 10**p (e too low), 0 where e was right."""
+    low = (d < 10**(p - 1)) | ((d == 10**(p - 1)) & (frac < 0))
+    high = ~fits | (d > 10**p) | ((d == 10**p) & (frac >= 0))
     return high.astype(np.int64) - low
 
 
@@ -207,6 +387,13 @@ def _pow10_pairs(ks):
             lo.append((den - num * q) / (den * q))
         hi.append(h)
     return hi, lo
+
+
+# 10**k for every k = p - 1 - e that 17 or 19 digits of a certified |x| ask
+# for (e in [-281, 280] after a decade move), with margin; 10**300 is the
+# largest whose split cannot overflow
+_K_MIN = -266
+_POW10_HI, _POW10_LO = map(np.array, _pow10_pairs(range(_K_MIN, 301)))
 
 
 def _split(v):

@@ -8,6 +8,7 @@ from repmut.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, ConfigError, _build_
                         build_scenario, build_solution, canonical_json,
                         config_hash, load_config, main)
 from repmut.closed_form import EngineError, RejectedCondition, tilted_engine
+from repmut.metric import MetricError
 from repmut.model import InitialLaw
 from repmut.pde import DT_MULTIPLE
 from repmut.report import write_csv
@@ -113,6 +114,20 @@ class TestConfig:
             assert main([command, "--config", path, "--out", str(tmp_path / "o")]) \
                 == EXIT_CONFIG
             assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section, value", [
+        ("model", {"kind": "ou", "kappa": 1.0, "sigma": 1.0}),
+        ("fitness", {"kind": "linear", "slope": 0}),
+        ("initial", {"kind": "gaussian", "mean": [0.0], "cov": [[0.25]]})])
+    def test_scenario_with_a_custom_section_exits_config_error(self, tmp_path, capsys,
+                                                               section, value):
+        # the scenario would otherwise run with its own section in silence
+        path, _ = write_cfg(tmp_path, **{section: value})
+        for command in ("manifest", "solve", "chaos", "particles"):
+            assert main([command, "--config", path, "--out", str(tmp_path / "o")]) \
+                == EXIT_CONFIG
+            assert f"drop it or the {section} section" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_custom_model_sections(self, tmp_path):
@@ -261,6 +276,29 @@ class TestSolveCommand:
         assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "particles"])
+    @pytest.mark.parametrize("model, fitness, initial, message", [
+        ({"kind": "cir", "a": 1.0, "b": -1.0, "sigma": 1.0},
+         {"kind": "linear", "slope": -1.0, "g_max": 1e308}, {"kind": "gamma-like"}, ""),
+        ({"kind": "arithmetic-bm"}, {"kind": "linear", "g_max": 1e308},
+         {"kind": "gaussian", "mean": [0.0], "cov": [[1.0]]}, "h_t_mc = nan")])
+    def test_numeric_failure_marks_the_manifest_failed(self, tmp_path, command, model,
+                                                        fitness, initial, message):
+        path, _ = write_cfg(tmp_path, scenario=None, engines=["particle"], horizon=0.02,
+                            model=model, fitness=fitness, initial=initial)
+        out = tmp_path / "o"
+        assert main([command, "--config", path, "--out", str(out)]) == EXIT_NUMERIC
+        status = json.loads((out / "manifest.json").read_text())["status"]
+        assert status.startswith("failed: ") and message in status
+
+    def test_no_solution_marks_the_manifest_failed(self, tmp_path):
+        # linear-bm has B = 0 and G = 0: no eigenpair, so tilted is skipped
+        path, _ = write_cfg(tmp_path, engines=["tilted"])
+        out = tmp_path / "o"
+        assert main(["solve", "--config", path, "--out", str(out)]) == EXIT_NUMERIC
+        status = json.loads((out / "manifest.json").read_text())["status"]
+        assert status == "failed: no engine produced a solution"
+
     def test_zero_slope_is_pure_mutation(self, tmp_path):
         path, _ = write_cfg(tmp_path, scenario=None, engines=["linear", "particle"],
                             horizon=0.05, metric={"checkpoints": 3, "ref_atoms": 64},
@@ -289,9 +327,9 @@ class TestSolveCommand:
             return dataclasses.replace(sol, u=lambda t, x: sol.u(t, x),
                                        mass=lambda t: sol.mass(t))
 
-        def recording_write_csv(path, header, rows):
+        def recording_write_csv(path, header, rows, **kwargs):
             formatted.append(os.path.basename(path))
-            return write_csv(path, header, rows)
+            return write_csv(path, header, rows, **kwargs)
 
         monkeypatch.setattr(cli, "affine_engine", wrapped_affine)
         monkeypatch.setattr(cli, "write_csv", recording_write_csv)
@@ -488,6 +526,19 @@ class TestSolutionContract:
 
 
 class TestChaosCommand:
+    def test_numeric_failure_marks_the_manifest_failed(self, tmp_path, monkeypatch):
+        import repmut.cli as cli
+
+        def failing_estimate(*args, **kwargs):
+            raise MetricError("BL LP failed")
+
+        monkeypatch.setattr(cli, "dqt_estimate", failing_estimate)
+        path, _ = write_cfg(tmp_path)
+        out = tmp_path / "chaos"
+        assert main(["chaos", "--config", path, "--out", str(out)]) == EXIT_NUMERIC
+        status = json.loads((out / "manifest.json").read_text())["status"]
+        assert status == "failed: BL LP failed"
+
     def test_small_ladder_outputs(self, tmp_path):
         path, _ = write_cfg(tmp_path)
         out = tmp_path / "chaos"
@@ -663,6 +714,15 @@ WRITE_CSV_CASES = {
     "object-array": np.array([[1, 0.5, "x", np.int64(4)],
                               [np.int64(2), np.nan, "y", 10**18]], dtype=object),
     "str-array": np.array([["a", "b"], ["c", "d"]]),
+    # enough floats for the vector route, after a text and an integer field
+    "long-mixed-rows": [["pde" if i % 3 else "linear", i, np.float64(v) if i % 2 else v]
+                        for i, v in enumerate((np.random.default_rng(4).normal(size=80)
+                                               * 10.0 ** np.arange(-40, 40)).tolist())],
+    # a density table: t and x repeated, exact zeros, u near 1e-300
+    "density-rows": np.column_stack([
+        np.repeat([0.0, 0.05, 0.1], 40), np.tile(np.linspace(-12.0, 12.0, 40), 3),
+        np.concatenate([np.zeros(40), np.logspace(-310.0, -290.0, 40),
+                        np.exp(-np.linspace(-12.0, 12.0, 40) ** 2)])]),
 }
 
 
