@@ -30,8 +30,7 @@ from .numerics import GridDensity, NumericsError, kde, stored_index
 from .particle import (ParticleError, mass_estimate, mass_estimate_se, normalized_measure,
                        run_particles)
 from .pde import PdeError, PdeScheme, _build_grid, solve_rm_pde
-from .report import (atomic_open, atomic_write_text, density_prefix, loglog_svg,
-                     write_csv)
+from .report import atomic_write_text, density_prefix, loglog_svg, write_csv
 from .scenarios import (CANONICAL, Scenario, affine_quadratic_fitness, bm_model,
                         cir_model, gamma_like_law, linear_fitness, ou_model,
                         quadratic_decay_fitness)
@@ -404,8 +403,7 @@ def cmd_solve(cfg: dict, out: str, seed, threads: int) -> int:
         for engine, sol in solutions.items():
             path = os.path.join(out, f"density_{engine}.csv")
             if sol.meta.get("same_as") in tables:  # another engine's solution: its bytes
-                with atomic_open(path) as fh:
-                    fh.write(tables[sol.meta["same_as"]])
+                atomic_write_text(path, tables[sol.meta["same_as"]])
                 continue
             u, kept = [np.empty(0)], np.zeros(len(times), bool)
             for j, t in enumerate(times):

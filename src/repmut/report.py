@@ -12,6 +12,7 @@ CSV schemas (versioned; see README):
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 
 import numpy as np
@@ -37,33 +38,38 @@ def atomic_open(path):
             os.unlink(tmp)
 
 
-def atomic_write_text(path, text: str):
+def atomic_write_text(path, text):
+    """Write ``text``, a str (as UTF-8) or bytes, to ``path`` atomically."""
     with atomic_open(path) as fh:
-        fh.write(text.encode())
+        fh.write(text.encode() if isinstance(text, str) else text)
 
 
-def write_csv(path, header: str, rows, prefix=None) -> bytes:
+def write_csv(path, header: str, rows, prefix=None) -> bytearray:
     """Write ``rows`` (equal-length rows or a 2-D array) under ``header`` and
     return the bytes written: text as it is, integers as digits, other
     numbers as "%.17g" writes them.  ``prefix``, such as ``density_prefix``
     gives, holds each row's leading fields, already encoded."""
-    data = header.encode() + b"\n" + _table(rows, prefix).tobytes().translate(None, b"\0")
+    data = _table(header.encode() + b"\n", rows, prefix).translate(None, b"\0")
     with atomic_open(path) as fh:
         fh.write(data)
     return data
 
 
-def _table(rows, prefix) -> np.ndarray:
-    """The rows as one matrix of bytes whose NULs are to be dropped: each
-    field NUL-padded in its own columns and ended by ",", each row by "\n".
-    A column of floats is encoded in place by ``format_g17``'s blocks."""
+def _table(head: bytes, rows, prefix) -> bytearray:
+    """``head``, then the rows as a matrix of bytes whose NULs are to be
+    dropped: each field NUL-padded in its own columns and ended by ",", each
+    row by "\n".  A column of floats is encoded in place by ``format_g17``'s
+    blocks."""
     n, columns = _columns(rows)
     fields = [] if prefix is None else [prefix]
-    fields += [_text_field(column) if isinstance(column, tuple) else column
+    fields += [column if isinstance(column, np.ndarray) else _text_field(column)
                for column in columns]
     widths = [G17_SLOT if f.ndim == 1 else f.shape[1] for f in fields]
     ends = np.cumsum([0] + widths)
-    table = np.empty((n, max(ends[-1], 1)), np.uint8)
+    width = max(ends[-1], 1)
+    buf = bytearray(len(head) + n * width)
+    buf[:len(head)] = head
+    table = np.frombuffer(buf, np.uint8, n * width, len(head)).reshape(n, width)
     for field, lo, hi in zip(fields, ends[:-1], ends[1:]):
         if field.ndim == 1:
             _encode(field, G17_SLOT, _g17_block, out=table[:, lo:hi])
@@ -71,7 +77,7 @@ def _table(rows, prefix) -> np.ndarray:
             table[:, lo:hi] = field
     table[:, ends[1:] - 1] = ord(",")
     table[:, -1] = ord("\n")
-    return table
+    return buf
 
 
 def density_prefix(times, grid) -> np.ndarray:
@@ -96,27 +102,18 @@ def _used_columns(field) -> slice:
     return slice(lo, hi + 1)
 
 
-# a table of fewer floats than this has them written by "%", which is then
-# faster than the vector route
-_VECTOR_MIN = 64
-
-
 def _columns(rows):
     """The number of rows and their columns: a column of floats as a float64
-    array, any other as a tuple of its values."""
+    array, any other as it is."""
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
-        n, columns = len(rows), list(rows.T)
-    else:
-        rows = list(rows)
-        if len({len(row) for row in rows}) > 1:
-            raise TypeError("rows of unequal length")
-        n, columns = len(rows), [
-            np.array(column, np.float64)
-            if all(isinstance(v, (float, np.floating)) for v in column) else column
-            for column in zip(*rows)]
-    if n * sum(isinstance(c, np.ndarray) for c in columns) < _VECTOR_MIN:
-        columns = [tuple(c.tolist()) if isinstance(c, np.ndarray) else c for c in columns]
-    return n, columns
+        return len(rows), list(rows.T)
+    rows = list(rows)
+    if len({len(row) for row in rows}) > 1:
+        raise TypeError("rows of unequal length")
+    return len(rows), [
+        np.array(column, np.float64)
+        if all(isinstance(v, (float, np.floating)) for v in column) else column
+        for column in zip(*rows)]
 
 
 def _text_field(column) -> np.ndarray:
@@ -226,82 +223,67 @@ def _e18_block(x, out):
 # and the point (byte 7), or where -4 <= e < 0, the sign, "0." and -e - 1
 # zeros, then the lead digit at byte 7.  NULs in a run cost the final NUL
 # removal less than NULs between characters.  Where 1 <= e <= 16 the point
-# goes after digit e: a template then gathers the sign, digits and point.
-_G_E = np.arange(-300, 301)   # every exponent _rounded returns, with margin
-_G_FIXED = (_G_E >= -4) & (_G_E <= 16)
-_G_ZEROS = np.where(_G_FIXED & (_G_E < 0), -_G_E, 0)  # "0." and _G_ZEROS - 1 zeros
-# at 5 * sign + _G_ZEROS: the head's text, ending just before the lead digit
-_G_HEAD = np.frombuffer(b"".join(
-    ((b"-" if sign else b"") + (b"0." + b"0" * (z - 1) if z else b"")).rjust(
-        7 if z else 6, b"\0").ljust(8, b"\0") for sign in (0, 1) for z in range(5)), np.uint64)
-# the point after the lead digit, also where a template moves it
-_G_POINT_AFTER_LEAD = ~_G_FIXED | (_G_E >= 0)
-_G_POINT_MOVES = _G_FIXED & (_G_E > 0)
-_n, _short = abs(_G_E), abs(_G_E) < 100  # two exponent digits, else three
-_G_EXPONENT = np.where(_G_FIXED, 0, _words(
-    ord("e"), np.where(_G_E < 0, ord("-"), ord("+")),
-    np.where(_short, _n // 10, _n // 100) + ord("0"),
-    np.where(_short, _n, _n // 10) % 10 + ord("0"),
-    np.where(_short, 0, _n % 10 + ord("0")), 0, 0, 0))
-# at 2 * digit + point: the lead digit at byte 6, then the point or NUL;
-# from 20 on, after a "0." head: the lead digit at byte 7
-_n = np.arange(40)
-_G_LEAD = _words(0, 0, 0, 0, 0, 0, np.where(_n < 20, _n // 2 % 10 + ord("0"), 0),
-                 np.where(_n < 20, _n % 2 * ord("."), _n // 2 % 10 + ord("0")))
-_n = np.arange(10_000)
-# _DIGITS4 and, from 10_000 on, the same digits with trailing zeros NUL
-_DIGITS4_TRIM = np.concatenate([_DIGITS4, _words(*(
-    np.where(_n % 10**(4 - j), _n // 10**(3 - j) % 10 + ord("0"), 0) for j in range(4)))])
-del _n, _short
+# goes inside the digits: "%" writes such a value.
+# The tables below are indexed by e - _G_E0, for every exponent _rounded
+# returns, with margin.
+_G_E0 = -300
 
 
-def _g17_move(e, k):
-    """Source bytes of a text with its point after digit e, of k digits:
-    sign (byte 5), lead digit (byte 6), digits from byte 8, the point at
-    byte 7."""
-    digits = [6] + list(range(8, 7 + k))
-    text = [5] + digits[:e + 1] + ([7] + digits[e + 1:] if k > e + 1 else [])
-    return text + [0] * (G17_SLOT - len(text))  # byte 0 is NUL in such a row
-
-
-_G_MOVES = np.array([_g17_move(e, k) for e in range(17) for k in range(18)], np.uint8)
+@functools.cache
+def _g17_tables():
+    """The "%.17g" layout tables, built on first use, so that an import
+    does not pay for them."""
+    e = np.arange(_G_E0, 301)
+    fixed = (e >= -4) & (e <= 16)
+    zeros = np.where(fixed & (e < 0), -e, 0).astype(np.uint8)  # "0." and zeros - 1 zeros
+    # at 5 * sign + zeros: the head's text, ending just before the lead digit
+    head = np.frombuffer(b"".join(
+        ((b"-" if sign else b"") + (b"0." + b"0" * (z - 1) if z else b"")).rjust(
+            7 if z else 6, b"\0").ljust(8, b"\0") for sign in (0, 1) for z in range(5)), np.uint64)
+    n, short = abs(e), abs(e) < 100  # two exponent digits, else three
+    exponent = np.where(fixed, 0, _words(
+        ord("e"), np.where(e < 0, ord("-"), ord("+")),
+        np.where(short, n // 10, n // 100) + ord("0"),
+        np.where(short, n, n // 10) % 10 + ord("0"),
+        np.where(short, 0, n % 10 + ord("0")), 0, 0, 0))
+    # at 2 * digit + point: the lead digit at byte 6, then the point or NUL;
+    # from 20 on, after a "0." head: the lead digit at byte 7
+    n = np.arange(40)
+    lead = _words(0, 0, 0, 0, 0, 0, np.where(n < 20, n // 2 % 10 + ord("0"), 0),
+                  np.where(n < 20, n % 2 * ord("."), n // 2 % 10 + ord("0")))
+    # _DIGITS4 and, from 10_000 on, the same digits with trailing zeros NUL
+    n = np.arange(10_000)
+    digits4_trim = np.concatenate([_DIGITS4, _words(*(
+        np.where(n % 10**(p + 1), n // 10**p % 10 + ord("0"), 0) for p in (3, 2, 1, 0)))])
+    return zeros, head, exponent, lead, digits4_trim
 
 
 def _g17_block(x, out):
     """format_g17 of a block of values, into its rows ``out``."""
+    zeros_of, head_of, exponent_of, lead_of, digits4_trim = _g17_tables()
     d, e, vector = _rounded(x, 17)
-    d[~vector] = 0  # such a D may exceed 10**17; "%" writes the row
-    ei = e - _G_E[0]
+    vector &= (e < 1) | (e > 16)  # the point inside the digits: "%" writes it
+    d[~vector] = 0  # such a D may exceed 10**17
+    ei = e - _G_E0
     lead, f = np.divmod(d.astype(np.int64), 10**16)
     g1, f = np.divmod(f, 10**12)
     g2, f = np.divmod(f, 10**8)
     g3, g4 = np.divmod(f, 10**4)
-    # a group's trailing zeros go where the groups after it are 0, but
-    # digits before a moved point stay
-    trim4 = ~_G_POINT_MOVES[ei]
-    trim3 = trim4 & (g4 == 0)
+    # a group's trailing zeros go where the groups after it are 0
+    trim3 = g4 == 0
     trim2 = trim3 & (g3 == 0)
     trim1 = trim2 & (g2 == 0)
-    point = _G_POINT_AFTER_LEAD[ei] & ~(trim1 & (g1 == 0))
-    zeros = _G_ZEROS[ei]
+    zeros = zeros_of[ei]
+    point = (zeros == 0) & ~(trim1 & (g1 == 0))
     head = out.view(np.uint64)
-    head[:, 0] = _G_HEAD[np.signbit(x) * 5 + zeros]
-    head[:, 0] |= _G_LEAD[lead * 2 + point + (zeros > 0) * 20]
+    head[:, 0] = head_of[np.signbit(x) * 5 + zeros]
+    head[:, 0] |= lead_of[lead * 2 + point + (zeros > 0) * 20]
     words = out.view(np.uint32)
-    words[:, 2] = _DIGITS4_TRIM[g1 + trim1 * 10_000]
-    words[:, 3] = _DIGITS4_TRIM[g2 + trim2 * 10_000]
-    words[:, 4] = _DIGITS4_TRIM[g3 + trim3 * 10_000]
-    words[:, 5] = _DIGITS4_TRIM[g4 + trim4 * 10_000]
-    head[:, 3] = _G_EXPONENT[ei]
-    moves = np.flatnonzero(~trim4)
-    if moves.size:
-        src = out[moves]
-        nonzero = src[:, 23:7:-1] != ord("0")  # digits 16 down to 1
-        last = np.where(nonzero.any(axis=1), 16 - nonzero.argmax(axis=1), 0)
-        k = np.maximum(last, e[moves]) + 1
-        index = _G_MOVES[e[moves] * 18 + k].astype(np.intp)
-        index += np.arange(0, src.size, G17_SLOT)[:, None]
-        out[moves] = src.ravel()[index]
+    words[:, 2] = digits4_trim[g1 + trim1 * 10_000]
+    words[:, 3] = digits4_trim[g2 + trim2 * 10_000]
+    words[:, 4] = digits4_trim[g3 + trim3 * 10_000]
+    words[:, 5] = digits4_trim[g4 + 10_000]
+    head[:, 3] = exponent_of[ei]
     _by_percent(x, vector, out, "%.17g")
 
 
@@ -348,11 +330,15 @@ def _rounded(x, p):
 
 
 def _digits(a, e, p):
-    """D = round(a 10**(p - 1 - e)) as uint64, the product's distance above
-    D, and whether the product is below 1.8e19 (where it is not, D is
-    meaningless)."""
-    k = p - 1 - e - _K_MIN
-    hi, lo = _POW10_HI[k], _POW10_LO[k]
+    """For non-empty ``a``: D = round(a 10**(p - 1 - e)) as uint64, the
+    product's distance above D, and whether the product is below 1.8e19
+    (where it is not, D is meaningless)."""
+    k = p - 1 - e
+    k0 = int(k.min())
+    used = np.flatnonzero(np.bincount(k - k0))
+    hi_tab, lo_tab = np.zeros((2, used[-1] + 1))
+    hi_tab[used], lo_tab[used] = _pow10_pairs((used + k0).tolist())
+    hi, lo = hi_tab[k - k0], lo_tab[k - k0]
     prod = a * hi
     a1, a2 = _split(a)
     h1, h2 = _split(hi)
@@ -387,13 +373,6 @@ def _pow10_pairs(ks):
             lo.append((den - num * q) / (den * q))
         hi.append(h)
     return hi, lo
-
-
-# 10**k for every k = p - 1 - e that 17 or 19 digits of a certified |x| ask
-# for (e in [-281, 280] after a decade move), with margin; 10**300 is the
-# largest whose split cannot overflow
-_K_MIN = -266
-_POW10_HI, _POW10_LO = map(np.array, _pow10_pairs(range(_K_MIN, 301)))
 
 
 def _split(v):
