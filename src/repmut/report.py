@@ -61,8 +61,9 @@ def _table(head: bytes, rows, prefix) -> bytearray:
     row by "\n".  A column of floats is encoded in place by ``format_g17``'s
     blocks."""
     n, columns = _columns(rows)
+    vector = n * sum(isinstance(c, np.ndarray) for c in columns) >= _VECTOR_MIN
     fields = [] if prefix is None else [prefix]
-    fields += [column if isinstance(column, np.ndarray) else _text_field(column)
+    fields += [column if vector and isinstance(column, np.ndarray) else _text_field(column)
                for column in columns]
     widths = [G17_SLOT if f.ndim == 1 else f.shape[1] for f in fields]
     ends = np.cumsum([0] + widths)
@@ -100,6 +101,13 @@ def _used_columns(field) -> slice:
     while lo < hi and not field[:, lo].any():
         lo += 1
     return slice(lo, hi + 1)
+
+
+# A table of fewer floats than this has them written by "%".  The vector
+# route's first call maps in about 0.5 MB of numpy code that a run writing
+# only such tables (chaos) does not otherwise touch, and its peak RSS rises
+# by that much.
+_VECTOR_MIN = 64
 
 
 def _columns(rows):

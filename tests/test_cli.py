@@ -714,7 +714,8 @@ WRITE_CSV_CASES = {
     "object-array": np.array([[1, 0.5, "x", np.int64(4)],
                               [np.int64(2), np.nan, "y", 10**18]], dtype=object),
     "str-array": np.array([["a", "b"], ["c", "d"]]),
-    # a float column at an unaligned offset, after a text and an integer field
+    # enough floats for the vector route, at an unaligned offset after a text
+    # and an integer field
     "long-mixed-rows": [["pde" if i % 3 else "linear", i, np.float64(v) if i % 2 else v]
                         for i, v in enumerate((np.random.default_rng(4).normal(size=80)
                                                * 10.0 ** np.arange(-40, 40)).tolist())],
