@@ -2,7 +2,7 @@
 
 from .model import (DiffusionModel, DomainSpec, FitnessFunction, InitialLaw,
                     check_fitness_bound, sample_initial)
-from .sde import PathBundle, TiltedDrift, TimeGrid, simulate
+from .sde import PathBundle, TimeGrid, simulate
 from .numerics import GaussianMoments, GridDensity, covariance_integral, kde, matrix_exp
 from .closed_form import (Eigenpair, Solution, affine_engine, eigenpair_residual,
                           linear_engine, solve_linear_v, solve_riccati,

@@ -400,10 +400,14 @@ def cmd_solve(cfg: dict, out: str, seed, threads: int) -> int:
         prefix = density_prefix(times, ref_grid)  # shared by every table; u is per table
         reused = {sol.meta.get("same_as") for sol in solutions.values()}
         tables = {}  # engine -> the bytes of its density table, where another reuses it
+        at_end = {}  # engine -> its density at T (the last checkpoint time)
         for engine, sol in solutions.items():
             path = os.path.join(out, f"density_{engine}.csv")
-            if sol.meta.get("same_as") in tables:  # another engine's solution: its bytes
-                atomic_write_text(path, tables[sol.meta["same_as"]])
+            same_as = sol.meta.get("same_as")
+            if same_as in tables:  # another engine's solution: its bytes and rows
+                atomic_write_text(path, tables[same_as])
+                if same_as in at_end:
+                    at_end[engine] = at_end[same_as]
                 continue
             u, kept = [np.empty(0)], np.zeros(len(times), bool)
             for j, t in enumerate(times):
@@ -412,6 +416,8 @@ def cmd_solve(cfg: dict, out: str, seed, threads: int) -> int:
                 except (EngineError, KeyError):
                     continue
                 kept[j] = True
+            if kept[-1]:
+                at_end[engine] = u[-1]
             data = write_csv(path, "t,x,u", np.concatenate(u)[:, None],
                              prefix=prefix if kept.all()
                              else prefix[np.repeat(kept, len(ref_grid))])
@@ -424,10 +430,10 @@ def cmd_solve(cfg: dict, out: str, seed, threads: int) -> int:
 
         names = sorted(solutions)
         l1_rows = []
-        t_end = sc.horizon
-        at_end = {}  # each engine's density at T, evaluated once
+        t_end = sc.horizon  # == times[-1]: TimeGrid's last node is T exactly
         for name in names if len(names) > 1 else ():
-            dens = np.maximum(solutions[name].u(t_end, ref_grid), 0.0)
+            dens = (at_end[name] if name in at_end
+                    else np.maximum(solutions[name].u(t_end, ref_grid), 0.0))
             at_end[name] = dens / np.trapezoid(dens, ref_grid)
         for i, a in enumerate(names):
             for b in names[i + 1:]:

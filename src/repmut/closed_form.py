@@ -40,7 +40,7 @@ from .model import DiffusionModel, FitnessFunction, InitialLaw, probe_points, sa
 from .numerics import (GaussianMoments, GridDensity, _gauss_kernel_sum,
                        covariance_integral, expm_integral, kde, matrix_exp,
                        stored_index, trapezoid_weights)
-from .sde import TimeGrid, TiltedDrift, simulate
+from .sde import TimeGrid, simulate
 
 
 class EngineError(RuntimeError):
@@ -494,14 +494,16 @@ def affine_engine(model: DiffusionModel, fitness: FitnessFunction,
 # generic eigen-tilted Monte Carlo engine
 
 
-def tilted_extra_drift(model: DiffusionModel, pair: Eigenpair) -> TiltedDrift:
-    """Extra drift sigma^2 (log phi)' of the eigen-tilted process on the line."""
+def tilted_extra_drift(model: DiffusionModel, pair: Eigenpair) -> DiffusionModel:
+    """The eigen-tilted diffusion on the line: a "custom" model with the
+    model's diffusion and its drift plus sigma^2 (log phi)'."""
 
-    def extra(t, x):
+    def drift(x):
         s = model.diffusion(x)[:, 0, 0]
-        return (s * s * pair.grad_log_phi(x[:, 0]))[:, None]
+        return model.drift(x) + (s * s * pair.grad_log_phi(x[:, 0]))[:, None]
 
-    return TiltedDrift(base=model, extra=extra)
+    return DiffusionModel(model.domain, kind="custom", drift=drift,
+                          diffusion=model.diffusion, m=model.m)
 
 
 def _reweighted_initial(u0: InitialLaw, pair: Eigenpair, domain_kind: str) -> InitialLaw:
@@ -557,8 +559,9 @@ def tilted_engine(model: DiffusionModel, fitness: FitnessFunction,
     from ``spectral.cir_eigenpair``) the tilted drift a + (b + sigma^2 c) x
     is a CIR drift again, so the engine simulates the CIR model
     (a, b + sigma^2 c, sigma); ``sde.simulate`` draws it exactly at the
-    stored nodes when 4a/sigma^2 is an integer.  Any other pair adds the drift
-    sigma sigma^T grad log phi to the model (``tilted_extra_drift``).
+    stored nodes when 4a/sigma^2 is an integer.  Any other pair gives the
+    "custom" model whose drift adds sigma sigma^T grad log phi to the model's
+    (``tilted_extra_drift``), which ``sde.simulate`` steps by Euler-Maruyama.
 
     The density is available at the stored checkpoint times.  The mass
     factor is not produced here; use the particle system's estimator.

@@ -21,6 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rng
+from .numerics import GaussianMoments, NumericsError
 
 
 class ModelError(ValueError):
@@ -253,9 +254,11 @@ class InitialLaw:
             cov = np.atleast_2d(np.asarray(p["cov"], float))
             if cov.shape != (mean.size, mean.size):
                 raise ModelError("gaussian cov shape mismatch")
+            try:  # symmetric, so that sampling (one triangle) and density agree
+                p["_moments"] = GaussianMoments(mean, cov)
+            except NumericsError as exc:
+                raise ModelError(f"gaussian {exc}") from None
             w, v = np.linalg.eigh(cov)
-            if w.min() < -1e-12:
-                raise ModelError("gaussian covariance not PSD")
             p["mean"], p["cov"] = mean, cov
             p["_root"] = v @ np.diag(np.sqrt(np.maximum(w, 0.0))) @ v.T
         elif self.kind == "mixture":
@@ -297,15 +300,7 @@ class InitialLaw:
     def density(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, float)
         if self.kind == "gaussian":
-            mean, cov = self.params["mean"], self.params["cov"]
-            if mean.size == 1:
-                v = cov[0, 0]
-                return np.exp(-0.5 * (x - mean[0]) ** 2 / v) / np.sqrt(2 * np.pi * v)
-            d = x - mean
-            sol = np.linalg.solve(cov, d.T).T
-            q = np.einsum("...i,...i->...", d, sol)
-            norm = np.sqrt((2 * np.pi) ** mean.size * np.linalg.det(cov))
-            return np.exp(-0.5 * q) / norm
+            return self.params["_moments"].density(x)
         if self.kind == "mixture":
             out = np.zeros_like(x, dtype=float)
             for w, m, v in self.params["components"]:

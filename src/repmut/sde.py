@@ -1,7 +1,9 @@
-"""Path simulation for base and tilted diffusions.
+"""Path simulation for base and tilted diffusions, in one stepping loop.
 
 Euler-Maruyama by default, exact Gaussian updates for the constant
-coefficient and OU kinds, full truncation for CIR.  Noise comes from the
+coefficient and OU kinds, full truncation for CIR.  An eigen-tilted model
+is a plain "custom" ``DiffusionModel`` (``closed_form.tilted_extra_drift``)
+and steps by Euler-Maruyama.  Noise comes from the
 counter-based generator in :mod:`repmut.rng`, so a path is a pure function
 of (seed, particle id, grid) regardless of batching or thread count.
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -63,7 +65,8 @@ class TimeGrid:
 
     @property
     def nodes(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.steps + 1)
+        """t0 + k dt for k < steps, and exactly T last."""
+        return np.linspace(self.t0, self.T, self.steps + 1)
 
     @classmethod
     def per_unit(cls, T: float, steps_per_unit: int) -> "TimeGrid":
@@ -82,14 +85,6 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
-class TiltedDrift:
-    """Base model plus an extra drift term (t, x) -> R^n."""
-
-    base: DiffusionModel
-    extra: Callable[[float, np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
 class PathBundle:
     """Positions (and optionally log-weights) at the stored time nodes."""
 
@@ -100,10 +95,6 @@ class PathBundle:
     logw: Optional[np.ndarray] = None   # (N, S), integral of g - shift
     shift: float = 0.0
     fine_steps: int = 0
-
-    @property
-    def n_particles(self) -> int:
-        return self.positions.shape[0]
 
 
 def _shifted_fitness(fitness: FitnessFunction, x: np.ndarray) -> np.ndarray:
@@ -124,13 +115,7 @@ def _chi2_dof(model: DiffusionModel) -> int:
     return int(k) if 1 <= k <= CHI2_MAX_DOF and abs(d - k) <= 1e-12 * k else 0
 
 
-def _drift_of(model_or_tilt, t: float, x: np.ndarray) -> np.ndarray:
-    if isinstance(model_or_tilt, TiltedDrift):
-        return model_or_tilt.base.drift(x) + model_or_tilt.extra(t, x)
-    return model_or_tilt.drift(x)
-
-
-def simulate(model_or_tilt, initial: np.ndarray, grid: TimeGrid, seed: int,
+def simulate(model: DiffusionModel, initial: np.ndarray, grid: TimeGrid, seed: int,
              *, fitness: Optional[FitnessFunction] = None,
              store: Optional[np.ndarray] = None,
              particle_ids: Optional[np.ndarray] = None,
@@ -138,23 +123,25 @@ def simulate(model_or_tilt, initial: np.ndarray, grid: TimeGrid, seed: int,
     """Simulates N paths; returns positions (and weights) at stored nodes.
 
     ``initial`` holds one point per row, (N, d), or is a flat (N,) vector on
-    a 1-D model; any other shape raises ``SimulationError``.  ``store`` is an index array into the fine grid nodes (defaults to all
-    nodes).  ``particle_ids`` are the RNG stream keys, defaulting to
-    0..N-1; passing a permutation permutes the realized paths.  Under the
-    joint scheme only the stored nodes are visited: stored interval j takes
-    one ``rng.normal_pair`` at counter step j, and ``fine_steps`` is S - 1.
-    The exact CIR scheme visits only the stored nodes too: stored interval j
-    takes the d normals of ``rng.normals(seed, ids, j, d)``, summed by
-    ``rng.noncentral_chi2``.
+    a 1-D model; any other shape raises ``SimulationError``.  ``store`` is an
+    index array into the fine grid nodes (defaults to all nodes).
+    ``particle_ids`` are the RNG stream keys, defaulting to 0..N-1; passing a
+    permutation permutes the realized paths.
+
+    One loop advances the paths a stored interval j at a time.  The exact
+    schemes visit only the stored nodes, so ``fine_steps`` is S - 1: the
+    joint scheme takes one ``rng.normal_pair`` at counter step j, and the
+    exact CIR scheme the d normals of ``rng.normals(seed, ids, j, d)``,
+    summed by ``rng.noncentral_chi2``.  The other schemes take the fine steps
+    k of the interval, a 1-D noise using both Box-Muller outputs of counter
+    block k // 2 across interval ends.
     """
-    base = model_or_tilt.base if isinstance(model_or_tilt, TiltedDrift) else model_or_tilt
-    tilted = isinstance(model_or_tilt, TiltedDrift)
     x0 = np.asarray(initial, float)
-    if x0.ndim == 1 and base.dim == 1:
+    if x0.ndim == 1 and model.dim == 1:
         x0 = x0[:, None]
-    if x0.ndim != 2 or x0.shape[1] != base.dim:
-        raise SimulationError(f"initial points of shape {x0.shape}; need (N, {base.dim})"
-                              + (" or (N,)" if base.dim == 1 else ""))
+    if x0.ndim != 2 or x0.shape[1] != model.dim:
+        raise SimulationError(f"initial points of shape {x0.shape}; need (N, {model.dim})"
+                              + (" or (N,)" if model.dim == 1 else ""))
     n_part = x0.shape[0]
     ids = (np.arange(n_part, dtype=np.uint64) if particle_ids is None
            else np.asarray(particle_ids, dtype=np.uint64))
@@ -166,123 +153,97 @@ def simulate(model_or_tilt, initial: np.ndarray, grid: TimeGrid, seed: int,
     if np.any(np.diff(store_idx) <= 0):
         raise SimulationError("stored node indices must be strictly increasing")
 
-    chi2_dof = _chi2_dof(base) if base.kind == "cir" and not tilted and fitness is None else 0
+    chi2_dof = _chi2_dof(model) if model.kind == "cir" and fitness is None else 0
     if chi2_dof:
         scheme = "exact-noncentral-chi2"
-    elif base.kind == "cir":
+    elif model.kind == "cir":
         scheme = "cir-full-truncation"
-    elif base.kind in ("arithmetic-bm", "ou") and not tilted:
-        scheme = ("exact-gaussian-joint" if base.m == 1 and _is_affine(fitness)
+    elif model.kind in ("arithmetic-bm", "ou"):
+        scheme = ("exact-gaussian-joint" if model.m == 1 and _is_affine(fitness)
                   else "exact-gaussian")
     else:
         scheme = "euler-maruyama"
+    exact = scheme in ("exact-gaussian-joint", "exact-noncentral-chi2")
 
     nodes = grid.nodes
     times = nodes[store_idx]
-    n_dim, m_dim = base.dim, base.m
-    # the chi2 scheme writes one stored node of all its paths at a time: rows
-    # of an (S, N) array, which positions views as (N, S, 1)
-    rows = np.empty((len(store_idx), n_part)) if chi2_dof else None
-    positions = (rows.T[:, :, None] if chi2_dof
-                 else np.empty((n_part, len(store_idx), n_dim)))
-    logw = np.empty((n_part, len(store_idx))) if fitness is not None else None
+    bounds = store_idx.tolist()
+    dt = grid.dt
+    sqdt = np.sqrt(dt)
+    positions = np.empty((n_part, len(bounds), model.dim))
+    logw = np.zeros((n_part, len(bounds))) if fitness is not None else None
 
     def check_finite(x, k):
         if not np.isfinite(x).all():
             raise SimulationError(f"non-finite state at step {k} (t = {nodes[k]:g})")
 
-    def run_joint_chunk(sl: slice):
-        x = x0[sl].copy()
-        cid = ids[sl]
-        acc = np.zeros(x.shape[0])
-        positions[sl, 0] = x
-        logw[sl, 0] = 0.0
-        for j in range(len(store_idx) - 1):
-            h = times[j + 1] - times[j]
-            z1, z2 = rng.normal_pair(seed, cid, j)
-            x, integral = _joint_step(base, x, z1[:, None], z2[:, None], h)
-            check_finite(x, store_idx[j + 1])
-            # g affine: h g(mean of X over the interval) is its exact integral
-            acc = acc + h * _shifted_fitness(fitness, integral / h)
-            positions[sl, j + 1] = x
-            logw[sl, j + 1] = acc
-
-    def run_chi2_chunk(sl: slice):
-        x = rows[0, sl] = x0[sl, 0]
-        cid = ids[sl]
-        for j in range(len(store_idx) - 1):
-            x = _chi2_step(base, x, seed, cid, j, chi2_dof, times[j + 1] - times[j])
-            check_finite(x, store_idx[j + 1])
-            rows[j + 1, sl] = x
+    def fine_step(x, z):
+        if scheme == "exact-gaussian":
+            return _exact_step(model, x, z, dt, sqdt)
+        if scheme == "cir-full-truncation":
+            xp = np.maximum(x, 0.0)
+            p = model.params
+            return x + (p["a"] + p["b"] * xp) * dt + p["sigma"] * np.sqrt(xp) * z[:, :1] * sqdt
+        sig = model.diffusion(x)
+        if model.dim == 1 and model.m == 1:
+            return x + model.drift(x) * dt + sig[:, :, 0] * z * sqdt
+        return x + model.drift(x) * dt + np.einsum("pij,pj->pi", sig, z) * sqdt
 
     def run_chunk(sl: slice):
         x = x0[sl].copy()
         cid = ids[sl]
         acc = np.zeros(x.shape[0]) if fitness is not None else None
-        g_prev = _shifted_fitness(fitness, x) if fitness is not None else None
-        store_set = set(int(i) for i in store_idx)
+        g_prev = _shifted_fitness(fitness, x) if fitness is not None and not exact else None
         positions[sl, 0] = x
-        if logw is not None:
-            logw[sl, 0] = 0.0
-        out_col = 1
-        dt = grid.dt
-        sqdt = np.sqrt(dt)
         z_carry = None
-        for k in range(grid.steps):
-            if m_dim == 1:
-                # consume both Box-Muller outputs of one counter block
-                if k % 2 == 0:
-                    z1, z_carry = rng.normal_pair(seed, cid, k // 2)
-                    z = z1[:, None]
+        for j in range(len(bounds) - 1):
+            if exact:
+                h = times[j + 1] - times[j]
+                if chi2_dof:
+                    x = _chi2_step(model, x, seed, cid, j, chi2_dof, h)
                 else:
-                    z = z_carry[:, None]
+                    z1, z2 = rng.normal_pair(seed, cid, j)
+                    x, integral = _joint_step(model, x, z1[:, None], z2[:, None], h)
+                check_finite(x, bounds[j + 1])
+                if fitness is not None:
+                    # g affine: h g(mean of X over the interval) is its exact integral
+                    acc = acc + h * _shifted_fitness(fitness, integral / h)
+                x_rec = x
             else:
-                z = rng.normals(seed, cid, k, m_dim)
-            t_k = nodes[k]
-            if scheme == "exact-gaussian":
-                x = _exact_step(base, x, z, dt, sqdt)
-            elif scheme == "cir-full-truncation":
-                xp = np.maximum(x, 0.0)
-                a, bb = base.params["a"], base.params["b"]
-                sg = base.params["sigma"]
-                drift = a + bb * xp
-                if tilted:
-                    drift = drift + model_or_tilt.extra(t_k, xp)
-                x = x + drift * dt + sg * np.sqrt(xp) * z[:, :1] * sqdt
-            else:
-                drift = _drift_of(model_or_tilt, t_k, x)
-                sig = base.diffusion(x)
-                if n_dim == 1 and m_dim == 1:
-                    x = x + drift * dt + sig[:, :, 0] * z * sqdt
-                else:
-                    x = x + drift * dt + np.einsum("pij,pj->pi", sig, z) * sqdt
-            check_finite(x, k + 1)
-            x_rec = np.maximum(x, 0.0) if scheme == "cir-full-truncation" else x
-            if fitness is not None:
-                g_new = _shifted_fitness(fitness, x_rec)
-                acc = acc + 0.5 * dt * (g_prev + g_new)
-                g_prev = g_new
-            if (k + 1) in store_set:
-                positions[sl, out_col] = x_rec
-                if logw is not None:
-                    logw[sl, out_col] = acc
-                out_col += 1
+                for k in range(bounds[j], bounds[j + 1]):
+                    if model.m == 1:
+                        # consume both Box-Muller outputs of one counter block
+                        if k % 2 == 0:
+                            z1, z_carry = rng.normal_pair(seed, cid, k // 2)
+                            z = z1[:, None]
+                        else:
+                            z = z_carry[:, None]
+                    else:
+                        z = rng.normals(seed, cid, k, model.m)
+                    x = fine_step(x, z)
+                    check_finite(x, k + 1)
+                    x_rec = np.maximum(x, 0.0) if scheme == "cir-full-truncation" else x
+                    if fitness is not None:
+                        g_new = _shifted_fitness(fitness, x_rec)
+                        acc = acc + 0.5 * dt * (g_prev + g_new)
+                        g_prev = g_new
+            positions[sl, j + 1] = x_rec
+            if logw is not None:
+                logw[sl, j + 1] = acc
 
-    joint = scheme in ("exact-gaussian-joint", "exact-noncentral-chi2")
-    runner = run_chi2_chunk if chi2_dof else run_joint_chunk if joint else run_chunk
     if threads <= 1 or n_part < 2048:
-        runner(slice(0, n_part))
+        run_chunk(slice(0, n_part))
     else:
-        bounds = np.linspace(0, n_part, threads + 1).astype(int)
-        chunks = [slice(bounds[i], bounds[i + 1]) for i in range(threads)
-                  if bounds[i] < bounds[i + 1]]
+        edges = np.linspace(0, n_part, threads + 1).astype(int)
+        chunks = [slice(edges[i], edges[i + 1]) for i in range(threads)
+                  if edges[i] < edges[i + 1]]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(runner, chunks))
+            list(pool.map(run_chunk, chunks))
 
     return PathBundle(times=times, positions=positions, seed=int(seed),
                       scheme=scheme, logw=logw,
                       shift=(fitness.g_max if fitness is not None else 0.0),
-                      fine_steps=len(store_idx) - 1 if joint else grid.steps)
+                      fine_steps=len(bounds) - 1 if exact else grid.steps)
 
 
 def _exact_step(model: DiffusionModel, x, z, dt, sqdt):
@@ -298,13 +259,13 @@ def _exact_step(model: DiffusionModel, x, z, dt, sqdt):
 
 
 def _chi2_step(model: DiffusionModel, x, seed, ids, j, d, h):
-    """Exact CIR draw X_{t+h} = s chi'^2_d(lam) given X_t = x, d = 4a/sigma^2,
+    """Exact CIR draw X_{t+h} = s chi'^2_d(lam) given X_t = x (N, 1), d = 4a/sigma^2,
     from the normals of counter step j (Glasserman 2003, sec. 3.4)."""
     gamma, sig = -model.params["b"], model.params["sigma"]
     # s = sigma^2 (1 - e^{-gamma h}) / (4 gamma), and sigma^2 h / 4 at gamma = 0
     s = sig * sig * (-np.expm1(-gamma * h) / gamma if gamma else h) / 4.0
-    root_lam = np.sqrt(np.maximum(x, 0.0) * (np.exp(-gamma * h) / s))
-    return s * rng.noncentral_chi2(seed, ids, j, d, root_lam)
+    root_lam = np.sqrt(np.maximum(x[:, 0], 0.0) * (np.exp(-gamma * h) / s))
+    return (s * rng.noncentral_chi2(seed, ids, j, d, root_lam))[:, None]
 
 
 def _joint_step(model: DiffusionModel, x, z1, z2, h):

@@ -340,6 +340,56 @@ class TestSolveCommand:
         assert linear.count(b"\n") == 1 + 5 * 2048
         assert "density_linear.csv" in formatted and "density_affine.csv" not in formatted
 
+    def test_each_density_at_the_horizon_is_evaluated_once(self, tmp_path, monkeypatch):
+        # l1_table.csv takes each density at T from the last row of its table,
+        # and the affine engine's from the linear engine's, whose table it is
+        import dataclasses
+
+        import repmut.cli as cli
+        path, _ = write_cfg(tmp_path, engines=["linear", "affine", "pde", "particle"],
+                            horizon=0.1)
+        build, calls = cli.build_solution, []
+
+        def counting_build(engine, *args):
+            sol = build(engine, *args)
+
+            def u(t, x):
+                calls.append((engine, t))
+                return sol.u(t, x)
+
+            return dataclasses.replace(sol, u=u)
+
+        monkeypatch.setattr(cli, "build_solution", counting_build)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", path, "--out", str(out)]) == EXIT_OK
+        assert sorted(e for e, t in calls if t == 0.1) == ["linear", "particle", "pde"]
+        assert not any(e == "affine" for e, t in calls)
+        assert len((out / "l1_table.csv").read_text().splitlines()) == 1 + 6
+
+    def test_last_checkpoint_is_the_horizon(self, tmp_path):
+        # 70 steps of 0.0025: t0 + dt k would end at 0.17500000000000002
+        path, _ = write_cfg(tmp_path, scenario="harmonic-confining", horizon=0.175,
+                            engines=None, steps_per_unit=400, metric={"checkpoints": 4})
+        out = tmp_path / "o"
+        assert main(["solve", "--config", path, "--out", str(out)]) == EXIT_OK
+        for name in ("density_tilted.csv", "density_pde.csv", "density_particle.csv",
+                     "masses.csv"):
+            t = np.loadtxt(out / name, delimiter=",", skiprows=1, usecols=0)
+            assert t[-1] == 0.175, name
+
+    def test_asymmetric_gaussian_cov_is_config_error(self, tmp_path, capsys):
+        path, _ = write_cfg(tmp_path, scenario=None, engines=None,
+                            model={"kind": "arithmetic-bm", "n": 2},
+                            fitness={"kind": "affine-quadratic", "alpha": 0.0,
+                                     "delta": [1.0, 0.5], "G": [[0.0, 0.0], [0.0, 0.0]],
+                                     "g_max": 50.0},
+                            initial={"kind": "gaussian", "mean": [0.0, 0.0],
+                                     "cov": [[1.0, 0.5], [0.0, 1.0]]})
+        out = tmp_path / "o"
+        assert main(["particles", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert "gaussian covariance not symmetric" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_two_dimensional_particles(self, tmp_path):
         path = self.write_2d_cfg(tmp_path)
         out = tmp_path / "o"

@@ -96,6 +96,20 @@ class TestInitialLawInvariants:
         x = np.linspace(-15, 15, 4001)
         assert np.trapezoid(law.density(x), x) == pytest.approx(1.0, abs=1e-8)
 
+    def test_gaussian_density_is_the_moments_density(self):
+        from repmut.numerics import GaussianMoments
+
+        for mean, cov in (([0.5], [[2.0]]), ([0.0, 1.0], [[1.0, 0.3], [0.3, 0.5]])):
+            law = InitialLaw("gaussian", {"mean": mean, "cov": cov})
+            x = np.linspace(-3.0, 3.0, 41)
+            x = x if len(mean) == 1 else np.stack([x, -x], axis=1)
+            assert np.array_equal(law.density(x), GaussianMoments(mean, cov).density(x))
+
+    def test_asymmetric_gaussian_cov_rejected(self):
+        # sampling reads one triangle of cov, the density all of it
+        with pytest.raises(ModelError, match="gaussian covariance not symmetric"):
+            InitialLaw("gaussian", {"mean": [0.0, 0.0], "cov": [[1.0, 0.5], [0.0, 1.0]]})
+
     def test_fitness_never_exceeds_bound_on_probes(self):
         fit = linear_fitness(slope=1.0, g_max=2.0)
         dom = bm_model().domain

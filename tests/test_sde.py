@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from repmut import rng
-from repmut.model import FitnessFunction
+from repmut.model import DiffusionModel, FitnessFunction
 from repmut.scenarios import bm_model, cir_model, linear_fitness, ou_model
-from repmut.sde import SimulationError, TimeGrid, TiltedDrift, simulate
+from repmut.sde import SimulationError, TimeGrid, simulate
 
 
 CIR_FIT = FitnessFunction(g=lambda x: -np.asarray(x, float), g_max=0.0)
@@ -109,6 +109,21 @@ class TestRng:
         rng.normal_pair(1, ids, 0, rng.STREAM_PATH, 2 ** 20 - 1)
 
 
+class TestTimeGrid:
+    def test_last_node_is_the_horizon(self):
+        # t0 + dt k misses T for 264 (steps_per_unit, T) pairs on this lattice,
+        # such as T = 0.175 at 400 steps per unit (0.17500000000000002)
+        for spu in (100, 400, 450):
+            for T in 0.005 * np.arange(1, 201):
+                grid = TimeGrid.per_unit(T, spu)
+                nodes = grid.nodes
+                assert nodes[-1] == T and grid.checkpoint_times(4)[-1] == T
+                assert np.array_equal(nodes[:-1], grid.dt * np.arange(grid.steps))
+        grid = TimeGrid(0.5, 1.0, 256)
+        assert grid.nodes[-1] == 1.0
+        assert np.array_equal(grid.nodes[:-1], 0.5 + grid.dt * np.arange(256))
+
+
 class TestSimulate:
     def test_deterministic_ode(self):
         # sigma = 0, b = 1: terminal value is exactly 1 for any step count
@@ -125,9 +140,10 @@ class TestSimulate:
         exact = simulate(m, x0, TimeGrid(0, 1.0, 64), 3,
                          store=TimeGrid(0, 1.0, 64).checkpoint_indices(2))
         assert exact.scheme == "exact-gaussian"
-        tilt = TiltedDrift(m, lambda t, x: np.zeros_like(x))  # forces Euler
+        custom = DiffusionModel(m.domain, kind="custom", drift=m.drift,
+                                diffusion=m.diffusion)  # forces Euler
         grid_f = TimeGrid(0, 1.0, 2 ** 14)
-        fine = simulate(tilt, x0[:2000], grid_f, 4,
+        fine = simulate(custom, x0[:2000], grid_f, 4,
                         store=grid_f.checkpoint_indices(2))
         assert fine.scheme == "euler-maruyama"
         target = 2.0 * np.exp(-1.0)
@@ -266,8 +282,7 @@ class TestCirExact:
         grid = TimeGrid(0, 0.5, 20)
         cases = [(cir_model(0.6, -1.0, 1.0), None),     # d = 2.4
                  (cir_model(5.0, -1.0, 1.0), None),     # d = 20 > CHI2_MAX_DOF
-                 (cir_model(1.0, -1.0, 1.0), CIR_FIT),  # weighted paths
-                 (TiltedDrift(cir_model(1.0, -1.0, 1.0), lambda t, x: np.zeros_like(x)), None)]
+                 (cir_model(1.0, -1.0, 1.0), CIR_FIT)]  # weighted paths
         for model, fit in cases:
             b = simulate(model, np.full((4, 1), 0.5), grid, 1, fitness=fit)
             assert (b.scheme, b.fine_steps) == ("cir-full-truncation", 20)
@@ -417,7 +432,7 @@ class TestJointGaussian:
             assert calls == list(range(store.size - 1))
 
     def test_other_cases_keep_fine_grid(self):
-        # quadratic fitness, no fitness, m > 1 and the tilted drift still step finely
+        # quadratic fitness, no fitness, m > 1 and a custom model still step finely
         grid = TimeGrid(0, 1.0, 16)
         store = grid.checkpoint_indices(3)
         lin = linear_fitness(slope=1.0, g_max=0.0, bound_lo=-50.0)
@@ -427,7 +442,8 @@ class TestJointGaussian:
         bm = bm_model(0.0, 1.0)
         cases = [(bm, quad, 1, "exact-gaussian"), (bm, None, 1, "exact-gaussian"),
                  (bm_model(0.0, 1.0, n=2), None, 2, "exact-gaussian"),
-                 (TiltedDrift(bm, lambda t, x: np.zeros_like(x)), lin, 1, "euler-maruyama")]
+                 (DiffusionModel(bm.domain, kind="custom", drift=bm.drift,
+                                 diffusion=bm.diffusion), lin, 1, "euler-maruyama")]
         for model, fit, dim, scheme in cases:
             b = simulate(model, np.zeros((4, dim)), grid, 1, fitness=fit, store=store)
             assert (b.scheme, b.fine_steps) == (scheme, 16)

@@ -25,8 +25,7 @@ class TestCirEigenpair:
         target = np.exp((kappa - gamma) * x)
         assert np.abs(pair.phi(x) - target).max() < 1e-12
         # tilted drift reduces to a - gamma x
-        extra = tilted_extra_drift(cir_model(a, b, sig), pair).extra
-        drift = (a + b * x) + extra(0.0, x[:, None])[:, 0]
+        drift = tilted_extra_drift(cir_model(a, b, sig), pair).drift(x[:, None])[:, 0]
         assert np.abs(drift - (a - gamma * x)).max() < 1e-10
 
     def test_lam_max_pair_is_exponential_without_series(self):
