@@ -103,6 +103,42 @@ CONFIG_RULES = {
 }
 
 
+def _numbers(v) -> bool:
+    return type(v) in (int, float) or (type(v) is list and all(map(_numbers, v)))
+
+
+_NUMBER = (lambda v: type(v) in (int, float), "a number")
+_ARRAY = (_numbers, "a number or a list of numbers")
+
+
+def _law(kind: str):
+    return lambda **params: InitialLaw(kind, params)
+
+
+# custom section -> kind -> (builder, {key beside "kind": (accepts the value,
+# what it must be[, default])}); the builder takes every key as a keyword,
+# and a key without a default must be given
+CUSTOM_RULES = {
+    "model": {
+        "arithmetic-bm": (bm_model, {"b": (*_ARRAY, 0.0), "sigma": (*_ARRAY, 1.0),
+                                     "n": (_int_at_least(1), "an integer >= 1", 1)}),
+        "ou": (ou_model, {"kappa": _NUMBER, "theta": (*_NUMBER, 0.0), "sigma": _NUMBER}),
+        "cir": (cir_model, dict.fromkeys(("a", "b", "sigma"), _NUMBER))},
+    "fitness": {
+        "linear": (linear_fitness, {"slope": (*_NUMBER, 1.0), "g_max": (*_NUMBER, 2.0)}),
+        "quadratic-decay": (quadratic_decay_fitness, {"scale": (*_NUMBER, 1.0)}),
+        "affine-quadratic": (affine_quadratic_fitness,
+                             {"alpha": _NUMBER, "delta": _ARRAY, "G": _ARRAY,
+                              "g_max": (*_NUMBER, None)})},
+    "initial": {
+        "gamma-like": (gamma_like_law, {"shape": (*_NUMBER, 2.0), "rate": (*_NUMBER, 2.0)}),
+        "gaussian": (_law("gaussian"), dict.fromkeys(("mean", "cov"), _ARRAY)),
+        "mixture": (_law("mixture"), {"components": _ARRAY}),
+        "point-cloud": (_law("point-cloud"), {"points": _ARRAY, "weights": (*_ARRAY, None)}),
+        "grid-density": (_law("grid-density"), dict.fromkeys(("x", "values"), _ARRAY))},
+}
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -153,12 +189,8 @@ def build_scenario(cfg: dict) -> Scenario:
     if not (cfg.get("model") and cfg.get("fitness") and cfg.get("initial")):
         raise ConfigError("config needs either a scenario name or "
                           "model+fitness+initial sections")
-    try:
-        model = _build_model(cfg["model"])
-        fitness = _build_fitness(cfg["fitness"])
-        initial = _build_initial(cfg["initial"])
-    except (ModelError, KeyError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    model, fitness, initial = (_build_custom(key, cfg[key])
+                               for key in ("model", "fitness", "initial"))
     form = fitness.declared_form()
     if form is not None and (form[1].size, *form[2].shape) != (model.dim,) * 3:
         raise ConfigError(f"fitness {cfg['fitness'].get('kind')!r} has delta of size "
@@ -176,34 +208,30 @@ def build_scenario(cfg: dict) -> Scenario:
                     engines)
 
 
-def _build_model(mc: dict):
-    kind = mc.get("kind")
-    if kind == "arithmetic-bm":
-        return bm_model(mc.get("b", 0.0), mc.get("sigma", 1.0), mc.get("n", 1))
-    if kind == "ou":
-        return ou_model(mc["kappa"], mc.get("theta", 0.0), mc["sigma"])
-    if kind == "cir":
-        return cir_model(mc["a"], mc["b"], mc["sigma"])
-    raise ConfigError(f"unknown model kind {kind!r}")
-
-
-def _build_fitness(fc: dict):
-    kind = fc.get("kind")
-    if kind == "linear":
-        return linear_fitness(fc.get("slope", 1.0), fc.get("g_max", 2.0))
-    if kind == "quadratic-decay":
-        return quadratic_decay_fitness(fc.get("scale", 1.0))
-    if kind == "affine-quadratic":
-        return affine_quadratic_fitness(fc["alpha"], fc["delta"], fc["G"],
-                                        fc.get("g_max"))
-    raise ConfigError(f"unknown fitness kind {kind!r}")
-
-
-def _build_initial(ic: dict):
-    kind = ic.get("kind")
-    if kind == "gamma-like":
-        return gamma_like_law(ic.get("shape", 2.0), ic.get("rate", 2.0))
-    return InitialLaw(kind, {k: v for k, v in ic.items() if k != "kind"})
+def _build_custom(section: str, spec: dict):
+    """Builds a custom section from its kind's keys in ``CUSTOM_RULES``."""
+    kinds = CUSTOM_RULES[section]
+    kind = spec.get("kind")
+    if type(kind) is not str or kind not in kinds:
+        raise ConfigError(f"unknown {section} kind {kind!r}; choose from {sorted(kinds)}")
+    build, rules = kinds[kind]
+    for key, val in spec.items():
+        if key == "kind":
+            continue
+        if key not in rules:
+            raise ConfigError(f"unknown config key {section}.{key}; {section} kind "
+                              f"{kind!r} takes {', '.join(rules)}")
+        accepts, what, *_ = rules[key]
+        if not accepts(val):
+            raise ConfigError(f"{section}.{key} must be {what}, not {val!r}")
+    for key, (_, _, *default) in rules.items():
+        if key not in spec and not default:
+            raise ConfigError(f"{section} kind {kind!r} needs {section}.{key}")
+    args = {key: spec.get(key, *default) for key, (_, _, *default) in rules.items()}
+    try:
+        return build(**args)
+    except (ModelError, KeyError, ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +494,9 @@ def cmd_chaos(cfg: dict, out: str, seed, threads: int) -> int:
         raise ConfigError(f"chaos bins 1-D measures; the model has dimension "
                           f"{sc.model.dim}")
     n_ladder = [int(n) for n in cfg["particles"]["N"]]
-    if len(n_ladder) < 3:
-        raise ConfigError("chaos study needs at least 3 particle counts")
+    if len(n_ladder) < 3 or min(np.diff(n_ladder)) <= 0:
+        raise ConfigError(f"chaos study needs at least 3 strictly increasing particle "
+                          f"counts, not {n_ladder}")
     reps = int(cfg["particles"]["reps"])
     q = float(cfg["particles"]["q"])
     try:  # on B = 0, G = 0 the affine engine returns the linear engine's solution
@@ -578,7 +607,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (results are independent of this)")
+                        help="worker threads, up to the CPU count (results do not depend on it)")
     parser.add_argument("--quick", action="store_true",
                         help="validate: reduced sample counts")
     args = parser.parse_args(argv)

@@ -239,9 +239,9 @@ def check_fitness_bound(fitness: FitnessFunction, domain: DomainSpec,
 class InitialLaw:
     """Sampleable initial distribution with an optional density.
 
-    Kinds: gaussian(mean, cov), mixture of gaussians, point-cloud (atoms
-    with equal or given weights) and grid-density (1D tabulated density,
-    sampled by inverse CDF).
+    Kinds: gaussian(mean, cov), mixture of gaussians, point-cloud ((N, d) or,
+    in 1-D, (N,) points with given weights, or equal ones if None) and
+    grid-density (1D tabulated density, sampled by inverse CDF).
     """
 
     kind: str
@@ -267,12 +267,16 @@ class InitialLaw:
             if wts.min() < 0 or abs(wts.sum() - 1.0) > 1e-12:
                 raise ModelError("mixture weights must be a probability vector")
         elif self.kind == "point-cloud":
-            pts = np.atleast_2d(np.asarray(p["points"], float))
-            if pts.ndim == 2 and pts.shape[0] == 1 and pts.shape[1] > 1 and p.get("dim", 1) == 1:
-                pts = pts.T
-            wts = np.asarray(p.get("weights", np.full(pts.shape[0], 1.0 / pts.shape[0])), float)
-            if wts.min() < 0 or abs(wts.sum() - 1.0) > 1e-9:
-                raise ModelError("point-cloud weights must be a probability vector")
+            pts = np.asarray(p["points"], float)  # (N, d), or (N,) in 1-D
+            pts = pts[:, None] if pts.ndim == 1 else pts
+            if pts.ndim != 2 or pts.size == 0:
+                raise ModelError(f"point-cloud points of shape {pts.shape}; need (N, d) "
+                                 f"or (N,) with N, d >= 1")
+            wts = p.get("weights")  # None: equal weights
+            wts = np.full(len(pts), 1.0 / len(pts)) if wts is None else np.asarray(wts, float)
+            if wts.shape != (len(pts),) or wts.min() < 0 or abs(wts.sum() - 1.0) > 1e-9:
+                raise ModelError("point-cloud weights must be a probability vector, "
+                                 "one per point")
             p["points"], p["weights"] = pts, wts
         elif self.kind == "grid-density":
             x = np.asarray(p["x"], float)

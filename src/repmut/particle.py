@@ -14,7 +14,7 @@ import numpy as np
 from .constants import DEFAULT_CHECKPOINTS
 from .model import DiffusionModel, FitnessFunction, InitialLaw, sample_initial
 from .numerics import stored_index
-from .report import E18_SLOT, atomic_open, format_e18
+from .report import atomic_open, format_e18, join_fields
 from .sde import PathBundle, TimeGrid, simulate
 
 
@@ -45,23 +45,17 @@ class WeightedParticleEnsemble:
         np.savetxt's "%.18e" writes them, to a temporary file that replaces
         ``path``.  Every number's text comes from ``format_e18`` (each particle
         index and time once per call), and each CSV_CHUNK_ROWS rows are laid
-        out as one byte matrix of fixed-width slots whose NUL bytes are
-        dropped on writing."""
+        out by ``join_fields``."""
         n, s, d = self.positions.shape
         index_text, time_text = format_e18(np.arange(n)), format_e18(self.times)
-        positions, logw = self.positions.reshape(n * s, d), self.logw.reshape(n * s, 1)
+        columns = [*self.positions.reshape(n * s, d).T, self.logw.ravel()]
         with atomic_open(path) as fh:
             fh.write(("particle,t," + ",".join(f"x{k}" for k in range(d)) + ",logw\n").encode())
             for lo in range(0, n * s, CSV_CHUNK_ROWS):
                 hi = min(lo + CSV_CHUNK_ROWS, n * s)
                 i, j = np.divmod(np.arange(lo, hi), s)
-                rows = np.empty((hi - lo, d + 3, E18_SLOT), np.uint8)
-                rows[:, 0], rows[:, 1] = index_text[i], time_text[j]
-                values = np.hstack([positions[lo:hi], logw[lo:hi]])
-                rows[:, 2:] = format_e18(values).reshape(hi - lo, d + 1, E18_SLOT)
-                rows[:, :, -1] = ord(",")
-                rows[:, -1, -1] = ord("\n")
-                fh.write(rows.tobytes().translate(None, b"\0"))
+                fh.write(join_fields([index_text[i], time_text[j],
+                                      *(format_e18(c[lo:hi]) for c in columns)]))
 
 
 @dataclass(frozen=True)

@@ -44,41 +44,43 @@ def atomic_write_text(path, text):
         fh.write(text.encode() if isinstance(text, str) else text)
 
 
-def write_csv(path, header: str, rows, prefix=None) -> bytearray:
-    """Write ``rows`` (equal-length rows or a 2-D array) under ``header`` and
-    return the bytes written: text as it is, integers as digits, other
-    numbers as "%.17g" writes them.  ``prefix``, such as ``density_prefix``
-    gives, holds each row's leading fields, already encoded."""
-    data = _table(header.encode() + b"\n", rows, prefix).translate(None, b"\0")
+def write_csv(path, header: str, rows, prefix=None) -> bytes:
+    """Write a table under ``header`` and return the bytes written.  With
+    ``prefix``, each row's leading fields already encoded (as
+    ``density_prefix`` gives them), ``rows`` is a column of floats, written by
+    ``format_g17``.  Without, ``rows`` are equal-length rows (or a 2-D array),
+    written field by field by "%": text as it is, integers as digits, other
+    numbers as "%.17g"."""
+    if prefix is not None:
+        body = join_fields([prefix, format_g17(rows)])
+    else:
+        rows = list(rows)
+        if len({len(row) for row in rows}) > 1:
+            raise TypeError("rows of unequal length")
+        body = "".join(",".join(_spec(type(v)) % v for v in row) + "\n" for row in rows).encode()
+    data = header.encode() + b"\n" + body
     with atomic_open(path) as fh:
         fh.write(data)
     return data
 
 
-def _table(head: bytes, rows, prefix) -> bytearray:
-    """``head``, then the rows as a matrix of bytes whose NULs are to be
-    dropped: each field NUL-padded in its own columns and ended by ",", each
-    row by "\n".  A column of floats is encoded in place by ``format_g17``'s
-    blocks."""
-    n, columns = _columns(rows)
-    vector = n * sum(isinstance(c, np.ndarray) for c in columns) >= _VECTOR_MIN
-    fields = [] if prefix is None else [prefix]
-    fields += [column if vector and isinstance(column, np.ndarray) else _text_field(column)
-               for column in columns]
-    widths = [G17_SLOT if f.ndim == 1 else f.shape[1] for f in fields]
-    ends = np.cumsum([0] + widths)
-    width = max(ends[-1], 1)
-    buf = bytearray(len(head) + n * width)
-    buf[:len(head)] = head
-    table = np.frombuffer(buf, np.uint8, n * width, len(head)).reshape(n, width)
-    for field, lo, hi in zip(fields, ends[:-1], ends[1:]):
-        if field.ndim == 1:
-            _encode(field, G17_SLOT, _g17_block, out=table[:, lo:hi])
-        else:
-            table[:, lo:hi] = field
-    table[:, ends[1:] - 1] = ord(",")
+def _spec(tp) -> str:
+    return "%s" if issubclass(tp, str) else "%d" if issubclass(tp, (int, np.integer)) else "%.17g"
+
+
+def join_fields(fields) -> bytearray:
+    """The rows of ``fields``, (n, width) uint8 slot matrices whose NULs mark
+    no character and whose last column is free: the fields side by side,
+    each ended by "," and each row by "\n", the NULs dropped.  The rows are
+    laid out in the buffer that is translated, which saves a copy."""
+    n, ends = len(fields[0]), np.cumsum([f.shape[1] for f in fields])
+    buf = bytearray(n * int(ends[-1]))
+    table = np.frombuffer(buf, np.uint8).reshape(n, ends[-1])
+    for field, hi in zip(fields, ends):
+        table[:, hi - field.shape[1]:hi] = field
+    table[:, ends - 1] = ord(",")
     table[:, -1] = ord("\n")
-    return buf
+    return buf.translate(None, b"\0")
 
 
 def density_prefix(times, grid) -> np.ndarray:
@@ -101,38 +103,6 @@ def _used_columns(field) -> slice:
     while lo < hi and not field[:, lo].any():
         lo += 1
     return slice(lo, hi + 1)
-
-
-# A table of fewer floats than this has them written by "%".  The vector
-# route's first call maps in about 0.5 MB of numpy code that a run writing
-# only such tables (chaos) does not otherwise touch, and its peak RSS rises
-# by that much.
-_VECTOR_MIN = 64
-
-
-def _columns(rows):
-    """The number of rows and their columns: a column of floats as a float64
-    array, any other as it is."""
-    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
-        return len(rows), list(rows.T)
-    rows = list(rows)
-    if len({len(row) for row in rows}) > 1:
-        raise TypeError("rows of unequal length")
-    return len(rows), [
-        np.array(column, np.float64)
-        if all(isinstance(v, (float, np.floating)) for v in column) else column
-        for column in zip(*rows)]
-
-
-def _text_field(column) -> np.ndarray:
-    texts = [(_spec(type(v)) % v).encode() for v in column]
-    width = max(map(len, texts), default=0) + 1
-    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts),
-                         np.uint8).reshape(len(texts), width)
-
-
-def _spec(tp) -> str:
-    return "%s" if issubclass(tp, str) else "%d" if issubclass(tp, (int, np.integer)) else "%.17g"
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +167,9 @@ def format_g17(values) -> np.ndarray:
     return _encode(values, G17_SLOT, _g17_block)
 
 
-def _encode(values, slot, block, out=None) -> np.ndarray:
+def _encode(values, slot, block) -> np.ndarray:
     x = np.asarray(values, dtype=np.float64).ravel()
-    if out is None:
-        out = np.empty((x.size, slot), np.uint8)
+    out = np.empty((x.size, slot), np.uint8)
     for lo in range(0, x.size, _BLOCK):
         block(x[lo:lo + _BLOCK], out[lo:lo + _BLOCK])
     return out

@@ -26,6 +26,7 @@ process at lambda_max is such a model (``closed_form.tilted_engine``).
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -134,7 +135,9 @@ def simulate(model: DiffusionModel, initial: np.ndarray, grid: TimeGrid, seed: i
     exact CIR scheme the d normals of ``rng.normals(seed, ids, j, d)``,
     summed by ``rng.noncentral_chi2``.  The other schemes take the fine steps
     k of the interval, a 1-D noise using both Box-Muller outputs of counter
-    block k // 2 across interval ends.
+    block k // 2 across interval ends.  ``threads`` sets the number of chunks,
+    at most one per 256 paths, and these run on at most the CPU count of
+    worker threads; the paths do not depend on either.
     """
     x0 = np.asarray(initial, float)
     if x0.ndim == 1 and model.dim == 1:
@@ -231,14 +234,13 @@ def simulate(model: DiffusionModel, initial: np.ndarray, grid: TimeGrid, seed: i
             if logw is not None:
                 logw[sl, j + 1] = acc
 
-    if threads <= 1 or n_part < 2048:
+    chunks = min(threads, n_part // 256)  # bounded by the paths, not the machine
+    if chunks <= 1 or n_part < 2048:
         run_chunk(slice(0, n_part))
     else:
-        edges = np.linspace(0, n_part, threads + 1).astype(int)
-        chunks = [slice(edges[i], edges[i + 1]) for i in range(threads)
-                  if edges[i] < edges[i + 1]]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, chunks))
+        edges = np.linspace(0, n_part, chunks + 1).astype(int)
+        with ThreadPoolExecutor(max_workers=min(chunks, os.cpu_count() or 1)) as pool:
+            list(pool.map(run_chunk, map(slice, edges[:-1], edges[1:])))
 
     return PathBundle(times=times, positions=positions, seed=int(seed),
                       scheme=scheme, logw=logw,

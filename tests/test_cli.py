@@ -1,11 +1,13 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repmut.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, ConfigError, _build_eigenpair,
-                        build_scenario, build_solution, canonical_json,
+from repmut.cli import (CUSTOM_RULES, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, ConfigError,
+                        _build_eigenpair, build_scenario, build_solution, canonical_json,
                         config_hash, load_config, main)
 from repmut.closed_form import EngineError, RejectedCondition, tilted_engine
 from repmut.metric import MetricError
@@ -130,6 +132,58 @@ class TestConfig:
             assert f"drop it or the {section} section" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("section, value, message", [
+        # the stray key would otherwise run with theta = 0
+        ("model", {"kind": "ou", "kappa": 1.0, "sigma": 1.0, "thetaa": 3},
+         "unknown config key model.thetaa; model kind 'ou' takes kappa, theta, sigma"),
+        ("fitness", {"kind": "quadratic-decay", "slope": 1.0},
+         "unknown config key fitness.slope; fitness kind 'quadratic-decay' takes scale"),
+        ("initial", {"kind": "point-cloud", "points": [0.0], "dim": 1},
+         "unknown config key initial.dim"),
+        # each of these raised a TypeError in the builders
+        ("fitness", {"kind": "linear", "slope": {}}, "fitness.slope must be a number, not {}"),
+        ("model", {"kind": "ou", "kappa": None, "sigma": 1.0},
+         "model.kappa must be a number, not None"),
+        ("model", {"kind": "arithmetic-bm", "n": 2.0}, "model.n must be an integer >= 1"),
+        # and this text was read as the number 0
+        ("initial", {"kind": "gaussian", "mean": ["0"], "cov": [[0.25]]},
+         "initial.mean must be a number or a list of numbers, not ['0']"),
+        ("model", {"kind": "ouu"}, "unknown model kind 'ouu'; choose from"),
+        ("initial", {"mean": [0.0]}, "unknown initial kind None"),
+        # an unhashable kind is a config error, not a TypeError
+        ("model", {"kind": []}, "unknown model kind []; choose from"),
+        ("fitness", {"kind": {}}, "unknown fitness kind {}; choose from"),
+        ("model", {"kind": "ou", "sigma": 1.0}, "model kind 'ou' needs model.kappa"),
+        # an empty cloud divided by its size, and weights not one per point
+        ("initial", {"kind": "point-cloud", "points": []},
+         "point-cloud points of shape (0, 1)"),
+        ("initial", {"kind": "point-cloud", "points": [0.0, 1.0], "weights": [1.0]},
+         "point-cloud weights must be a probability vector, one per point")])
+    def test_custom_section_outside_its_kind_exits_config_error(self, tmp_path, capsys,
+                                                                section, value, message):
+        path, _ = write_cfg(tmp_path, **{**OU_QUADRATIC, section: value})
+        for command in ("solve", "chaos", "particles"):
+            assert main([command, "--config", path, "--out", str(tmp_path / "o")]) \
+                == EXIT_CONFIG
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_readme_lists_each_custom_kinds_keys(self):
+        # README's table of custom kinds against cli.CUSTOM_RULES: the same
+        # keys, and "= value" on exactly the keys that have a default
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        listed = {}
+        for line in readme.splitlines():
+            cells = line.strip().strip("|").split("|")
+            if len(cells) == 3 and cells[0].strip().strip("`") in CUSTOM_RULES:
+                keys = re.findall(r"`(\w+)`( =)?", cells[2])
+                listed[cells[0].strip(" `"), cells[1].strip(" `")] = \
+                    {key: bool(default) for key, default in keys}
+        assert listed == {(section, kind): {key: len(rule) == 3
+                                            for key, rule in rules.items()}
+                          for section, kinds in CUSTOM_RULES.items()
+                          for kind, (_, rules) in kinds.items()}
+
     def test_custom_model_sections(self, tmp_path):
         path, _ = write_cfg(tmp_path, scenario=None,
                             model={"kind": "ou", "kappa": 1.0, "sigma": 1.0},
@@ -248,6 +302,21 @@ class TestSolveCommand:
         assert ("initial law 'gaussian' has dimension 2; the model has dimension 1"
                 in capsys.readouterr().err)
         assert not out.exists()  # raised before the manifest
+
+    def test_one_point_cloud_in_two_dimensions(self, tmp_path):
+        # [[1.0, 2.0]] is one 2-D point, not two 1-D points
+        path, _ = write_cfg(tmp_path, scenario=None, engines=None, horizon=0.05,
+                            model={"kind": "arithmetic-bm", "n": 2},
+                            fitness={"kind": "affine-quadratic", "alpha": 0.0,
+                                     "delta": [1.0, 0.5], "G": [[0.0, 0.0], [0.0, 0.0]],
+                                     "g_max": 50.0},
+                            initial={"kind": "point-cloud", "points": [[1.0, 2.0]]},
+                            particles={"n_kde": 50}, metric={"checkpoints": 2})
+        out = tmp_path / "o"
+        assert main(["particles", "--config", path, "--out", str(out)]) == EXIT_OK
+        table = np.loadtxt(out / "ensemble.csv", delimiter=",", skiprows=1)
+        assert table.shape == (100, 5)
+        assert (table[table[:, 1] == 0.0, 2:4] == [1.0, 2.0]).all()
 
     @pytest.mark.parametrize("command", ["particles", "solve"])
     def test_law_outside_the_domain_is_config_error(self, tmp_path, capsys, command):
@@ -589,6 +658,16 @@ class TestChaosCommand:
         status = json.loads((out / "manifest.json").read_text())["status"]
         assert status == "failed: BL LP failed"
 
+    @pytest.mark.parametrize("ladder", [[100, 100, 100], [200, 100, 50], [50, 100, 100],
+                                        [50, 100]])
+    def test_ladder_not_strictly_increasing_is_config_error(self, tmp_path, capsys, ladder):
+        # repeated counts share their stage seed, and so their D(N)
+        path, _ = write_cfg(tmp_path, particles={"N": ladder, "reps": 3})
+        out = tmp_path / "chaos"
+        assert main(["chaos", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert "at least 3 strictly increasing particle counts" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_small_ladder_outputs(self, tmp_path):
         path, _ = write_cfg(tmp_path)
         out = tmp_path / "chaos"
@@ -764,8 +843,7 @@ WRITE_CSV_CASES = {
     "object-array": np.array([[1, 0.5, "x", np.int64(4)],
                               [np.int64(2), np.nan, "y", 10**18]], dtype=object),
     "str-array": np.array([["a", "b"], ["c", "d"]]),
-    # enough floats for the vector route, at an unaligned offset after a text
-    # and an integer field
+    # many rows of a text, an integer and a float field, at every magnitude
     "long-mixed-rows": [["pde" if i % 3 else "linear", i, np.float64(v) if i % 2 else v]
                         for i, v in enumerate((np.random.default_rng(4).normal(size=80)
                                                * 10.0 ** np.arange(-40, 40)).tolist())],

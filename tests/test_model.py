@@ -48,6 +48,19 @@ class TestSampleInitial:
         x = sample_initial(law, 2, seed=0)
         assert x.tolist() == [[1.0], [2.0]]
 
+    def test_point_cloud_points_are_rows(self):
+        # one 2-D point is not two 1-D points; a flat vector holds 1-D points
+        law = InitialLaw("point-cloud", {"points": [[1.0, 2.0]]})
+        assert law.dim == 2 and sample_initial(law, 3, seed=0).tolist() == [[1.0, 2.0]] * 3
+        law = InitialLaw("point-cloud", {"points": [1.0, 2.0, 3.0]})
+        assert law.dim == 1 and law.params["points"].tolist() == [[1.0], [2.0], [3.0]]
+        for points, shape in [([[[0.0]]], r"\(1, 1, 1\)"), ([], r"\(0, 1\)"),
+                              ([[]], r"\(1, 0\)")]:
+            with pytest.raises(ModelError, match=rf"point-cloud points of shape {shape}"):
+                InitialLaw("point-cloud", {"points": points})
+        with pytest.raises(ModelError, match="one per point"):
+            InitialLaw("point-cloud", {"points": [0.0, 1.0], "weights": [1.0]})
+
     def test_same_seed_bit_identical(self):
         law = InitialLaw("gaussian", {"mean": [1.0], "cov": [[4.0]]})
         a = sample_initial(law, 1000, seed=13)

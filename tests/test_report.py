@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repmut.report import (E18_SLOT, G17_SLOT, _digits, density_prefix, format_e18,
-                           format_g17, write_csv)
+                           format_g17, join_fields, write_csv)
 
 
 ENCODERS = {"%.18e": (format_e18, E18_SLOT), "%.17g": (format_g17, G17_SLOT)}
@@ -161,3 +161,12 @@ def test_density_prefix_rows_equal_whole_rows(tmp_path):
                         prefix=density_prefix(t, x))
     assert written == write_csv(tmp_path / "b.csv", "t,x,u", whole)
     assert written == (tmp_path / "a.csv").read_bytes()
+
+
+def test_join_fields_lays_out_rows():
+    # "a" and "12", then "b" and an empty field: each field ends in its
+    # free last column, and the NULs drop out
+    a = np.array([[ord("a"), 0, 0], [0, ord("b"), 0]], np.uint8)
+    b = np.array([[ord("1"), ord("2"), 0], [0, 0, 0]], np.uint8)
+    assert join_fields([a, b]) == b"a,12\nb,\n"
+    assert join_fields([a[:0], b[:0]]) == b""

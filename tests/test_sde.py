@@ -1,7 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
-from repmut import rng
+from repmut import rng, sde
 from repmut.model import DiffusionModel, FitnessFunction
 from repmut.scenarios import bm_model, cir_model, linear_fitness, ou_model
 from repmut.sde import SimulationError, TimeGrid, simulate
@@ -159,6 +161,41 @@ class TestSimulate:
         b1 = simulate(m, x0, grid, 9, threads=1)
         b8 = simulate(m, x0, grid, 9, threads=8)
         assert (b1.positions == b8.positions).all()
+
+    def test_threads_bounded_by_the_paths_and_the_cpus(self, monkeypatch):
+        # the stand-in pool runs the chunks in turn, so no thread starts
+        # whatever count is asked for
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                self.max_workers, self.chunks = max_workers, []
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                self.chunks = list(chunks)
+                return map(fn, self.chunks)
+
+        monkeypatch.setattr(sde, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        m = bm_model(0.0, 1.0)
+        grid = TimeGrid(0, 0.5, 20)
+        x0 = np.zeros((4096, 1))
+        bundle = simulate(m, x0, grid, 9, threads=10**6)
+        # one chunk per 256 paths, on at most 3 workers
+        assert [(p.max_workers, len(p.chunks)) for p in pools] == [(3, 16)]
+        assert (bundle.positions == simulate(m, x0, grid, 9).positions).all()
+        # the split does not depend on the machine: 8 threads are 8 chunks
+        # on a one-CPU machine too
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        simulate(m, x0, grid, 9, threads=8)
+        assert [(p.max_workers, len(p.chunks)) for p in pools[1:]] == [(1, 8)]
 
     def test_initial_points_one_per_row(self):
         # a (d, N) block is not read as N points, and at N = d not as rows
