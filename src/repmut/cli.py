@@ -401,11 +401,21 @@ def _write_masses(path: str, times, analytic, particle) -> None:
 # subcommands
 
 
-def cmd_solve(cfg: dict, out: str, seed, threads: int) -> int:
+def _density_scenario(cfg: dict, command: str, reads: str) -> Scenario:
+    """The scenario of ``solve`` or ``chaos``: both read the density of a
+    1-D initial law from t = 0 on, so a 2-D model or a point cloud fails
+    before any output."""
     sc = build_scenario(cfg)
     if sc.model.dim != 1:
-        raise ConfigError(f"solve exports 1-D densities; the model has dimension "
-                          f"{sc.model.dim}")
+        raise ConfigError(f"{command} {reads}; the model has dimension {sc.model.dim}")
+    if sc.initial_law.kind == "point-cloud":
+        raise ConfigError(f"{command} reads the initial law's density at t = 0, "
+                          f"and a point-cloud law has none")
+    return sc
+
+
+def cmd_solve(cfg: dict, out: str, seed, threads: int) -> int:
+    sc = _density_scenario(cfg, "solve", "exports 1-D densities")
     manifest = _new_manifest(cfg, seed)
     with manifest.running(out):
         times = _checkpoint_times(sc, cfg)
@@ -489,10 +499,7 @@ def bootstrap_slopes(x: np.ndarray, y: np.ndarray, gen) -> np.ndarray:
 
 
 def cmd_chaos(cfg: dict, out: str, seed, threads: int) -> int:
-    sc = build_scenario(cfg)
-    if sc.model.dim != 1:
-        raise ConfigError(f"chaos bins 1-D measures; the model has dimension "
-                          f"{sc.model.dim}")
+    sc = _density_scenario(cfg, "chaos", "bins 1-D measures")
     n_ladder = [int(n) for n in cfg["particles"]["N"]]
     if len(n_ladder) < 3 or min(np.diff(n_ladder)) <= 0:
         raise ConfigError(f"chaos study needs at least 3 strictly increasing particle "
@@ -582,6 +589,7 @@ def cmd_validate(full: bool = True) -> int:
 
 
 def cmd_manifest(cfg: dict, out, seed) -> int:
+    build_scenario(cfg)  # a config the other commands reject fails here too
     manifest = _new_manifest(cfg, seed)
     for stage in [f"solve/{e}" for e in ENGINES] + ["particles", "chaos/N=*"]:
         manifest.stage_seed(stage)

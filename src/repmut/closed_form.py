@@ -34,6 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.special
 
 from .constants import TOL, DEFAULT_STEPS_PER_UNIT
 from .model import DiffusionModel, FitnessFunction, InitialLaw, probe_points, sample_initial
@@ -48,7 +49,7 @@ class EngineError(RuntimeError):
 
 
 class HorizonError(EngineError):
-    """Normalizing quadrature overflowed; the horizon is too long."""
+    """A quadrature normalizer or mass factor overflowed; the horizon is too long."""
 
 
 class RejectedCondition(Exception):
@@ -64,12 +65,11 @@ class Eigenpair:
     """Positive eigenfunction with (A + g) phi = -lam phi.
 
     ``log_phi`` and ``grad_log_phi`` are the numerically robust primitives;
-    ``phi``/``dphi`` satisfy the plain contract.  ``d2phi`` (analytic; the
-    Hessian in d > 1, where the residual probe requires it) sharpens the
-    residual probe.  Grid-backed eigenfunctions carry their grid and
-    tabulated values for grid-aligned probing.  A pure exponential
-    phi = e^{c x} (1-D) records its slope c in ``log_slope``, so that the
-    tilted engine can read the tilted drift off the data.
+    ``phi``/``dphi`` satisfy the plain contract.  The residual probe needs
+    either ``d2phi`` (analytic; the Hessian in d > 1) or, on the line, a
+    uniform grid and phi tabulated on it (grid-backed pairs).  A pure
+    exponential phi = e^{c x} (1-D) records its slope c in ``log_slope``, so
+    that the tilted engine can read the tilted drift off the data.
     """
 
     lam: float
@@ -79,7 +79,6 @@ class Eigenpair:
     log_phi: Callable
     grad_log_phi: Callable
     d2phi: Optional[Callable] = None
-    fd_step: Optional[float] = None
     grid: Optional[np.ndarray] = None
     phi_grid: Optional[np.ndarray] = None
     log_slope: Optional[float] = None
@@ -117,24 +116,34 @@ def _auto_grid(mean, sd, width=10.0, size=2048):
     return np.linspace(mean - width * sd, mean + width * sd, size)
 
 
-def _normalized_density(u0: InitialLaw, grid: np.ndarray, numerator: Callable) -> Callable:
-    """u(t, x) = numerator(t, x) / z_t, z_t its trapezoid integral over ``grid``
-    once per t (from the same pass when x is ``grid``); u0 at t <= 0."""
-    norm_cache = {}
+def _kernel_density(u0: InitialLaw, grid: np.ndarray, log_numerator: Callable):
+    """(u, normalizer) of a kernel-quadrature density: u(t, x) is
+    exp(log_numerator(t, x) - m) / z, where normalizer(t) = (m, z) holds the
+    largest finite log numerator m on ``grid`` and the trapezoid integral z of
+    exp(log_numerator - m) over it, computed once per t (from the same pass
+    when x is ``grid``).  u is u0 at t <= 0; a z that is not finite and
+    positive raises HorizonError."""
+    cache = {}
+
+    def normalizer(t, lz=None):
+        if t not in cache:
+            lz = log_numerator(t, grid) if lz is None else lz
+            m = np.max(lz, initial=-np.inf, where=np.isfinite(lz))
+            z = np.trapezoid(np.exp(lz - m), grid)
+            if not np.isfinite(z) or z <= 0:
+                raise HorizonError("normalizing quadrature overflowed")
+            cache[t] = (m, z)
+        return cache[t]
 
     def u(t, x):
         x = np.asarray(x, float)
         if t <= 0:
             return u0.density(x)
-        vals = numerator(t, x)
-        if t not in norm_cache:
-            z = np.trapezoid(vals if x is grid else numerator(t, grid), grid)
-            if not np.isfinite(z) or z <= 0:
-                raise HorizonError("normalizing quadrature overflowed")
-            norm_cache[t] = z
-        return vals / norm_cache[t]
+        lx = log_numerator(t, x)
+        m, z = normalizer(t, lx if x is grid else None)
+        return np.exp(lx - m) / z
 
-    return u
+    return u, normalizer
 
 
 def linear_engine(model: DiffusionModel, fitness: FitnessFunction,
@@ -173,10 +182,8 @@ def linear_engine(model: DiffusionModel, fitness: FitnessFunction,
         return u0.density(x) if t <= 0 else moments(t).density(x)
 
     def mass(t):
-        cb = float(c @ b)
-        cac = float(c @ a @ c)
-        cm = float(c @ m0)
-        cSc = float(c @ S0 @ c)
+        cb, cac = float(c @ b), float(c @ a @ c)
+        cm, cSc = float(c @ m0), float(c @ S0 @ c)
         return float(np.exp(-t * alpha + cb * t * t / 2.0 + cac * t ** 3 / 6.0
                             + t * cm + t * t * cSc / 2.0))
 
@@ -191,10 +198,12 @@ def _kernel_quadrature(u0: InitialLaw, fitness: FitnessFunction, b, a, c,
                        horizon: float, grid_size: int) -> Solution:
     """1D kernel route for constant (b, a = sigma sigma^T) and linear fitness
     with gradient c: e^{t g(x)} times u0 convolved with the Gaussian kernel
-    of mean b t - a c t^2 / 2 and variance a t, normalized on a grid.
+    of mean b t - a c t^2 / 2 and variance a t, formed in log space and
+    normalized on a grid that covers the tilted law from t = 0 to T.
 
     u0's own nodes are the quadrature nodes: a grid density (trapezoid rule)
-    or atoms.  The solution returns u0 at t <= 0, and h_0 = 1.
+    or atoms.  The solution returns u0 at t <= 0, and h_0 = 1; an h_t past
+    the largest float raises HorizonError.
     """
     if a.shape[0] != 1:
         raise RejectedCondition("non-Gaussian initial data supported in 1D only")
@@ -210,26 +219,35 @@ def _kernel_quadrature(u0: InitialLaw, fitness: FitnessFunction, b, a, c,
         raise RejectedCondition(f"kernel quadrature needs a grid-density or "
                                 f"point-cloud law, not {u0.kind}")
 
-    a1 = float(a[0, 0])
+    # at t the tilted law sits near the nodes shifted by b t + a c t^2 / 2;
+    # the grid covers that shift over all of [0, T] (ends and vertex)
+    a1, b1, ac = float(a[0, 0]), float(b[0]), float((a @ c)[0])
     sd_T = np.sqrt(a1 * horizon + 1.0)
-    grid = np.linspace(lo - 10 * sd_T, hi + 10 * sd_T, grid_size)
+    ts = [0.0, horizon] + ([min(max(-b1 / ac, 0.0), horizon)] if ac else [])
+    shifts = [b1 * t + ac * t * t / 2.0 for t in ts]
+    grid = np.linspace(lo - 10 * sd_T + min(shifts), hi + 10 * sd_T + max(shifts),
+                       grid_size)
 
-    def numerator(t, x):
+    def log_numerator(t, x):
         var = a1 * t
         r = float((b * t - (a @ c) * t * t / 2.0)[0])
-        conv = _gauss_kernel_sum(x, nodes, wts, r=r, s=var) / np.sqrt(2 * np.pi * var)
-        expo = t * np.asarray(fitness.g(x), float)
-        if expo.max() > 600.0:
-            raise HorizonError("tilt overflow; reduce the horizon")
-        return np.exp(expo) * conv
+        return (t * np.asarray(fitness.g(x), float) - 0.5 * np.log(2 * np.pi * var)
+                + _gauss_kernel_sum(x, nodes, wts, 0.0, r=r, s=var))
 
-    u = _normalized_density(u0, grid, numerator)
+    u = _kernel_density(u0, grid, log_numerator)[0]
+
+    pos = wts > 0
+    g_pos, w_pos = np.asarray(fitness.g(nodes[pos]), float), wts[pos]
 
     def mass(t):
+        # e^{c b t^2 / 2 + c a c t^3 / 6} sum_j w_j e^{t g(y_j)}, in log space
         if t <= 0:
             return 1.0
-        ey = float(np.exp(t * np.asarray(fitness.g(nodes), float)) @ wts)
-        return float(np.exp(float(c @ b) * t * t / 2.0 + float(c @ a @ c) * t ** 3 / 6.0) * ey)
+        log_h = (scipy.special.logsumexp(t * g_pos, b=w_pos)
+                 + float(c @ b) * t * t / 2.0 + float(c @ a @ c) * t ** 3 / 6.0)
+        if not log_h < np.log(np.finfo(float).max):
+            raise HorizonError(f"mass h_t overflows at t = {t:g}")
+        return float(np.exp(log_h))
 
     return Solution(engine="linear-quadrature", horizon=horizon, shift=fitness.g_max,
                     u=u, mass=mass, grid=grid)
@@ -243,19 +261,16 @@ class RiccatiError(EngineError):
     pass
 
 
-def _lyap(A, Q):
-    """Solve A^T X + X A = -Q for symmetric X."""
-    X = scipy.linalg.solve_continuous_lyapunov(A.T, -np.asarray(Q, float))
-    return 0.5 * (X + X.T)
-
-
 def riccati_residual(H, a, B, G):
     return 2 * H @ a @ H - B.T @ H - H @ B - G
 
 
-def solve_riccati(a, B, G, max_iter: int = 100) -> np.ndarray:
-    """Stabilizing symmetric solution of 2 H a H - B^T H - H B - G = 0 by
-    Newton-Kleinman iteration (Lyapunov linearizations)."""
+def solve_riccati(a, B, G) -> np.ndarray:
+    """Stabilizing symmetric solution of 2 H a H - B^T H - H B - G = 0, the
+    CARE B^T H + H B - H (2a) H + G = 0 with unit input matrix, by scipy's
+    Schur-vector solver; exactly 0 where G = 0 and B is Hurwitz.  The
+    residual must be within ``TOL["riccati_residual"]`` max(1, |G|) and
+    B - 2 a H Hurwitz."""
     a = np.atleast_2d(np.asarray(a, float))
     B = np.atleast_2d(np.asarray(B, float))
     G = np.atleast_2d(np.asarray(G, float))
@@ -264,29 +279,18 @@ def solve_riccati(a, B, G, max_iter: int = 100) -> np.ndarray:
         raise RiccatiError("a must be symmetric positive definite")
     if np.abs(G - G.T).max() > 1e-10:
         raise RiccatiError("G must be symmetric")
-
-    if np.linalg.eigvals(B).real.max() < -1e-12:
-        H = np.zeros((n, n))
-    else:
-        # H0 = (eta/2) a^{-1} gives Gamma0 = B - eta I, Hurwitz by construction
-        eta = float(np.linalg.eigvals(B).real.max()) + 1.0
-        H = 0.5 * eta * np.linalg.inv(a)
-        H = 0.5 * (H + H.T)
-
-    scale = max(1.0, np.linalg.norm(G))
-    prev = np.inf
-    for _ in range(max_iter):
-        res = np.linalg.norm(riccati_residual(H, a, B, G))
-        if res <= 1e-14 * scale or (res <= TOL["riccati_residual"] * scale
-                                    and res >= 0.5 * prev):
-            return H
-        prev = res
-        Gamma = B - 2 * a @ H
-        H = _lyap(Gamma, G + 2 * H @ a @ H)
+    if not G.any() and np.linalg.eigvals(B).real.max() < -1e-12:
+        return np.zeros((n, n))
+    try:
+        H = scipy.linalg.solve_continuous_are(B, np.eye(n), G, np.linalg.inv(2 * a))
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise RiccatiError(f"CARE solver failed: {exc}") from exc
     res = np.linalg.norm(riccati_residual(H, a, B, G))
-    if res <= TOL["riccati_residual"] * scale:
-        return H
-    raise RiccatiError(f"Newton-Kleinman did not converge; residual {res:.3e}")
+    if not res <= TOL["riccati_residual"] * max(1.0, np.linalg.norm(G)):
+        raise RiccatiError(f"Riccati residual {res:.3e}")
+    if not np.linalg.eigvals(B - 2 * a @ H).real.max() < 0:
+        raise RiccatiError("no stabilizing solution: B - 2 a H is not Hurwitz")
+    return H
 
 
 def solve_linear_v(H, a, B, b, delta) -> np.ndarray:
@@ -395,11 +399,9 @@ def affine_engine(model: DiffusionModel, fitness: FitnessFunction,
     Gamma = B - 2 * a @ H
     beta = b - a @ v
 
-    def transition(t, y=None):
-        A = matrix_exp(Gamma, t)
-        r = expm_integral(Gamma, t) @ beta
-        S = covariance_integral(Gamma, a, t)
-        return A, r, S
+    def transition(t):
+        return (matrix_exp(Gamma, t), expm_integral(Gamma, t) @ beta,
+                covariance_integral(Gamma, a, t))
 
     if u0.kind == "gaussian":
         m0, S0 = u0.params["mean"], u0.params["cov"]
@@ -443,10 +445,9 @@ def affine_engine(model: DiffusionModel, fitness: FitnessFunction,
 
     if n != 1:
         raise RejectedCondition("non-Gaussian initial data supported in 1D only")
-    ygrid = u0.params["x"] if u0.kind == "grid-density" else None
-    if ygrid is None:
+    if u0.kind != "grid-density":
         raise RejectedCondition("affine engine needs gaussian or grid-density u0")
-    yvals = u0.params["values"]
+    ygrid, yvals = u0.params["x"], u0.params["values"]
     grid = _auto_grid(float(np.trapezoid(ygrid * yvals, ygrid)),
                       max(1.0, np.sqrt(float(a[0, 0]) * horizon)) + np.ptp(ygrid) / 4,
                       size=grid_size)
@@ -457,34 +458,17 @@ def affine_engine(model: DiffusionModel, fitness: FitnessFunction,
     def log_numerator(t, x):
         A, r, S = transition(t)
         s1 = float(S[0, 0])
-        log_int = _gauss_kernel_sum(x, ygrid, wy, float(A[0, 0]), float(r[0]), s1, log_wy)
+        log_int = _gauss_kernel_sum(x, ygrid, wy, log_wy, float(A[0, 0]), float(r[0]), s1)
         return log_int - 0.5 * np.log(2 * np.pi * s1) - pair.log_phi(x)
 
-    norm_cache = {}
-
-    def u(t, x):
-        x = np.asarray(x, float)
-        if t <= 0:
-            return u0.density(x)
-        lx = log_numerator(t, x)
-        if t not in norm_cache:
-            lz = lx if x is grid else log_numerator(t, grid)
-            mref = lz[np.isfinite(lz)].max()
-            z = np.trapezoid(np.exp(lz - mref), grid)
-            if not np.isfinite(z) or z <= 0:
-                raise HorizonError("normalizing quadrature overflowed")
-            norm_cache[t] = (mref, z)
-        mref, z = norm_cache[t]
-        return np.exp(lx - mref) / z
+    u, normalizer = _kernel_density(u0, grid, log_numerator)
 
     def mass(t):
-        # h(t) = e^{-lam t} times the numerator's total mass, exp(mref) z
+        # h(t) = e^{-lam t} times the numerator's total mass, exp(m) z
         if t <= 0:
             return 1.0
-        if t not in norm_cache:
-            u(t, grid)
-        mref, z = norm_cache[t]
-        return float(np.exp(mref - pair.lam * t) * z)
+        m, z = normalizer(t)
+        return float(np.exp(m - pair.lam * t) * z)
 
     return Solution(engine="affine-quadrature", horizon=horizon, shift=fitness.g_max,
                     u=u, mass=mass, grid=grid, meta={"eigenpair": pair, "H": H, "v": v})
@@ -509,8 +493,7 @@ def tilted_extra_drift(model: DiffusionModel, pair: Eigenpair) -> DiffusionModel
 def _reweighted_initial(u0: InitialLaw, pair: Eigenpair, domain_kind: str) -> InitialLaw:
     """Initial law with density proportional to phi(y) u0(y)."""
     if u0.kind == "grid-density":
-        xg = u0.params["x"]
-        base = u0.params["values"]
+        xg, base = u0.params["x"], u0.params["values"]
     elif u0.kind == "gaussian":
         m0 = float(u0.params["mean"][0])
         s0 = float(np.sqrt(u0.params["cov"][0, 0]))
@@ -619,19 +602,17 @@ def tilted_engine(model: DiffusionModel, fitness: FitnessFunction,
 
 
 def eigenpair_residual(model: DiffusionModel, fitness: FitnessFunction,
-                       pair: Eigenpair, points: np.ndarray,
-                       fd_step: float = 1e-4) -> float:
+                       pair: Eigenpair, points: np.ndarray) -> float:
     """Relative residual max |(A + g) phi + lam phi| / max |phi| on probes.
 
-    Uses analytic derivatives when the eigenpair carries them (in d > 1 it
-    must), aligned grid differences for grid-backed pairs, otherwise central
-    differences with step fd_step * (1 + |x|).
+    Uses aligned grid differences for a grid-backed pair on the line, else
+    the pair's analytic derivatives; a pair with neither is rejected.
     """
     g = fitness.g
+    if pair.d2phi is None and (model.dim != 1 or pair.grid is None):
+        raise EngineError(f"a {model.dim}-D eigenpair needs d2phi (or, on the line, a "
+                          f"grid) for its residual (source {pair.source!r})")
     if model.dim != 1:
-        if pair.d2phi is None:
-            raise EngineError(f"a {model.dim}-D eigenpair needs d2phi for its residual "
-                              f"(source {pair.source!r})")
         pts = np.atleast_2d(points)
         res = []
         for x in pts:
@@ -646,8 +627,8 @@ def eigenpair_residual(model: DiffusionModel, fitness: FitnessFunction,
         return float(np.max(res))
 
     x = np.asarray(points, float).reshape(-1)
-    if pair.grid is not None and pair.phi_grid is not None:
-        h = pair.fd_step
+    if pair.grid is not None:
+        h = pair.grid[1] - pair.grid[0]
         idx = np.clip(np.searchsorted(pair.grid, x), 1, len(pair.grid) - 2)
         ph = pair.phi_grid[idx]
         dp = (pair.phi_grid[idx + 1] - pair.phi_grid[idx - 1]) / (2 * h)
@@ -655,14 +636,7 @@ def eigenpair_residual(model: DiffusionModel, fitness: FitnessFunction,
         xs = pair.grid[idx]
     else:
         xs = x
-        step = fd_step * (1.0 + np.abs(xs))
-        ph = pair.phi(xs)
-        if pair.d2phi is not None:
-            dp = pair.dphi(xs)
-            d2 = pair.d2phi(xs)
-        else:
-            dp = (pair.phi(xs + step) - pair.phi(xs - step)) / (2 * step)
-            d2 = (pair.phi(xs + step) - 2 * ph + pair.phi(xs - step)) / step ** 2
+        ph, dp, d2 = pair.phi(xs), pair.dphi(xs), pair.d2phi(xs)
     bvec = model.drift(xs[:, None])[:, 0]
     svec = model.diffusion(xs[:, None])[:, 0, 0]
     res = bvec * dp + 0.5 * svec * svec * d2 + np.asarray(g(xs)) * ph + pair.lam * ph

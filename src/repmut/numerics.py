@@ -107,12 +107,11 @@ def trapezoid_weights(x: np.ndarray) -> np.ndarray:
 _KERNEL_BLOCK_ROWS = 64  # rows of x per block: 2 MB of doubles against 4096 nodes
 
 
-def _gauss_kernel_sum(x, y, w, A=1.0, r=0.0, s=1.0, log_w=None) -> np.ndarray:
-    """sum_j w_j exp(-(x_i - A y_j - r)^2 / (2 s)) for every x_i, formed in
-    place a block of rows at a time and reduced by one matrix-vector product
-    per block.  With ``log_w`` the exponent of column j gains ``log_w[j]``
-    and the log of the sum is returned, each row's largest exponent taken
-    out before ``exp`` (log-sum-exp)."""
+def _gauss_kernel_sum(x, y, w, log_w, A=1.0, r=0.0, s=1.0) -> np.ndarray:
+    """log sum_j w_j exp(log_w[j] - (x_i - A y_j - r)^2 / (2 s)) for every x_i,
+    formed in place a block of rows at a time, each row's largest exponent
+    taken out before ``exp`` (log-sum-exp) and the rest reduced by one
+    matrix-vector product per block."""
     xr = np.asarray(x, float) - r
     ay = A * np.asarray(y, float)
     out = np.empty(xr.size)
@@ -121,13 +120,10 @@ def _gauss_kernel_sum(x, y, w, A=1.0, r=0.0, s=1.0, log_w=None) -> np.ndarray:
         blk = np.subtract.outer(xr[rows], ay)
         np.square(blk, out=blk)
         blk *= -0.5 / s
-        if log_w is None:
-            out[rows] = np.exp(blk, out=blk) @ w
-        else:
-            blk += log_w
-            peak = blk.max(axis=1)
-            blk -= peak[:, None]
-            out[rows] = peak + np.log(np.exp(blk, out=blk) @ w)
+        blk += log_w
+        peak = blk.max(axis=1)
+        blk -= peak[:, None]
+        out[rows] = peak + np.log(np.exp(blk, out=blk) @ w)
     return out
 
 

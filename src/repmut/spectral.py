@@ -165,5 +165,5 @@ def schrodinger_ground_state(problem: SchrodingerProblem) -> Eigenpair:
     pair = Eigenpair(lam=float(lam_shifted - shift), phi=phi, dphi=dphi,
                      source="schrodinger-grid",
                      log_phi=log_phi, grad_log_phi=grad_log_phi,
-                     fd_step=h, grid=x, phi_grid=phi_grid)
+                     grid=x, phi_grid=phi_grid)
     return pair

@@ -162,7 +162,7 @@ class TestConfig:
     def test_custom_section_outside_its_kind_exits_config_error(self, tmp_path, capsys,
                                                                 section, value, message):
         path, _ = write_cfg(tmp_path, **{**OU_QUADRATIC, section: value})
-        for command in ("solve", "chaos", "particles"):
+        for command in ("manifest", "solve", "chaos", "particles"):
             assert main([command, "--config", path, "--out", str(tmp_path / "o")]) \
                 == EXIT_CONFIG
             assert message in capsys.readouterr().err
@@ -302,6 +302,18 @@ class TestSolveCommand:
         assert ("initial law 'gaussian' has dimension 2; the model has dimension 1"
                 in capsys.readouterr().err)
         assert not out.exists()  # raised before the manifest
+
+    def test_point_cloud_law_is_config_error(self, tmp_path, capsys):
+        # both commands read the initial density at t = 0, which a cloud lacks
+        path, _ = write_cfg(tmp_path, scenario=None, model={"kind": "arithmetic-bm"},
+                            fitness={"kind": "linear"},
+                            initial={"kind": "point-cloud", "points": [-0.5, 0.0, 0.5]})
+        for command in ("solve", "chaos"):
+            out = tmp_path / command
+            assert main([command, "--config", path, "--out", str(out)]) == EXIT_CONFIG
+            assert (f"{command} reads the initial law's density at t = 0, and a "
+                    f"point-cloud law has none") in capsys.readouterr().err
+            assert not out.exists()  # raised before the manifest
 
     def test_one_point_cloud_in_two_dimensions(self, tmp_path):
         # [[1.0, 2.0]] is one 2-D point, not two 1-D points

@@ -5,7 +5,7 @@ from repmut.closed_form import (EngineError, HorizonError, RejectedCondition, Ri
                                 affine_engine, eigenpair_residual, linear_engine, riccati_residual,
                                 solve_linear_v, solve_riccati, tilted_engine)
 from repmut.model import DiffusionModel, DomainSpec, FitnessFunction, InitialLaw
-from repmut.numerics import GridDensity
+from repmut.numerics import GridDensity, trapezoid_weights
 from repmut.numerics import covariance_integral, expm_integral, matrix_exp
 from repmut.scenarios import (affine_quadratic_fitness, bm_model, gamma_like_law,
                               linear_bm_scenario, ou_linear_scenario, ou_model,
@@ -164,19 +164,11 @@ class TestRiccati:
             assert res <= 1e-10 * max(1.0, np.linalg.norm(G))
             assert np.linalg.eigvals(B - 2 * a @ H).real.max() < 0
 
-    def test_against_scipy_care(self):
-        import scipy.linalg
-        gen = np.random.default_rng(6)
-        R = gen.standard_normal((3, 3))
-        a = R @ R.T + 0.3 * np.eye(3)
-        B = gen.standard_normal((3, 3)) - np.eye(3)
-        Q = gen.standard_normal((3, 3))
-        G = Q @ Q.T
-        # our equation 2HaH - B^T H - H B - G = 0 is the CARE
-        # B^T X + X B - X (2a) X + G = 0 with R^{-1} term 2a
-        H = solve_riccati(a, B, G)
-        X = scipy.linalg.solve_continuous_are(B, np.eye(3), G, np.linalg.inv(2 * a))
-        assert np.abs(H - X).max() < 1e-8
+    def test_no_stabilizing_solution_raises(self):
+        # G = 0 and B a rotation: B's eigenvalues +-i stay on the imaginary
+        # axis for every admissible H, so no solution makes B - 2 a H Hurwitz
+        with pytest.raises(RiccatiError, match="stabilizing"):
+            solve_riccati(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]], np.zeros((2, 2)))
 
     def test_solve_linear_v_scalar(self):
         # H=0, B=-kappa, delta: v = delta / kappa
@@ -267,6 +259,13 @@ class TestAffineEngine:
         pair = dataclasses.replace(sol.meta["eigenpair"], d2phi=None)
         with pytest.raises(EngineError, match="d2phi"):
             eigenpair_residual(m, fit, pair, np.zeros((4, 2)))
+        # on the line too, unless the pair carries its grid
+        sc = ou_linear_scenario()
+        pair = affine_engine(sc.model, sc.fitness, sc.initial_law).meta["eigenpair"]
+        assert eigenpair_residual(sc.model, sc.fitness, pair, np.zeros(4)) <= 1e-12
+        with pytest.raises(EngineError, match="d2phi"):
+            eigenpair_residual(sc.model, sc.fitness, dataclasses.replace(pair, d2phi=None),
+                               np.zeros(4))
 
     def test_gaussian_posterior_vs_quadrature_n1(self):
         # full pipeline check at n=1 with G > 0 (nonzero H)
@@ -424,7 +423,8 @@ class TestTiltedEngine:
                          dphi=lambda x: np.zeros_like(np.asarray(x, float)),
                          source="affine-analytic",
                          log_phi=lambda x: np.zeros_like(np.asarray(x, float)),
-                         grad_log_phi=lambda x: np.zeros_like(np.asarray(x, float)))
+                         grad_log_phi=lambda x: np.zeros_like(np.asarray(x, float)),
+                         d2phi=lambda x: np.zeros_like(np.asarray(x, float)))
         sol = tilted_engine(m, zero_fitness, ones, law, 0.5, n_paths=5000, seed=9)
         # plain-path KDE with the identical seed and sampling route
         x0 = sample_initial(law, 5000, 9)
@@ -482,39 +482,52 @@ class TestEngineAgreementOU:
                 assert l1 <= 5e-2, f"{a} vs {b}: L1 = {l1:.3f}"
 
 
-def validity_horizon(solution, t_max=64.0, rel=1e-3):
-    """Largest t (within rel) at which the normalizing quadrature is still
-    finite at working precision; bisection against HorizonError."""
-    def usable(t):
-        try:
-            vals = solution.u(t, solution.grid)
-        except (HorizonError, OverflowError, FloatingPointError):
-            return False
-        return bool(np.isfinite(vals).all())
+class TestLongHorizon:
+    """The linear kernel quadrature at horizons where e^{T g} overflows: at T
+    the tilted law sits near the law's nodes shifted by b T + a c T^2 / 2,
+    which is T^2 on linear-bm."""
 
-    if usable(t_max):
-        return t_max
-    lo, hi = 0.0, t_max
-    while hi - lo > rel * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if usable(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    @staticmethod
+    def wide_law(sc):  # u0 = N(0, 1), the analytic route's law, on [-10, 40]
+        y = np.linspace(-10.0, 40.0, 5001)
+        return InitialLaw("grid-density", {"x": y, "values": sc.initial_law.density(y)})
 
-
-class TestValidityHorizon:
-    def test_quadrature_engine_reports_finite_horizon(self):
-        x = np.linspace(-10, 10, 2001)
-        law = InitialLaw("grid-density",
-                         {"x": x, "values": np.exp(-0.5 * x ** 2) / np.sqrt(2 * np.pi)})
+    def test_grid_follows_the_tilt(self):
         sc = linear_bm_scenario()
-        sol = linear_engine(sc.model, sc.fitness, law, horizon=1.0)
-        t_star = validity_horizon(sol, t_max=64.0)
-        assert 1.0 < t_star < 64.0
-        assert t_star == 14.5078125  # the bisection's value with dense kernel matrices
-        sol.u(0.9 * t_star, sol.grid)  # still evaluable below the horizon
+        law = self.wide_law(sc)
+        for T in (6.0, 10.0, 20.0):
+            num = linear_engine(sc.model, sc.fitness, law, horizon=T)
+            ana = linear_engine(sc.model, sc.fitness, sc.initial_law, horizon=T)
+            x = num.grid
+            # t = 0 is u0 itself, all of whose mass the grid holds
+            assert np.trapezoid(num.u(0.0, x), x) == pytest.approx(1.0, abs=1e-6)
+            for t in (T / 3, 2 * T / 3, T):
+                assert np.trapezoid(np.abs(num.u(t, x) - ana.u(t, x)), x) < 1e-11
+
+    def test_mass_in_log_space(self):
+        # h_T is e^{383} at T = 10, past e^{709} at T = 20, where e^{T g}
+        # times the law's weights is inf times 0 at the grid's upper end
+        sc = linear_bm_scenario()
+        law = self.wide_law(sc)
+        ana = linear_engine(sc.model, sc.fitness, sc.initial_law, horizon=10.0)
+        num = linear_engine(sc.model, sc.fitness, law, horizon=10.0)
+        assert num.mass(10.0) == pytest.approx(ana.mass(10.0), rel=1e-12)
+        num = linear_engine(sc.model, sc.fitness, law, horizon=20.0)
+        with pytest.raises(HorizonError, match="overflows"):
+            num.mass(20.0)
+
+    def test_truncated_law_mean(self):
+        # N(0, 1) cut to [-10, 10]: e^{T x} times the kernel sum is a mixture
+        # of N(y + T^2, 2 T) over the nodes y, weighted by e^{T y} times the
+        # trapezoid weight of u0(y), so its mean is theirs plus T^2
+        sc = linear_bm_scenario()
+        y = np.linspace(-10.0, 10.0, 2001)
+        law = InitialLaw("grid-density", {"x": y, "values": sc.initial_law.density(y)})
+        T = 10.0
+        sol = linear_engine(sc.model, sc.fitness, law, horizon=T)
+        w = trapezoid_weights(y) * law.params["values"] * np.exp(T * (y - y.max()))
+        mean = np.trapezoid(sol.grid * sol.u(T, sol.grid), sol.grid)
+        assert mean == pytest.approx(w @ y / w.sum() + T * T, rel=1e-12)
 
 
 # The dense np.trapezoid forms of the two kernel quadratures (the linear one,

@@ -19,17 +19,17 @@ class TestGaussKernelSum:
         # 200 rows: three full blocks and a partial one
         gen = np.random.default_rng(5)
         x, y = gen.uniform(-4, 4, 200), gen.uniform(-3, 3, 150)
-        w = gen.uniform(0, 1, 150)
-        dense = np.exp(-(x[:, None] - 0.7 * y[None, :] - 0.2) ** 2 / (2 * 0.3)) @ w
-        got = _gauss_kernel_sum(x, y, w, A=0.7, r=0.2, s=0.3)
-        assert np.abs(got - dense).max() <= 1e-13 * dense.max()
+        w, log_w = gen.uniform(0, 1, 150), gen.uniform(-2, 2, 150)
+        dense = np.exp(-(x[:, None] - 0.7 * y[None, :] - 0.2) ** 2 / (2 * 0.3) + log_w) @ w
+        got = _gauss_kernel_sum(x, y, w, log_w, A=0.7, r=0.2, s=0.3)
+        assert np.abs(np.exp(got) - dense).max() <= 1e-13 * dense.max()
 
     def test_log_sum_survives_underflow(self):
         y = np.linspace(-1.0, 1.0, 101)
         w = trapezoid_weights(y)
         x = np.array([0.0, 40.0])
-        lin = _gauss_kernel_sum(x, y, w, s=0.01)
-        log = _gauss_kernel_sum(x, y, w, s=0.01, log_w=np.zeros(y.size))
+        lin = np.exp(-(x[:, None] - y[None, :]) ** 2 / 0.02) @ w
+        log = _gauss_kernel_sum(x, y, w, 0.0, s=0.01)
         assert lin[1] == 0.0  # every term underflows in the linear domain
         assert log[0] == pytest.approx(np.log(lin[0]), rel=1e-14)
         # at x = 40 the node y = 1 carries the sum
